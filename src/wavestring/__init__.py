@@ -26,7 +26,6 @@ from .waves import (
     awtf_axis_sweep,
     awtf_dc,
     awtf_eval,
-    awtf_sweep,
     quadratic_residuals,
     reflection_eval,
     t_g_eval,
@@ -94,7 +93,6 @@ __all__ = [
     "awtf_dc",
     "awtf_eval",
     "awtf_norm_estimates",
-    "awtf_sweep",
     "build_network",
     "check_assumption1",
     "default_dt",

@@ -12,7 +12,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import json
 import os
@@ -44,7 +43,6 @@ from .stability import (
     FrequencyGrid,
     headway_dominant_term,
     local_string_verdict,
-    nyquist_axis_test,
 )
 from .tf import (
     AgentDynamics,
@@ -56,8 +54,6 @@ from .tf import (
 )
 from .waveresponse import InverseLaplaceConfig, wave_components
 from .waves import awtf_dc
-
-THREADS_ENV = "WAVESTRING_THREADS"
 
 _ANALYSIS_DEFAULTS = {
     "omega_min": 1e-4,
@@ -87,13 +83,9 @@ _DISTURBANCE_DEFAULTS = {
 }
 
 
-def _fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
 def _require(cond: bool, msg: str):
     if not cond:
-        raise _fail(msg)
+        raise ConfigError(msg)
 
 
 def _coeff_list(obj: Any, where: str) -> list[float]:
@@ -204,7 +196,7 @@ def build_dynamics(cfg: dict) -> AgentDynamics:
     except WavestringError:
         raise
     except ValueError as exc:
-        raise _fail(f"bad dynamics: {exc}") from exc
+        raise ConfigError(f"bad dynamics: {exc}") from exc
     return AgentDynamics(Mf=mf, Mr=mr, h=float(dyn.get("h", 0.0)))
 
 
@@ -212,12 +204,12 @@ def build_topology(cfg: dict) -> Topology:
     topo = cfg["topology"]
     if topo["kind"] == "path":
         return Topology.path(int(topo["n"]))
-    edges = tuple((int(a), int(b)) for a, b in topo["edges"])
-    nodes = 1 + max(max(a, b) for a, b in edges)
     try:
+        edges = tuple((int(a), int(b)) for a, b in topo["edges"])
+        nodes = 1 + max(max(a, b) for a, b in edges)
         return Topology(nodes, edges, int(topo["n"]))
     except ValueError as exc:
-        raise _fail(f"bad topology: {exc}") from exc
+        raise ConfigError(f"bad topology: {exc}") from exc
 
 
 def build_grid(cfg: dict) -> FrequencyGrid:
@@ -229,10 +221,10 @@ def build_grid(cfg: dict) -> FrequencyGrid:
             points=int(ana["points"]),
         )
     except ValueError as exc:
-        raise _fail(f"bad analysis grid: {exc}") from exc
+        raise ConfigError(f"bad analysis grid: {exc}") from exc
 
 
-def build_sim_config(cfg: dict) -> SimConfig:
+def build_sim_config(cfg: dict, num_agents: int) -> SimConfig:
     sim = cfg["sim"]
     dists = tuple(
         Disturbance(
@@ -244,6 +236,9 @@ def build_sim_config(cfg: dict) -> SimConfig:
         )
         for d in sim["disturbances"]
     )
+    for dist in dists:
+        _require(1 <= dist.agent <= num_agents,
+                 f"disturbance targets missing agent {dist.agent}")
     try:
         return SimConfig(
             dt=sim["dt"],
@@ -255,7 +250,20 @@ def build_sim_config(cfg: dict) -> SimConfig:
             disturbances=dists,
         )
     except ValueError as exc:
-        raise _fail(f"bad sim config: {exc}") from exc
+        raise ConfigError(f"bad sim config: {exc}") from exc
+
+
+def build_waves_config(cfg: dict) -> InverseLaplaceConfig:
+    wav = cfg["waves"]
+    try:
+        return InverseLaplaceConfig(
+            T_final=float(wav["t_final"]),
+            samples=int(wav["samples"]),
+            sigma=None if wav["sigma"] is None else float(wav["sigma"]),
+            window=float(wav["window"]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad waves config: {exc}") from exc
 
 
 def _json_ready(obj: Any) -> Any:
@@ -289,19 +297,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: Optional[dict] = None) -> dict:
+    """Read, override and resolve a config file.
+
+    overrides maps a section name to the keys set in it before resolution
+    (the --grid-points and --dt flags).
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read config: {exc}") from exc
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if overrides:
+        _require(isinstance(raw, dict), "config must be a JSON object")
+        for section, values in overrides.items():
+            target = raw.setdefault(section, {})
+            _require(isinstance(target, dict), f"{section} must be an object")
+            target.update(values)
     return resolve_config(raw)
 
 
-def cmd_analyze(config_path: str, out_dir: str) -> int:
-    cfg = load_config(config_path)
+def cmd_analyze(config_path: str, out_dir: str,
+                overrides: Optional[dict] = None) -> int:
+    cfg = load_config(config_path, overrides)
     d = build_dynamics(cfg)
     tols = cfg["analysis"]["tolerances"]
     report = check_assumption1(d, tol_crhp=tols["tol_crhp"])
@@ -331,11 +351,11 @@ def cmd_analyze(config_path: str, out_dir: str) -> int:
     if d.p >= 1:
         gp_dc, gm_dc = awtf_dc(d)
         payload["dc_gains"] = {"g_plus": gp_dc, "g_minus": gm_dc}
-    nyq_pass, crossings = nyquist_axis_test(d, grid)
     verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"])
     payload.update(
         {
-            "nyquist": {"pass": nyq_pass, "crossings": crossings},
+            "nyquist": {"pass": verdict.awtf_stable,
+                        "crossings": list(verdict.crossings)},
             "hinf": {
                 "g_plus": {
                     "value": verdict.norm_gp.value,
@@ -360,11 +380,12 @@ def cmd_analyze(config_path: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_simulate(config_path: str, out_dir: str) -> int:
-    cfg = load_config(config_path)
+def cmd_simulate(config_path: str, out_dir: str,
+                 overrides: Optional[dict] = None) -> int:
+    cfg = load_config(config_path, overrides)
     d = build_dynamics(cfg)
     topo = build_topology(cfg)
-    sim_cfg = build_sim_config(cfg)
+    sim_cfg = build_sim_config(cfg, topo.num_nodes - 1)
     net = build_network(topo, d)
     traj = simulate(net, sim_cfg)
 
@@ -396,23 +417,18 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     return 0
 
 
-def cmd_waves(config_path: str, out_dir: str) -> int:
-    cfg = load_config(config_path)
+def cmd_waves(config_path: str, out_dir: str,
+              overrides: Optional[dict] = None) -> int:
+    cfg = load_config(config_path, overrides)
     if cfg["topology"]["kind"] != "path":
-        raise _fail("waves command needs a path topology")
+        raise ConfigError("waves command needs a path topology")
     d = build_dynamics(cfg)
     topo = build_topology(cfg)
-    wav = cfg["waves"]
-    n = int(wav["agent"])
+    n = int(cfg["waves"]["agent"])
     N = int(cfg["topology"]["n"])
     _require(1 <= n <= N, f"waves.agent must be in 1..{N}")
 
-    il_cfg = InverseLaplaceConfig(
-        T_final=float(wav["t_final"]),
-        samples=int(wav["samples"]),
-        sigma=None if wav["sigma"] is None else float(wav["sigma"]),
-        window=float(wav["window"]),
-    )
+    il_cfg = build_waves_config(cfg)
     amp = float(cfg["sim"]["step_amplitude"])
     wc = wave_components(d, N=N, n=n, cfg=il_cfg, step_amplitude=amp)
 
@@ -444,7 +460,7 @@ def _sweep_value_row(cfg: dict, parameter: str, value: float) -> dict:
         cfg["dynamics"]["h"] = float(value)
     elif parameter == "mu":
         if value == 0:
-            raise _fail("mu must be nonzero")
+            raise ConfigError("mu must be nonzero")
         d0 = build_dynamics(cfg)
         scaled = RationalTF(d0.Mr.num.scaled(float(value)), d0.Mr.den, d0.Mr.p)
         cfg["dynamics"] = {
@@ -455,12 +471,12 @@ def _sweep_value_row(cfg: dict, parameter: str, value: float) -> dict:
     elif parameter == "N":
         cfg["topology"] = {"kind": "path", "n": int(value)}
     else:
-        raise _fail(f"unknown sweep parameter {parameter!r}")
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
 
     d = build_dynamics(cfg)
     if parameter == "N":
         net = build_network(build_topology(cfg), d)
-        traj = simulate(net, build_sim_config(cfg))
+        traj = simulate(net, build_sim_config(cfg, net.num_agents))
         metric = overshoot_metrics(traj, cfg["sim"]["step_amplitude"])[net.num_agents]
         return {
             "parameter": parameter,
@@ -492,21 +508,12 @@ def _shifted(tf: RationalTF) -> list[float]:
 
 
 def cmd_sweep(config_path: str, out_dir: str, parameter: str,
-              values: list[float]) -> int:
-    cfg = load_config(config_path)
+              values: list[float], overrides: Optional[dict] = None) -> int:
+    cfg = load_config(config_path, overrides)
     _require(parameter in ("h", "mu", "N"), "sweep parameter must be h, mu or N")
     _require(len(values) >= 1, "sweep needs at least one value")
 
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers > 1 and len(values) > 1:
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(values))
-        ) as pool:
-            rows = list(pool.map(
-                lambda v: _sweep_value_row(cfg, parameter, v), values
-            ))
-    else:
-        rows = [_sweep_value_row(cfg, parameter, v) for v in values]
+    rows = [_sweep_value_row(cfg, parameter, v) for v in values]
 
     columns = list(rows[0].keys())
     lines = [",".join(columns)]
@@ -528,34 +535,14 @@ def _parse_values(args: argparse.Namespace) -> list[float]:
         try:
             return [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError as exc:
-            raise _fail(f"bad --values list: {exc}") from exc
+            raise ConfigError(f"bad --values list: {exc}") from exc
     if args.range:
         try:
             start, stop, count = args.range.split(":")
             return list(np.linspace(float(start), float(stop), int(count)))
         except ValueError as exc:
-            raise _fail(f"bad --range (want start:stop:count): {exc}") from exc
-    raise _fail("sweep needs --values or --range")
-
-
-def _apply_overrides(config_path: str, args: argparse.Namespace) -> str:
-    """Fold --grid-points / --dt into a temporary config before resolution.
-
-    Returns the path to read; the caller removes it when it is not the
-    original.
-    """
-    if args.grid_points is None and args.dt is None:
-        return config_path
-    with open(config_path) as fh:
-        raw = json.load(fh)
-    if args.grid_points is not None:
-        raw.setdefault("analysis", {})["points"] = args.grid_points
-    if args.dt is not None:
-        raw.setdefault("sim", {})["dt"] = args.dt
-    fd, tmp = tempfile.mkstemp(suffix=".json")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(raw, fh)
-    return tmp
+            raise ConfigError(f"bad --range (want start:stop:count): {exc}") from exc
+    raise ConfigError("sweep needs --values or --range")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -591,17 +578,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    config_path = args.config
+    overrides: dict = {}
+    if args.grid_points is not None:
+        overrides["analysis"] = {"points": args.grid_points}
+    if args.dt is not None:
+        overrides["sim"] = {"dt": args.dt}
     try:
-        config_path = _apply_overrides(args.config, args)
         if args.command == "analyze":
-            return cmd_analyze(config_path, args.out)
+            return cmd_analyze(args.config, args.out, overrides)
         if args.command == "simulate":
-            return cmd_simulate(config_path, args.out)
+            return cmd_simulate(args.config, args.out, overrides)
         if args.command == "waves":
-            return cmd_waves(config_path, args.out)
-        return cmd_sweep(config_path, args.out, args.parameter,
-                         _parse_values(args))
+            return cmd_waves(args.config, args.out, overrides)
+        return cmd_sweep(args.config, args.out, args.parameter,
+                         _parse_values(args), overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -614,9 +604,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if config_path != args.config and os.path.exists(config_path):
-            os.unlink(config_path)
 
 
 if __name__ == "__main__":

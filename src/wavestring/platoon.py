@@ -225,7 +225,6 @@ class NetworkSystem:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    orientation: str = "bfs-from-leader"
 
     @property
     def num_agents(self) -> int:

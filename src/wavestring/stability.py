@@ -61,6 +61,7 @@ class StabilityVerdict:
     norm_gp: NormEstimate
     norm_gm: NormEstimate
     theorem2_triggered: bool
+    crossings: tuple[float, ...] = field(default=())  # from nyquist_axis_test
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -68,6 +69,23 @@ class StabilityVerdict:
             raise ValueError(f"bad verdict {self.locally_string_stable!r}")
         if self.theorem2_triggered and self.locally_string_stable != "unstable":
             raise ValueError("structural fast path forces the unstable verdict")
+
+
+def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
+                        f_lo: float, tol_omega: float) -> float:
+    """Geometric bisection of a sign change of f on [lo, hi], f(lo) = f_lo,
+    down to a tol_omega relative bracket; returns its geometric midpoint."""
+    while (hi - lo) > tol_omega * hi:
+        mid = math.sqrt(lo * hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_lo < 0) == (f_mid < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
 
 
 def nyquist_axis_test(
@@ -112,19 +130,10 @@ def nyquist_axis_test(
         re_k, re_k1 = values[k].real, values[k + 1].real
         if re_k * re_k1 > 0:
             continue  # grazing without a sign change; tol_axis decides at samples
-        lo, hi = float(omegas[k]), float(omegas[k + 1])
-        f_lo = re_k
-        while (hi - lo) > tol_omega * hi:
-            mid = math.sqrt(lo * hi)
-            f_mid = t_g_eval(d, 1j * mid).real
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_lo < 0) == (f_mid < 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        w_star = math.sqrt(lo * hi)
+        w_star = _bisect_sign_change(
+            lambda w: t_g_eval(d, 1j * w).real,
+            float(omegas[k]), float(omegas[k + 1]), re_k, tol_omega,
+        )
         t_star = t_g_eval(d, 1j * w_star)
         # Re vanishes inside the bracket by construction; only a curve that
         # is also near the real axis there actually touches the target set.
@@ -149,19 +158,10 @@ def nyquist_axis_test(
             continue
         if im[k] * im[k + 1] > 0:
             continue
-        lo, hi = float(omegas[k]), float(omegas[k + 1])
-        f_lo = im[k]
-        while (hi - lo) > tol_omega * hi:
-            mid = math.sqrt(lo * hi)
-            f_mid = t_g_eval(d, 1j * mid).imag
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_lo < 0) == (f_mid < 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        w_star = math.sqrt(lo * hi)
+        w_star = _bisect_sign_change(
+            lambda w: t_g_eval(d, 1j * w).imag,
+            float(omegas[k]), float(omegas[k + 1]), im[k], tol_omega,
+        )
         if t_g_eval(d, 1j * w_star).real <= tol_axis:
             crossings.append(w_star)
 
@@ -169,6 +169,17 @@ def nyquist_axis_test(
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _grid_peak(omegas: np.ndarray, mags: np.ndarray, tol_omega: float
+               ) -> tuple[int, NormEstimate, Optional[tuple[float, float]]]:
+    """Grid argmax k of mags, its unrefined estimate and the bracket of its
+    two neighbours (None when narrower than tol_omega relative)."""
+    k = int(np.argmax(mags))
+    peak = NormEstimate(float(mags[k]), float(omegas[k]), refined=False)
+    lo = float(omegas[max(k - 1, 0)])
+    hi = float(omegas[min(k + 1, len(omegas) - 1)])
+    return k, peak, None if hi <= lo * (1.0 + tol_omega) else (lo, hi)
 
 
 def hinf_estimate(
@@ -186,17 +197,13 @@ def hinf_estimate(
     """
     omegas = grid.omegas()
     mags = np.array([abs(evaluator(w)) for w in omegas])
-    k = int(np.argmax(mags))
-    best_val = float(mags[k])
-    best_w = float(omegas[k])
-
-    lo = float(omegas[max(k - 1, 0)])
-    hi = float(omegas[min(k + 1, len(omegas) - 1)])
-    if hi <= lo * (1.0 + tol_omega):
-        return NormEstimate(value=best_val, argmax_omega=best_w, refined=False)
+    _, peak, bracket = _grid_peak(omegas, mags, tol_omega)
+    if bracket is None:
+        return peak
+    best_val, best_w = peak.value, peak.argmax_omega
 
     # Golden-section in log-frequency.
-    a, b = math.log(lo), math.log(hi)
+    a, b = math.log(bracket[0]), math.log(bracket[1])
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1 = abs(evaluator(math.exp(x1)))
@@ -252,23 +259,20 @@ def awtf_norm_estimates(
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
         mags = np.array([abs(getattr(ws, attr)) for ws in samples])
-        k = int(np.argmax(mags))
-        best_val, best_w = float(mags[k]), float(omegas[k])
-        lo = float(omegas[max(k - 1, 0)])
-        hi = float(omegas[min(k + 1, len(omegas) - 1)])
-        if hi <= lo * (1.0 + tol_omega):
-            results.append(NormEstimate(best_val, best_w, refined=False))
+        k, peak, bracket = _grid_peak(omegas, mags, tol_omega)
+        if bracket is None:
+            results.append(peak)
             continue
         chain = _ChainedWaveEvaluator(d, seed=samples[min(k + 1, len(omegas) - 1)])
         refined = hinf_estimate(
             getattr(chain, attr),
-            FrequencyGrid(lo, hi, 16),
+            FrequencyGrid(*bracket, 16),
             tol_omega=tol_omega,
         )
-        if refined.value >= best_val:
+        if refined.value >= peak.value:
             results.append(NormEstimate(refined.value, refined.argmax_omega, True))
         else:
-            results.append(NormEstimate(best_val, best_w, refined=True))
+            results.append(NormEstimate(peak.value, peak.argmax_omega, refined=True))
     return results[0], results[1]
 
 
@@ -335,6 +339,7 @@ def local_string_verdict(
         norm_gp=norm_gp,
         norm_gm=norm_gm,
         theorem2_triggered=fast_path,
+        crossings=tuple(crossings),
         notes=tuple(notes),
     )
 

@@ -19,7 +19,7 @@ wave evaluators can chain branch-continuity hints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -66,27 +66,39 @@ class InverseLaplaceConfig:
         return PERIOD_FACTOR * self.T_final
 
 
-def inverse_laplace(
-    F: Callable[[complex], complex],
+def bromwich_line(cfg: InverseLaplaceConfig) -> np.ndarray:
+    """Sample points s_k = sigma + j*k*2*pi/period, k = 0..samples/2."""
+    omegas = 2.0 * np.pi / cfg.period * np.arange(cfg.samples // 2 + 1)
+    return cfg.abscissa + 1j * omegas
+
+
+def sample_line(
+    F: Callable[[complex], Any],
+    cfg: InverseLaplaceConfig,
+) -> np.ndarray:
+    """F at each point of bromwich_line(cfg), called once per point in
+    descending-frequency order so hint chains seed at large |s|.
+
+    Entry k holds F(s_k); an F returning a tuple gives one column per item.
+    """
+    line = bromwich_line(cfg)
+    return np.array([F(s) for s in line[::-1]], dtype=complex)[::-1]
+
+
+def invert_spectrum(
+    spectrum: np.ndarray,
     cfg: InverseLaplaceConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert F to (times, values) on [0, cfg.T_final].
+    """Invert a sample_line spectrum to (times, values) on [0, cfg.T_final].
 
-    F must be analytic for Re(s) >= sigma. Raises NonDecaying when the
-    sampled spectrum has not rolled off by the top of the band, which means
-    the band is too narrow (or F has a direct feedthrough term with no
-    decaying transform).
+    Raises NonDecaying when the spectrum has not rolled off by the top of
+    the band, which means the band is too narrow (or the transform has a
+    direct feedthrough term with no decaying inverse).
     """
     sigma = cfg.abscissa
     period = cfg.period
     n = cfg.samples
     m = n // 2
-    d_omega = 2.0 * np.pi / period
-    omegas = d_omega * np.arange(m + 1)
-
-    spectrum = np.empty(m + 1, dtype=complex)
-    for k in range(m, -1, -1):  # descending so hint chains seed at large |s|
-        spectrum[k] = F(sigma + 1j * omegas[k])
 
     mags = np.abs(spectrum)
     peak = float(np.max(mags))
@@ -116,6 +128,18 @@ def inverse_laplace(
     return times, values
 
 
+def inverse_laplace(
+    F: Callable[[complex], complex],
+    cfg: InverseLaplaceConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Invert F to (times, values) on [0, cfg.T_final].
+
+    F must be analytic for Re(s) >= sigma. Raises NonDecaying as
+    invert_spectrum does.
+    """
+    return invert_spectrum(sample_line(F, cfg), cfg)
+
+
 @dataclass(frozen=True)
 class WaveComponents:
     """Forward wave a, backward wave b and their sum x for one agent."""
@@ -126,35 +150,32 @@ class WaveComponents:
     x: np.ndarray
 
 
-class _WaveSpectra:
-    """Per-sample wave quantities for a step-driven N-agent path.
+def _wave_spectra(
+    d: AgentDynamics,
+    N: int,
+    n: int,
+    cfg: InverseLaplaceConfig,
+    step_amplitude: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
-    One hint-chained pass produces both component spectra so the two
-    inversions see identical branch choices.
+    One hint-chained pass produces both so the two inversions see identical
+    branch choices.
     """
+    hint = None
 
-    def __init__(self, d: AgentDynamics, N: int, step_amplitude: float):
-        self.d = d
-        self.N = N
-        self.amp = step_amplitude
-        self._hint = None
+    def both(s: complex) -> tuple[complex, complex]:
+        nonlocal hint
+        ws = hint = awtf_eval(d, s, hint)
+        refl = reflection_eval(d, s, hint=ws)
+        gp, gm = ws.g_plus, ws.g_minus
+        loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
+        x0 = step_amplitude / s
+        return (gp**n * x0 / (1.0 - loop),
+                gm ** (N - n) * refl.tN * gp**N * x0 / (1.0 - loop))
 
-    def sample_all(
-        self, n: int, s_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Spectra (A_n, B_n) over s_values, evaluated in the given order."""
-        a = np.empty(len(s_values), dtype=complex)
-        b = np.empty(len(s_values), dtype=complex)
-        for i, s in enumerate(s_values):
-            ws = awtf_eval(self.d, s, self._hint)
-            self._hint = ws
-            refl = reflection_eval(self.d, s, hint=ws)
-            gp, gm = ws.g_plus, ws.g_minus
-            loop = refl.t1 * refl.tN * (gp * gm) ** (self.N - 1)
-            x0 = self.amp / s
-            a[i] = gp**n * x0 / (1.0 - loop)
-            b[i] = gm ** (self.N - n) * refl.tN * gp**self.N * x0 / (1.0 - loop)
-        return a, b
+    a, b = sample_line(both, cfg).T
+    return a, b
 
 
 def wave_components(
@@ -175,28 +196,10 @@ def wave_components(
     """
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
-    sigma = cfg.abscissa
-    m = cfg.samples // 2
-    d_omega = 2.0 * np.pi / cfg.period
-    omegas = d_omega * np.arange(m + 1)
-    s_desc = sigma + 1j * omegas[::-1]
-
-    spectra = _WaveSpectra(d, N, step_amplitude)
-    a_desc, b_desc = spectra.sample_all(n, s_desc)
-    a_spectrum = a_desc[::-1]
-    b_spectrum = b_desc[::-1]
-
-    times, a_t = _invert_sampled(a_spectrum, cfg)
-    _, b_t = _invert_sampled(b_spectrum, cfg)
+    a_spectrum, b_spectrum = _wave_spectra(d, N, n, cfg, step_amplitude)
+    times, a_t = invert_spectrum(a_spectrum, cfg)
+    _, b_t = invert_spectrum(b_spectrum, cfg)
     return WaveComponents(times=times, a=a_t, b=b_t, x=a_t + b_t)
-
-
-def _invert_sampled(
-    spectrum: np.ndarray, cfg: InverseLaplaceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """inverse_laplace for an already-sampled one-sided spectrum."""
-    sampled = iter(spectrum[::-1])
-    return inverse_laplace(lambda s: next(sampled), cfg)
 
 
 def early_time_check(
@@ -220,18 +223,14 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    sigma = cfg.abscissa
-    m = cfg.samples // 2
-    d_omega = 2.0 * np.pi / cfg.period
-    omegas = d_omega * np.arange(m + 1)
-
     hint = None
-    spectrum = np.empty(m + 1, dtype=complex)
-    for k in range(m, -1, -1):
-        s = sigma + 1j * omegas[k]
+
+    def forward(s: complex) -> complex:
+        nonlocal hint
         hint = awtf_eval(d, s, hint)
-        spectrum[k] = hint.g_plus**n / s
-    times, wave = _invert_sampled(spectrum, cfg)
+        return hint.g_plus**n / s
+
+    times, wave = inverse_laplace(forward, cfg)
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)

@@ -32,7 +32,7 @@ of t_g avoids spurious jumps when Mr(s) crosses the negative real axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -71,7 +71,9 @@ class ReflectionSample:
     tN: complex
 
 
-def _eval_pair(d: AgentDynamics, s: complex) -> tuple[complex, complex]:
+def _eval_terms(d: AgentDynamics, s: complex) -> tuple[complex, complex, complex]:
+    """(Mf, Mr, 1 + (1 + h*s)(Mf + Mr)) at s, the headway-aware shared term
+    being the numerator of both alpha and beta."""
     try:
         mf = tf_eval(d.Mf, s)
         mr = tf_eval(d.Mr, s)
@@ -82,14 +84,12 @@ def _eval_pair(d: AgentDynamics, s: complex) -> tuple[complex, complex]:
     if not (np.isfinite(mf.real) and np.isfinite(mf.imag)
             and np.isfinite(mr.real) and np.isfinite(mr.imag)):
         raise SingularSample(f"Mf or Mr is non-finite at s={s}")
-    return mf, mr
+    return mf, mr, 1.0 + (1.0 + d.h * s) * (mf + mr)
 
 
 def alpha_beta(d: AgentDynamics, s: complex) -> tuple[complex, complex]:
     """(alpha, beta) at s, headway-aware. Raises SingularSample at poles/zeros."""
-    s = complex(s)
-    mf, mr = _eval_pair(d, s)
-    shared = 1.0 + (1.0 + d.h * s) * (mf + mr)
+    mf, mr, shared = _eval_terms(d, complex(s))
     return shared / mf, shared / mr
 
 
@@ -100,9 +100,7 @@ def t_g_eval(d: AgentDynamics, s: complex) -> complex:
     Nyquist plot must avoid the non-positive real axis for the wave couplings
     to be analytic in the right half plane.
     """
-    s = complex(s)
-    mf, mr = _eval_pair(d, s)
-    shared = 1.0 + (1.0 + d.h * s) * (mf + mr)
+    mf, mr, shared = _eval_terms(d, complex(s))
     return shared * shared - 4.0 * mf * mr
 
 
@@ -161,8 +159,7 @@ def awtf_eval(
     picked the non-default root.
     """
     s = complex(s)
-    mf, mr = _eval_pair(d, s)
-    shared = 1.0 + (1.0 + d.h * s) * (mf + mr)
+    mf, mr, shared = _eval_terms(d, s)
     alpha = shared / mf
     beta = shared / mr
     w = np.sqrt(complex(shared * shared - 4.0 * mf * mr))
@@ -179,19 +176,6 @@ def awtf_eval(
         beta=complex(beta),
         branch_flipped=flip_p or flip_m,
     )
-
-
-def awtf_sweep(
-    d: AgentDynamics,
-    s_values: Sequence[complex],
-    hint: Optional[WaveSample] = None,
-) -> list[WaveSample]:
-    """Evaluate along s_values in the given order, chaining continuity hints."""
-    out: list[WaveSample] = []
-    for s in s_values:
-        hint = awtf_eval(d, s, hint)
-        out.append(hint)
-    return out
 
 
 def awtf_axis_sweep(d: AgentDynamics, omegas: Iterable[float]) -> list[WaveSample]:
@@ -252,7 +236,7 @@ def reflection_eval(
 
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:
     """|g**2 - coeff*g + ratio| for both couplings, for verification."""
-    mf, mr = _eval_pair(d, ws.s)
+    mf, mr, _ = _eval_terms(d, ws.s)
     r_plus = abs(ws.g_plus**2 - ws.beta * ws.g_plus + mf / mr)
     r_minus = abs(ws.g_minus**2 - ws.alpha * ws.g_minus + mr / mf)
     return r_plus, r_minus

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ class TestSimulate:
             header = fh.readline().strip().split(",")
         assert header == ["t"] + [f"x_{n}" for n in range(6)]
 
+    def test_tree_without_edges_exit_1(self, tmp_path):
+        cfg = base_config()
+        cfg["topology"] = {"kind": "tree", "n": 3, "edges": []}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+
+    def test_disturbance_on_missing_agent_exit_1(self, tmp_path):
+        cfg = base_config()
+        cfg["sim"]["disturbances"] = [{"agent": 99}]
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestWaves:
     def test_waves_csv(self, tmp_path):
@@ -223,6 +238,12 @@ class TestWaves:
             "kind": "tree", "n": 3,
             "edges": [[0, 1], [1, 2], [2, 3], [3, 4]],
         }
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["waves", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+
+    def test_bad_samples_exit_1(self, tmp_path):
+        cfg = base_config()
+        cfg["waves"] = {"agent": 3, "samples": 1000}
         cfg_path = write_config(tmp_path, cfg)
         assert main(["waves", "--config", cfg_path, "--out", str(tmp_path)]) == 1
 
@@ -281,6 +302,14 @@ class TestSweep:
         assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (
             tmp_path / "s2" / "sweep.csv"
         ).read_bytes()
+        # the variable is accepted and ignored, whatever its value
+        out3 = str(tmp_path / "s3")
+        monkeypatch.setenv("WAVESTRING_THREADS", "abc")
+        assert main(["sweep", "--config", cfg_path, "--out", out3,
+                     "--parameter", "h", "--values", "0.1,0.4,0.8"]) == 0
+        assert (tmp_path / "s1" / "sweep.csv").read_bytes() == (
+            tmp_path / "s3" / "sweep.csv"
+        ).read_bytes()
 
     def test_missing_values_exit_1(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -297,3 +326,23 @@ class TestUsageErrors:
         cfg_path = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--parameter", "bogus", "--values", "1"]) == 1
+
+    @pytest.mark.parametrize("text, flags", [
+        ("{not json", ["--grid-points", "64"]),
+        ("[1, 2]", ["--dt", "0.01"]),
+        (json.dumps(base_config(sim="x")), ["--dt", "0.01"]),
+    ], ids=["not-json", "json-list", "sim-not-object"])
+    def test_override_flags_on_malformed_config_exit_1(
+        self, tmp_path, monkeypatch, capsys, text, flags
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]
+                    + flags) == 1
+        assert "config error" in capsys.readouterr().err
+        assert list(scratch.iterdir()) == []
+        assert not out.exists()

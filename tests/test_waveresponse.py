@@ -14,7 +14,7 @@ from wavestring import (
     wave_components,
 )
 from wavestring.errors import NonDecaying
-from wavestring.waveresponse import _WaveSpectra, _invert_sampled
+from wavestring.waveresponse import _wave_spectra, bromwich_line, invert_spectrum
 
 
 class TestConfig:
@@ -95,12 +95,8 @@ class TestWaveComponents:
         # closed-form position spectrum built from the same samples
         cfg = InverseLaplaceConfig(T_final=30.0)
         N = n = 12
-        sigma = cfg.abscissa
-        m = cfg.samples // 2
-        omegas = 2.0 * np.pi / cfg.period * np.arange(m + 1)
-        s_desc = sigma + 1j * omegas[::-1]
-        a_spectrum, b_spectrum = _WaveSpectra(vel_asym_dyn, N, 1.0).sample_all(n, s_desc)
-        _, x_closed = _invert_sampled((a_spectrum + b_spectrum)[::-1], cfg)
+        a_spectrum, b_spectrum = _wave_spectra(vel_asym_dyn, N, n, cfg, 1.0)
+        _, x_closed = invert_spectrum(a_spectrum + b_spectrum, cfg)
         wc = wave_components(vel_asym_dyn, N=N, n=n, cfg=cfg)
         assert np.max(np.abs(wc.x - x_closed)) <= 1e-6
 
@@ -116,13 +112,10 @@ class TestWaveComponents:
 
         cfg = InverseLaplaceConfig(T_final=20.0, samples=1024)
         N = 10
-        sigma = cfg.abscissa
-        m = cfg.samples // 2
-        omegas = 2.0 * np.pi / cfg.period * np.arange(m + 1)
-        s_desc = sigma + 1j * omegas[::-1]
-        a_spectrum, b_spectrum = _WaveSpectra(sym_dyn, N, 1.0).sample_all(N, s_desc)
-        for i in range(0, len(s_desc), 64):
-            refl = reflection_eval(sym_dyn, s_desc[i])
+        s_line = bromwich_line(cfg)
+        a_spectrum, b_spectrum = _wave_spectra(sym_dyn, N, N, cfg, 1.0)
+        for i in range(0, len(s_line), 64):
+            refl = reflection_eval(sym_dyn, s_line[i])
             assert b_spectrum[i] == pytest.approx(refl.tN * a_spectrum[i], rel=1e-9)
 
     def test_front_speed_causality_note(self, sym_dyn):
