@@ -28,6 +28,7 @@ from .waves import (
     awtf_eval,
     quadratic_residuals,
     reflection_eval,
+    reflection_from_sample,
     t_g_eval,
 )
 from .stability import (
@@ -113,6 +114,7 @@ __all__ = [
     "quadratic_residuals",
     "realize",
     "reflection_eval",
+    "reflection_from_sample",
     "simulate",
     "t_g_eval",
     "tf_eval",

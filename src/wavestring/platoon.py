@@ -32,6 +32,7 @@ from .errors import (
     ImproperTF,
     NonFiniteState,
     SingularSolve,
+    StepSizeUnstable,
 )
 from .poly import poly_roots
 from .tf import AgentDynamics, RationalTF, check_assumption1, tf_eval
@@ -322,6 +323,10 @@ class LeaderStep:
     amplitude: float = 1.0
     start: float = 0.0
 
+    def value(self, t: Union[float, np.ndarray]) -> np.ndarray:
+        """Leader position at time t (a float or an array of times)."""
+        return np.where(t >= self.start, self.amplitude, 0.0)
+
 
 @dataclass(frozen=True)
 class Disturbance:
@@ -337,12 +342,12 @@ class Disturbance:
         if self.signal not in ("step", "pulse"):
             raise ValueError(f"unknown disturbance signal {self.signal!r}")
 
-    def value(self, t: float) -> float:
-        if t < self.start:
-            return 0.0
-        if self.signal == "pulse" and t >= self.start + self.duration:
-            return 0.0
-        return self.amplitude
+    def value(self, t: Union[float, np.ndarray]) -> np.ndarray:
+        """Signal value at time t (a float or an array of times)."""
+        on = t >= self.start
+        if self.signal == "pulse":
+            on = on & (t < self.start + self.duration)
+        return np.where(on, self.amplitude, 0.0)
 
 
 @dataclass(frozen=True)
@@ -381,60 +386,142 @@ class Trajectory:
         return self.positions[n]
 
 
+CHUNK_STEPS = 128  # states held between two position projections
+
+
+def _rk4_step(A, z, u0, u_half, u1, dt: float):
+    """One classical Runge-Kutta step of z' = A z + u, with u sampled at t,
+    t + dt/2 and t + dt.
+
+    z and the u's may carry one column per state or input: simulate derives
+    its step map from these stage formulas by linearity.
+    """
+    half = 0.5 * dt
+    k1 = A @ z + u0
+    k2 = A @ (z + half * k1) + u_half
+    k3 = A @ (z + half * k2) + u_half
+    k4 = A @ (z + dt * k3) + u1
+    return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_step_size(A: np.ndarray, dt: float) -> None:
+    """Refuse a dt at which RK4 amplifies a mode that does not grow.
+
+    R(x) = 1 + x + x**2/2 + x**3/6 + x**4/24 is RK4's amplification per step
+    of the mode z' = lambda z at x = dt*lambda. The test is |R(x)| > 1 + 1e-6
+    for any eigenvalue with Re lambda <= 1e-6; the margins allow for the
+    integrator modes at the origin, which eigvals returns split by about
+    1e-7.
+
+    A norm bound settles the usual dt without the eigenvalues: every
+    eigenvalue has |lambda| <= ||A||_1, |R| <= 1 on the half disc |x| <= 1,
+    Re x <= 0, and |R'| <= 8/3 on the unit disc, so dt*||A||_1 <= 1 with
+    dt <= 3/8 leaves no mode to refuse. A non-finite A is left to the first
+    step, which reports it as NonFiniteState.
+    """
+    bound = np.linalg.norm(A, 1)
+    if not np.isfinite(bound) or (dt * bound <= 1.0 and dt <= 0.375):
+        return
+    lam = np.linalg.eigvals(A)
+    x = dt * lam[lam.real <= 1e-6]
+    amp = np.abs(1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
+    worst = float(np.max(amp, initial=0.0))
+    if worst > 1.0 + 1e-6:
+        raise StepSizeUnstable(
+            f"dt={dt:g} s is outside RK4's stability region: a non-growing "
+            f"mode is amplified by {worst:.6g} per step"
+        )
+
+
+def _step_map(A: np.ndarray, B_in: np.ndarray, dt: float):
+    """RK4 as the affine map [z, 1] -> step_map @ [z, 1], and its input columns.
+
+    step_map holds P in its leading block and 1 in its corner; its last
+    column is c, left for the caller to fill. Column 3*j + k of Q weights
+    input j's sample at t + (0, dt/2, dt)[k]. Both come from the stage
+    formulas of _rk4_step by linearity. Column j of P is one step from the
+    unit state e_j, built a column at a time so that the transient memory
+    stays at a few state vectors.
+    """
+    nz = A.shape[0]
+    step_map = np.zeros((nz + 1, nz + 1))
+    unit = np.zeros(nz)
+    for j in range(nz):
+        unit[j] = 1.0
+        step_map[:nz, j] = _rk4_step(A, unit, 0.0, 0.0, 0.0, dt)
+        unit[j] = 0.0
+    step_map[nz, nz] = 1.0
+    zero = np.zeros_like(B_in)
+    Q = np.stack([
+        _rk4_step(A, zero, B_in, zero, zero, dt),
+        _rk4_step(A, zero, zero, B_in, zero, dt),
+        _rk4_step(A, zero, zero, zero, B_in, dt),
+    ], axis=2).reshape(nz, -1)
+    return step_map, Q
+
+
 def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
     """Fixed-step classical Runge-Kutta integration from rest.
 
+    The network is linear and time-invariant and its inputs are piecewise
+    constant, so one RK4 step is the affine map z -> P z + c. P is the RK4
+    stability polynomial sum_{k<=4} (dt A)**k / k! and c collects the input
+    columns weighted by the input samples at t, t + dt/2 and t + dt. Both
+    come from the stage formulas once per call (_step_map), and c is rebuilt
+    only on steps where a sample changes. States are projected to positions
+    one chunk of CHUNK_STEPS steps at a time; the state history is never
+    stored.
+
     The leader position is imposed, not integrated, so positions[0] equals
-    the input signal exactly on the grid. Raises NonFiniteState with the
-    first bad time if the state diverges.
+    the input signal exactly on the grid. Raises StepSizeUnstable when dt
+    lies outside RK4's stability region for a mode that does not grow, and
+    NonFiniteState when the state diverges. Its time is the first grid time
+    whose state or positions are non-finite.
     """
-    n_steps = int(round(cfg.T_final / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
-    A, B, C = net.A, net.B, net.C
-    nv = net.num_agents
+    dt = cfg.dt
+    n_steps = int(round(cfg.T_final / dt))
+    times = np.arange(n_steps + 1) * dt
+    nz = net.state_dim
+    _check_step_size(net.A, dt)
 
     # Active input channels only: w is sparse (leader plus a few disturbances).
-    channels: list[tuple[np.ndarray, object]] = [
-        (B[:, 0].copy(), cfg.leader)
+    signals = [cfg.leader, *cfg.disturbances]
+    cols = [net.input_column("leader")] + [
+        net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
     ]
-    lead = cfg.leader
-    for dist in cfg.disturbances:
-        if not 1 <= dist.agent <= nv:
-            raise ValueError(f"disturbance targets missing agent {dist.agent}")
-        channels.append((B[:, dist.agent].copy(), dist))
-
-    def drive(t: float) -> np.ndarray:
-        acc = np.zeros(A.shape[0])
-        for col, sig in channels:
-            if isinstance(sig, LeaderStep):
-                v = sig.amplitude if t >= sig.start else 0.0
-            else:
-                v = sig.value(t)
-            if v != 0.0:
-                acc += v * col
-        return acc
-
-    positions = np.zeros((nv + 1, n_steps + 1))
-    z = np.zeros(A.shape[0])
-    half = 0.5 * cfg.dt
-    sixth = cfg.dt / 6.0
-    for i in range(n_steps + 1):
-        t = times[i]
-        positions[0, i] = lead.amplitude if t >= lead.start else 0.0
-        positions[1:, i] = C @ z
-        if i == n_steps:
-            break
-        u0 = drive(t)
-        u_half = drive(t + half)
-        u1 = drive(t + cfg.dt)
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = A @ z + u0
-            k2 = A @ (z + half * k1) + u_half
-            k3 = A @ (z + half * k2) + u_half
-            k4 = A @ (z + cfg.dt * k3) + u1
-            z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            raise NonFiniteState(float(times[i + 1]))
+    positions = np.zeros((net.num_agents + 1, n_steps + 1))
+    positions[0] = cfg.leader.value(times)
+    chunk = np.empty((CHUNK_STEPS, nz + 1))
+    rows = list(chunk)
+    z = np.zeros(nz + 1)
+    z[nz] = 1.0
+    last = np.full(3 * len(signals), np.nan)  # so the first step sets c
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_map, Q = _step_map(net.A, net.B[:, cols], dt)
+        for start in range(0, n_steps, CHUNK_STEPS):
+            stop = min(start + CHUNK_STEPS, n_steps)
+            t = times[start:stop]
+            samples = np.stack([
+                sig.value(tk) for sig in signals
+                for tk in (t, t + 0.5 * dt, t + dt)
+            ], axis=1)
+            changed = np.any(samples != np.vstack((last, samples[:-1])), axis=1)
+            last = samples[-1]
+            drive = dict(zip(np.flatnonzero(changed).tolist(),
+                             samples[changed] @ Q.T))
+            for i, row in enumerate(rows[:stop - start]):
+                if i in drive:
+                    step_map[:nz, nz] = drive[i]
+                np.dot(step_map, z, out=row)
+                z = row
+            states = chunk[:stop - start, :nz]
+            block = positions[1:, start + 1:stop + 1]
+            block[:] = net.C @ states.T
+            finite = (np.all(np.isfinite(states), axis=1)
+                      & np.all(np.isfinite(block), axis=0))
+            if not finite.all():
+                first = start + 1 + int(np.argmin(finite))
+                raise NonFiniteState(float(times[first]))
     for arr in (times, positions):
         arr.flags.writeable = False
     return Trajectory(times=times, positions=positions)

@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import AssumptionViolated, GridTooCoarse
 from .tf import AgentDynamics, check_assumption1, low_order_coeffs, positional_symmetry
-from .waves import WaveSample, awtf_axis_sweep, awtf_eval, reflection_eval, t_g_eval
+from .waves import (
+    WaveSample,
+    awtf_axis_sweep,
+    awtf_eval,
+    reflection_from_sample,
+    t_g_eval,
+)
 
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
 TOL_OMEGA = 1e-6   # relative frequency bracket for bisection/golden refinement
@@ -380,7 +386,7 @@ def disturbance_gain(
         raise ValueError("path interconnection needs N >= 3 agents")
     s = 1j * omega
     ws = awtf_eval(d, s)
-    refl = reflection_eval(d, s, hint=ws)
+    refl = reflection_from_sample(ws)
     loop = refl.tN * refl.t1 * (ws.g_plus * ws.g_minus) ** (N - 1)
     denom = 1.0 - loop
     forward = ws.g_plus**N * (1.0 + refl.tN) / denom

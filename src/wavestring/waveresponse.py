@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import awtf_eval, reflection_eval
+from .waves import awtf_eval, reflection_from_sample
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -167,7 +167,7 @@ def _wave_spectra(
     def both(s: complex) -> tuple[complex, complex]:
         nonlocal hint
         ws = hint = awtf_eval(d, s, hint)
-        refl = reflection_eval(d, s, hint=ws)
+        refl = reflection_from_sample(ws)
         gp, gm = ws.g_plus, ws.g_minus
         loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
         x0 = step_amplitude / s

@@ -211,11 +211,8 @@ def awtf_dc(d: AgentDynamics) -> tuple[float, float]:
     return 1.0, 1.0 / kappa
 
 
-def reflection_eval(
-    d: AgentDynamics,
-    s: complex,
-    hint: Optional[WaveSample] = None,
-    tol_sing: float = TOL_SING,
+def reflection_from_sample(
+    ws: WaveSample, tol_sing: float = TOL_SING
 ) -> ReflectionSample:
     """Boundary reflections t1 = -g_plus*g_minus, tN = g_minus*(g_plus-1)/(g_minus-1).
 
@@ -223,7 +220,6 @@ def reflection_eval(
     reflection denominator vanishes there; this happens as s -> 0 whenever
     the backward DC gain is 1).
     """
-    ws = awtf_eval(d, s, hint)
     denom = ws.g_minus - 1.0
     if abs(denom) < tol_sing:
         raise ReflectionSingular(
@@ -232,6 +228,16 @@ def reflection_eval(
     t1 = -ws.g_plus * ws.g_minus
     tN = ws.g_minus * (ws.g_plus - 1.0) / denom
     return ReflectionSample(s=ws.s, t1=t1, tN=tN)
+
+
+def reflection_eval(
+    d: AgentDynamics,
+    s: complex,
+    hint: Optional[WaveSample] = None,
+    tol_sing: float = TOL_SING,
+) -> ReflectionSample:
+    """Boundary reflections at s; see reflection_from_sample."""
+    return reflection_from_sample(awtf_eval(d, s, hint), tol_sing)
 
 
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:

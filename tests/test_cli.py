@@ -211,6 +211,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_step_outside_stability_region_exit_3(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["topology"]["n"] = 3
+        cfg["sim"]["t_final"] = 100.0
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--dt", "5"]
+        assert main(argv) == 3
+        assert "dt=5 " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWaves:
     def test_waves_csv(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,39 @@ from wavestring.errors import (
     ImproperTF,
     NonFiniteState,
     SingularSolve,
+    StepSizeUnstable,
 )
 from wavestring.platoon import realization_matches
 from conftest import front_coupling, rear_scaled
+
+
+def rk4_reference(net, cfg):
+    """Four-stage RK4, one step at a time: the oracle for simulate's step map."""
+    n_steps = int(round(cfg.T_final / cfg.dt))
+    times = np.arange(n_steps + 1) * cfg.dt
+    A, B, C = net.A, net.B, net.C
+    channels = [(B[:, 0], cfg.leader)] + [
+        (B[:, dist.agent], dist) for dist in cfg.disturbances
+    ]
+
+    def drive(t):
+        return sum(float(sig.value(t)) * col for col, sig in channels)
+
+    positions = np.zeros((net.num_agents + 1, n_steps + 1))
+    z = np.zeros(A.shape[0])
+    half, sixth = 0.5 * cfg.dt, cfg.dt / 6.0
+    for i, t in enumerate(times):
+        positions[0, i] = cfg.leader.value(t)
+        positions[1:, i] = C @ z
+        if i == n_steps:
+            break
+        u0, u_half, u1 = drive(t), drive(t + half), drive(t + cfg.dt)
+        k1 = A @ z + u0
+        k2 = A @ (z + half * k1) + u_half
+        k3 = A @ (z + half * k2) + u_half
+        k4 = A @ (z + cfg.dt * k3) + u1
+        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return positions
 
 
 class TestTopology:
@@ -168,9 +200,65 @@ class TestSimulate:
         mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
         d = AgentDynamics(mf, mf)
         net = build_network(Topology.path(3), d)
-        with pytest.raises(NonFiniteState) as err:
-            simulate(net, SimConfig(dt=0.01, T_final=100.0))
-        assert 0 < err.value.time <= 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as err:
+                simulate(net, SimConfig(dt=0.01, T_final=100.0))
+            assert 0 < err.value.time <= 100.0
+            # the reported time is the first grid time with a non-finite state
+            # or position: the run one step shorter stays finite
+            before = simulate(net, SimConfig(dt=0.01, T_final=err.value.time - 0.01))
+        assert np.all(np.isfinite(before.positions))
+
+    def test_step_outside_stability_region_refused(self, gain_asym_dyn):
+        net = build_network(Topology.path(3), gain_asym_dyn)
+        with pytest.raises(StepSizeUnstable, match="dt=5 "):
+            simulate(net, SimConfig(dt=5.0, T_final=100.0))
+
+    def test_norm_bound_shortcut_agrees_with_eigenvalues(self, gain_asym_dyn):
+        def refused(net, dt):
+            try:
+                simulate(net, SimConfig(dt=dt, T_final=10 * dt))
+            except StepSizeUnstable:
+                return True
+            return False
+
+        for d in (gain_asym_dyn, AgentDynamics(gain_asym_dyn.Mf, gain_asym_dyn.Mr, h=0.8)):
+            net = build_network(Topology.path(4), d)
+            lam = np.linalg.eigvals(net.A)
+            bound = np.linalg.norm(net.A, 1)
+            for dt in (0.5 / bound, 1.0 / bound, 0.3, 0.5, 0.8, 1.2, 5.0):
+                x = dt * lam[lam.real <= 1e-6]
+                amp = np.abs(1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
+                assert refused(net, dt) == bool(np.any(amp > 1 + 1e-6)), dt
+
+    @pytest.mark.parametrize("case", ["off-grid-step", "pulse-edges", "headway"])
+    def test_step_map_matches_stagewise_rk4(self, case, gain_asym_dyn):
+        dt = 1 / 64
+        if case == "headway":
+            d = AgentDynamics(gain_asym_dyn.Mf, gain_asym_dyn.Mr, h=0.8)
+            net = build_network(Topology.path(3), d)
+            cfg = SimConfig(dt=dt, T_final=30.0)
+        elif case == "off-grid-step":
+            # starts between t = 32 dt and t + dt/2
+            net = build_network(Topology.path(10), gain_asym_dyn)
+            cfg = SimConfig(dt=dt, T_final=30.0,
+                            leader=LeaderStep(1.5, start=32.3 * dt))
+        else:
+            # rises on the half-step after 32 dt, falls between grid points
+            net = build_network(Topology.path(10), gain_asym_dyn)
+            cfg = SimConfig(
+                dt=dt, T_final=30.0, leader=LeaderStep(1.0, start=0.2),
+                disturbances=(
+                    Disturbance(agent=4, signal="pulse", amplitude=-0.7,
+                                start=32.5 * dt, duration=1.3),
+                    Disturbance(agent=9, amplitude=0.25, start=7.0),
+                ),
+            )
+        want = rk4_reference(net, cfg)
+        got = simulate(net, cfg).positions
+        assert np.array_equal(got[0], want[0])
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_pulse_disturbance_round_trip(self, sym_dyn):
         net = build_network(Topology.path(3), sym_dyn)
@@ -182,6 +270,13 @@ class TestSimulate:
         traj = simulate(net, cfg)
         assert np.max(np.abs(traj.positions)) > 1e-3  # the pulse acts
         assert np.all(traj.positions[0] == 0.0)       # leader untouched
+
+    def test_disturbance_on_missing_agent_rejected(self, sym_dyn):
+        net = build_network(Topology.path(3), sym_dyn)
+        cfg = SimConfig(dt=0.01, T_final=1.0,
+                        disturbances=(Disturbance(agent=4),))
+        with pytest.raises(ValueError, match="no agent 4"):
+            simulate(net, cfg)
 
     def test_headway_network_runs(self, gain_asym_dyn):
         d = AgentDynamics(gain_asym_dyn.Mf, gain_asym_dyn.Mr, h=0.8)
