@@ -489,8 +489,9 @@ def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
     cols = [net.input_column("leader")] + [
         net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
     ]
-    positions = np.zeros((net.num_agents + 1, n_steps + 1))
+    positions = np.empty((net.num_agents + 1, n_steps + 1))
     positions[0] = cfg.leader.value(times)
+    positions[1:, 0] = 0.0
     chunk = np.empty((CHUNK_STEPS, nz + 1))
     rows = list(chunk)
     z = np.zeros(nz + 1)
