@@ -21,7 +21,6 @@ from wavestring import (
     RationalTF,
     local_string_verdict,
     low_order_coeffs,
-    nyquist_axis_test,
     tf_normalize,
 )
 

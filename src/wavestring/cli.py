@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
 import tempfile
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -88,14 +89,24 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _finite(x: Any) -> bool:
+    """x is an int or float (not a bool) within the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _require_numbers(section: dict, where: str, keys: Iterable[str],
+                     nullable: tuple[str, ...] = ()):
+    for key in keys:
+        val = section[key]
+        _require(_finite(val) or (val is None and key in nullable),
+                 f"{where}.{key} must be a finite number")
+
+
 def _coeff_list(obj: Any, where: str) -> list[float]:
     _require(isinstance(obj, list) and len(obj) >= 1, f"{where} must be a list")
-    out = []
-    for x in obj:
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool),
-                 f"{where} entries must be numbers")
-        out.append(float(x))
-    return out
+    _require(all(_finite(x) for x in obj), f"{where} entries must be finite numbers")
+    return [float(x) for x in obj]
 
 
 def _tf_from_entry(entry: Any, where: str) -> tuple[Polynomial, Polynomial]:
@@ -126,8 +137,8 @@ def resolve_config(raw: dict) -> dict:
     else:
         _require("mf" in dyn and "mr" in dyn, "dynamics needs mf and mr")
     dyn.setdefault("h", 0.0)
-    _require(isinstance(dyn["h"], (int, float)) and dyn["h"] >= 0,
-             "dynamics.h must be a non-negative number")
+    _require(_finite(dyn["h"]) and dyn["h"] >= 0,
+             "dynamics.h must be a non-negative finite number")
     dyn["h"] = float(dyn["h"])
 
     d = build_dynamics(cfg)  # validates the transfer functions themselves
@@ -151,8 +162,8 @@ def resolve_config(raw: dict) -> dict:
         sim.setdefault(key, copy.deepcopy(val))
     if sim["dt"] is None:
         sim["dt"] = default_dt(d)
-    _require(isinstance(sim["dt"], (int, float)) and sim["dt"] > 0,
-             "sim.dt must be positive")
+    _require_numbers(sim, "sim", ("dt", "t_final", "step_amplitude", "step_start"))
+    _require(sim["dt"] > 0, "sim.dt must be positive")
     sim["dt"] = float(sim["dt"])
     sim["t_final"] = float(sim["t_final"])
     dists = sim["disturbances"]
@@ -164,19 +175,26 @@ def resolve_config(raw: dict) -> dict:
             dist.setdefault(key, val)
         _require(dist["signal"] in ("step", "pulse"),
                  "disturbance signal must be step|pulse")
+        _require_numbers(dist, "disturbance",
+                         ("agent", "amplitude", "start", "duration"))
 
     ana = cfg.setdefault("analysis", {})
     _require(isinstance(ana, dict), "analysis must be an object")
     for key, val in _ANALYSIS_DEFAULTS.items():
         ana.setdefault(key, copy.deepcopy(val))
+    tols = ana["tolerances"]
+    _require(isinstance(tols, dict), "analysis.tolerances must be an object")
     for key, val in _ANALYSIS_DEFAULTS["tolerances"].items():
-        ana["tolerances"].setdefault(key, val)
+        tols.setdefault(key, val)
+    _require_numbers(ana, "analysis", ("omega_min", "omega_max", "points"))
+    _require_numbers(tols, "analysis.tolerances", _ANALYSIS_DEFAULTS["tolerances"])
     _require(ana["points"] >= 16, "analysis.points must be >= 16")
 
     wav = cfg.setdefault("waves", {})
     _require(isinstance(wav, dict), "waves must be an object")
     for key, val in _WAVES_DEFAULTS.items():
         wav.setdefault(key, val)
+    _require_numbers(wav, "waves", _WAVES_DEFAULTS, nullable=("sigma",))
 
     return cfg
 
@@ -208,7 +226,7 @@ def build_topology(cfg: dict) -> Topology:
         edges = tuple((int(a), int(b)) for a, b in topo["edges"])
         nodes = 1 + max(max(a, b) for a, b in edges)
         return Topology(nodes, edges, int(topo["n"]))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad topology: {exc}") from exc
 
 
@@ -351,23 +369,14 @@ def cmd_analyze(config_path: str, out_dir: str,
     if d.p >= 1:
         gp_dc, gm_dc = awtf_dc(d)
         payload["dc_gains"] = {"g_plus": gp_dc, "g_minus": gm_dc}
-    verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"])
+    verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"],
+                                   tol_dc=tols["tol_dc"], tol_crhp=tols["tol_crhp"])
     payload.update(
         {
             "nyquist": {"pass": verdict.awtf_stable,
                         "crossings": list(verdict.crossings)},
-            "hinf": {
-                "g_plus": {
-                    "value": verdict.norm_gp.value,
-                    "argmax_omega": verdict.norm_gp.argmax_omega,
-                    "refined": verdict.norm_gp.refined,
-                },
-                "g_minus": {
-                    "value": verdict.norm_gm.value,
-                    "argmax_omega": verdict.norm_gm.argmax_omega,
-                    "refined": verdict.norm_gm.refined,
-                },
-            },
+            "hinf": {"g_plus": dataclasses.asdict(verdict.norm_gp),
+                     "g_minus": dataclasses.asdict(verdict.norm_gm)},
             "verdict": verdict.locally_string_stable,
             "theorem2_triggered": verdict.theorem2_triggered,
             "notes": list(verdict.notes),
@@ -488,7 +497,8 @@ def _sweep_value_row(cfg: dict, parameter: str, value: float) -> dict:
 
     grid = build_grid(cfg)
     tols = cfg["analysis"]["tolerances"]
-    verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"])
+    verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"],
+                                   tol_dc=tols["tol_dc"], tol_crhp=tols["tol_crhp"])
     return {
         "parameter": parameter,
         "value": float(value),
@@ -512,6 +522,7 @@ def cmd_sweep(config_path: str, out_dir: str, parameter: str,
     cfg = load_config(config_path, overrides)
     _require(parameter in ("h", "mu", "N"), "sweep parameter must be h, mu or N")
     _require(len(values) >= 1, "sweep needs at least one value")
+    _require(all(_finite(v) for v in values), "sweep values must be finite")
 
     rows = [_sweep_value_row(cfg, parameter, v) for v in values]
 
@@ -592,7 +603,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_waves(args.config, args.out, overrides)
         return cmd_sweep(args.config, args.out, args.parameter,
                          _parse_values(args), overrides)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (AssumptionViolated, ImproperTF) as exc:
@@ -601,9 +612,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (NumericalError, WavestringError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -89,17 +89,11 @@ class Topology:
             raise ValueError("duplicate edges")
 
         adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if len(seen) != v:
+        parents = self.bfs_parents()
+        reached = 1 + sum(p >= 0 for p in parents)
+        if reached != v:
             raise DisconnectedTopology(
-                f"only {len(seen)} of {v} nodes reachable from the leader"
+                f"only {reached} of {v} nodes reachable from the leader"
             )
         if len(self.edges) != v - 1:
             raise CyclicTopology("connected graph with |E| != |V|-1 has a cycle")
@@ -114,7 +108,6 @@ class Topology:
                     f"interior spine agent {i} has degree {len(adj[i])}, not 2"
                 )
         # Everything past the spine must hang off the far end.
-        parents = self.bfs_parents()
         for node in range(self.spine_n + 1, v):
             walk = node
             while walk > self.spine_n:
@@ -297,22 +290,25 @@ def build_network(topology: Topology, d: AgentDynamics) -> NetworkSystem:
 
     CA = C_out @ A_blk
     CB = C_out @ B_blk
-    if d.h > 0.0:
-        M = np.eye(n_agents) + d.h * (CB @ R)
-        try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSolve("headway velocity coupling is singular") from exc
-        xdot_z = Minv @ (CA + CB @ S @ C_out)
-        xdot_w = Minv @ (CB @ T)
-        U_z = S @ C_out - d.h * (R @ xdot_z)
-        U_w = T - d.h * (R @ xdot_w)
-    else:
-        U_z = S @ C_out
-        U_w = T
-
-    A_net = A_blk + B_blk @ U_z
-    B_net = B_blk @ U_w
+    # A huge h overflows the headway algebra; the check below refuses it.
+    with np.errstate(all="ignore"):
+        if d.h > 0.0:
+            M = np.eye(n_agents) + d.h * (CB @ R)
+            try:
+                Minv = np.linalg.inv(M)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSolve("headway velocity coupling is singular") from exc
+            xdot_z = Minv @ (CA + CB @ S @ C_out)
+            xdot_w = Minv @ (CB @ T)
+            U_z = S @ C_out - d.h * (R @ xdot_z)
+            U_w = T - d.h * (R @ xdot_w)
+        else:
+            U_z = S @ C_out
+            U_w = T
+        A_net = A_blk + B_blk @ U_z
+        B_net = B_blk @ U_w
+    if not (np.isfinite(A_net).all() and np.isfinite(B_net).all()):
+        raise SingularSolve(f"network matrices are non-finite (headway h={d.h:g})")
     for arr in (A_net, B_net, C_out):
         arr.flags.writeable = False
     return NetworkSystem(topology=topology, dynamics=d, A=A_net, B=B_net, C=C_out)

@@ -5,6 +5,9 @@ frequency sweep plus golden-section refinement around the grid argmax; there
 is no state-space bisection path. The Nyquist-style axis test that guards
 analyticity is a hard hypothesis for everything else, so an undersampled
 curve raises GridTooCoarse instead of silently passing.
+
+A verdict samples the axis once: one hint-chained awtf_axis_sweep feeds the
+axis test (each sample's t_g) and both norm estimates.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AssumptionViolated, GridTooCoarse
-from .tf import AgentDynamics, check_assumption1, low_order_coeffs, positional_symmetry
+from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
+                 low_order_coeffs, positional_symmetry)
 from .waves import (
     WaveSample,
     awtf_axis_sweep,
     awtf_eval,
     reflection_from_sample,
     t_g_eval,
+    wave_chain,
 )
 
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
@@ -96,20 +101,21 @@ def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
 
 def nyquist_axis_test(
     d: AgentDynamics,
-    grid: FrequencyGrid = FrequencyGrid(),
+    samples: list[WaveSample],
     tol_axis: float = TOL_AXIS,
     tol_omega: float = TOL_OMEGA,
 ) -> tuple[bool, list[float]]:
     """Does the axis image of t_g avoid the non-positive real axis?
 
-    Samples t_g(j omega) over the grid (negative omega follows by conjugate
-    symmetry), refines every sign change of the imaginary part by bisection,
-    and reports the crossing frequencies whose real part is <= tol_axis.
-    Raises GridTooCoarse when the sampled phase jumps by more than pi/2
-    between neighbours, which means crossings could hide between samples.
+    Reads t_g(j omega) from an ascending awtf_axis_sweep (negative omega
+    follows by conjugate symmetry), refines every sign change of the
+    imaginary part by bisection on t_g_eval, and reports the crossing
+    frequencies whose real part is <= tol_axis. Raises GridTooCoarse when
+    the sampled phase jumps by more than pi/2 between neighbours, which
+    means crossings could hide between samples.
     """
-    omegas = grid.omegas()
-    values = np.array([t_g_eval(d, 1j * w) for w in omegas])
+    omegas = np.array([ws.s.imag for ws in samples])
+    values = np.array([ws.t_g for ws in samples])
 
     crossings: list[float] = []
 
@@ -147,16 +153,11 @@ def nyquist_axis_test(
         if abs(t_star.imag) <= im_window:
             crossings.append(w_star)
 
-    # Samples sitting exactly on the real axis need no refinement.
+    # Samples sitting exactly on the real axis need no refinement; a run of
+    # them is one crossing, reported at its first sample.
     on_axis = (values.imag == 0.0) & (values.real <= tol_axis)
-    run_active = False
-    for k in range(len(omegas)):
-        if on_axis[k]:
-            if not run_active:
-                crossings.append(float(omegas[k]))
-            run_active = True
-        else:
-            run_active = False
+    run_starts = on_axis & ~np.concatenate(([False], on_axis[:-1]))
+    crossings.extend(float(w) for w in omegas[run_starts])
 
     im = values.imag
     for k in range(len(omegas) - 1):
@@ -230,37 +231,14 @@ def hinf_estimate(
     return NormEstimate(value=best_val, argmax_omega=best_w, refined=True)
 
 
-class _ChainedWaveEvaluator:
-    """omega -> WaveSample with a last-sample continuity hint.
-
-    Golden-section probes jump around inside one bracket, so the previous
-    sample is always nearby and resolves modulus ties. Not thread-safe: each
-    sweep direction must own its evaluator.
-    """
-
-    def __init__(self, d: AgentDynamics, seed: Optional[WaveSample] = None):
-        self._d = d
-        self._hint = seed
-
-    def sample(self, omega: float) -> WaveSample:
-        self._hint = awtf_eval(self._d, 1j * omega, self._hint)
-        return self._hint
-
-    def g_plus(self, omega: float) -> complex:
-        return self.sample(omega).g_plus
-
-    def g_minus(self, omega: float) -> complex:
-        return self.sample(omega).g_minus
-
-
 def awtf_norm_estimates(
     d: AgentDynamics,
-    grid: FrequencyGrid = FrequencyGrid(),
+    samples: list[WaveSample],
     tol_omega: float = TOL_OMEGA,
 ) -> tuple[NormEstimate, NormEstimate]:
-    """H-infinity estimates of (g_plus, g_minus) with hint-chained sweeps."""
-    omegas = grid.omegas()
-    samples = awtf_axis_sweep(d, omegas)
+    """H-infinity estimates of (g_plus, g_minus) from an ascending
+    awtf_axis_sweep, each peak refined on a hint chain seeded next to it."""
+    omegas = np.array([ws.s.imag for ws in samples])
 
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
@@ -269,16 +247,14 @@ def awtf_norm_estimates(
         if bracket is None:
             results.append(peak)
             continue
-        chain = _ChainedWaveEvaluator(d, seed=samples[min(k + 1, len(omegas) - 1)])
+        chain = wave_chain(d, seed=samples[min(k + 1, len(omegas) - 1)])
         refined = hinf_estimate(
-            getattr(chain, attr),
+            lambda w: getattr(chain(1j * w), attr),
             FrequencyGrid(*bracket, 16),
             tol_omega=tol_omega,
         )
-        if refined.value >= peak.value:
-            results.append(NormEstimate(refined.value, refined.argmax_omega, True))
-        else:
-            results.append(NormEstimate(peak.value, peak.argmax_omega, refined=True))
+        best = refined if refined.value >= peak.value else peak
+        results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
     return results[0], results[1]
 
 
@@ -286,8 +262,14 @@ def local_string_verdict(
     d: AgentDynamics,
     grid: FrequencyGrid = FrequencyGrid(),
     tol_norm: float = TOL_NORM,
+    tol_dc: float = TOL_DC,
+    tol_crhp: float = TOL_CRHP,
 ) -> StabilityVerdict:
     """Local string stability: wave couplings analytic with norms <= 1.
+
+    The axis sweep runs first, so an awtf_eval failure (BranchAmbiguous at
+    the highest frequency, say) surfaces before GridTooCoarse; both are
+    NumericalErrors.
 
     Fast path: two integrators, asymmetric positional coupling and zero
     headway force the unstable verdict outright; the norm estimates are still
@@ -298,23 +280,24 @@ def local_string_verdict(
     to "marginal" when they occur at an interior frequency rather than at the
     DC end of the grid.
     """
-    report = check_assumption1(d)
+    report = check_assumption1(d, tol_crhp=tol_crhp)
     if not report.passed:
         raise AssumptionViolated("; ".join(report.violations))
 
+    samples = awtf_axis_sweep(d, grid.omegas())
     notes: list[str] = []
-    stable, crossings = nyquist_axis_test(d, grid)
+    stable, crossings = nyquist_axis_test(d, samples)
     if not stable:
         notes.append(
             f"axis test failed at omega={', '.join(f'{w:.4g}' for w in crossings)}"
         )
 
-    norm_gp, norm_gm = awtf_norm_estimates(d, grid)
+    norm_gp, norm_gm = awtf_norm_estimates(d, samples)
     max_norm = max(norm_gp.value, norm_gm.value)
     argmax_w = norm_gp.argmax_omega if norm_gp.value >= norm_gm.value \
         else norm_gm.argmax_omega
 
-    fast_path = d.p == 2 and d.h == 0.0 and not positional_symmetry(d)
+    fast_path = d.p == 2 and d.h == 0.0 and not positional_symmetry(d, tol_dc)
     if fast_path:
         verdict = "unstable"
         notes.append(

@@ -13,7 +13,7 @@ sample sits at s = sigma on the line, so nothing is ever evaluated at the
 origin pole.
 
 Evaluators are called in descending-frequency order, once per sample, so
-wave evaluators can chain branch-continuity hints.
+wave evaluators can chain branch-continuity hints (waves.wave_chain).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import awtf_eval, reflection_from_sample
+from .waves import reflection_from_sample, wave_chain
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -162,11 +162,10 @@ def _wave_spectra(
     One hint-chained pass produces both so the two inversions see identical
     branch choices.
     """
-    hint = None
+    chain = wave_chain(d)
 
     def both(s: complex) -> tuple[complex, complex]:
-        nonlocal hint
-        ws = hint = awtf_eval(d, s, hint)
+        ws = chain(s)
         refl = reflection_from_sample(ws)
         gp, gm = ws.g_plus, ws.g_minus
         loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
@@ -223,14 +222,8 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    hint = None
-
-    def forward(s: complex) -> complex:
-        nonlocal hint
-        hint = awtf_eval(d, s, hint)
-        return hint.g_plus**n / s
-
-    times, wave = inverse_laplace(forward, cfg)
+    chain = wave_chain(d)
+    times, wave = inverse_laplace(lambda s: chain(s).g_plus**n / s, cfg)
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)

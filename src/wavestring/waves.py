@@ -17,8 +17,8 @@ one that tends to min(1, kappa) at DC and to 0 at infinity). When the two
 moduli tie within TOL_TIE relative, a continuity hint from a neighbouring
 sample decides; with no hint and materially different candidates the
 evaluation refuses to guess and raises BranchAmbiguous. Frequency sweeps
-therefore chain hints, seeded at the largest |s| where the split is always
-unambiguous.
+therefore chain hints (wave_chain), seeded at the largest |s| where the
+split is always unambiguous.
 
 The square root is taken of the discriminant numerator
 
@@ -31,8 +31,9 @@ of t_g avoids spurious jumps when Mr(s) crosses the negative real axis.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -59,6 +60,7 @@ class WaveSample:
     g_minus: complex
     alpha: complex
     beta: complex
+    t_g: complex  # discriminant numerator, equal to t_g_eval(d, s)
     branch_flipped: bool = False
 
 
@@ -71,9 +73,10 @@ class ReflectionSample:
     tN: complex
 
 
-def _eval_terms(d: AgentDynamics, s: complex) -> tuple[complex, complex, complex]:
-    """(Mf, Mr, 1 + (1 + h*s)(Mf + Mr)) at s, the headway-aware shared term
-    being the numerator of both alpha and beta."""
+def _eval_terms(d: AgentDynamics, s: complex) -> tuple[complex, ...]:
+    """(Mf, Mr, shared, t_g) at s, the headway-aware shared term
+    1 + (1 + h*s)(Mf + Mr) being the numerator of both alpha and beta.
+    Raises SingularSample when any is non-finite or Mf or Mr vanishes."""
     try:
         mf = tf_eval(d.Mf, s)
         mr = tf_eval(d.Mr, s)
@@ -81,15 +84,18 @@ def _eval_terms(d: AgentDynamics, s: complex) -> tuple[complex, complex, complex
         raise SingularSample(str(exc)) from exc
     if mf == 0 or mr == 0:
         raise SingularSample(f"Mf or Mr vanishes at s={s}")
-    if not (np.isfinite(mf.real) and np.isfinite(mf.imag)
-            and np.isfinite(mr.real) and np.isfinite(mr.imag)):
+    if not (cmath.isfinite(mf) and cmath.isfinite(mr)):
         raise SingularSample(f"Mf or Mr is non-finite at s={s}")
-    return mf, mr, 1.0 + (1.0 + d.h * s) * (mf + mr)
+    shared = 1.0 + (1.0 + d.h * s) * (mf + mr)
+    t_g = shared * shared - 4.0 * mf * mr
+    if not (cmath.isfinite(shared) and cmath.isfinite(t_g)):
+        raise SingularSample(f"wave quadratic is non-finite at s={s} (h={d.h:g})")
+    return mf, mr, shared, t_g
 
 
 def alpha_beta(d: AgentDynamics, s: complex) -> tuple[complex, complex]:
     """(alpha, beta) at s, headway-aware. Raises SingularSample at poles/zeros."""
-    mf, mr, shared = _eval_terms(d, complex(s))
+    mf, mr, shared, _ = _eval_terms(d, complex(s))
     return shared / mf, shared / mr
 
 
@@ -100,8 +106,7 @@ def t_g_eval(d: AgentDynamics, s: complex) -> complex:
     Nyquist plot must avoid the non-positive real axis for the wave couplings
     to be analytic in the right half plane.
     """
-    mf, mr, shared = _eval_terms(d, complex(s))
-    return shared * shared - 4.0 * mf * mr
+    return _eval_terms(d, complex(s))[3]
 
 
 def _root_candidates(
@@ -159,10 +164,10 @@ def awtf_eval(
     picked the non-default root.
     """
     s = complex(s)
-    mf, mr, shared = _eval_terms(d, s)
+    mf, mr, shared, t_g = _eval_terms(d, s)
     alpha = shared / mf
     beta = shared / mr
-    w = np.sqrt(complex(shared * shared - 4.0 * mf * mr))
+    w = np.sqrt(t_g)
 
     cands_p = _root_candidates(beta, 0.5 * w / mr, mf / mr)
     cands_m = _root_candidates(alpha, 0.5 * w / mf, mr / mf)
@@ -174,8 +179,23 @@ def awtf_eval(
         g_minus=complex(g_minus),
         alpha=complex(alpha),
         beta=complex(beta),
+        t_g=complex(t_g),
         branch_flipped=flip_p or flip_m,
     )
+
+
+def wave_chain(d: AgentDynamics, seed: Optional[WaveSample] = None
+               ) -> Callable[[complex], WaveSample]:
+    """s -> awtf_eval(d, s, hint), the hint being the previous call's sample
+    (seed at first); successive calls must be close in frequency."""
+    hint = seed
+
+    def sample(s: complex) -> WaveSample:
+        nonlocal hint
+        hint = awtf_eval(d, s, hint)
+        return hint
+
+    return sample
 
 
 def awtf_axis_sweep(d: AgentDynamics, omegas: Iterable[float]) -> list[WaveSample]:
@@ -186,13 +206,10 @@ def awtf_axis_sweep(d: AgentDynamics, omegas: Iterable[float]) -> list[WaveSampl
     infinity) and continuity carries it through any modulus ties near DC.
     """
     omegas = list(omegas)
-    order = sorted(range(len(omegas)), key=lambda i: -abs(omegas[i]))
-    samples: list[Optional[WaveSample]] = [None] * len(omegas)
-    hint: Optional[WaveSample] = None
-    for i in order:
-        hint = awtf_eval(d, 1j * omegas[i], hint)
-        samples[i] = hint
-    return samples  # type: ignore[return-value]
+    chain = wave_chain(d)
+    by_index = {i: chain(1j * omegas[i]) for i in
+                sorted(range(len(omegas)), key=lambda i: -abs(omegas[i]))}
+    return [by_index[i] for i in range(len(omegas))]
 
 
 def awtf_dc(d: AgentDynamics) -> tuple[float, float]:
@@ -242,7 +259,7 @@ def reflection_eval(
 
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:
     """|g**2 - coeff*g + ratio| for both couplings, for verification."""
-    mf, mr, _ = _eval_terms(d, ws.s)
+    mf, mr, _, _ = _eval_terms(d, ws.s)
     r_plus = abs(ws.g_plus**2 - ws.beta * ws.g_plus + mf / mr)
     r_minus = abs(ws.g_minus**2 - ws.alpha * ws.g_minus + mr / mf)
     return r_plus, r_minus

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ class TestAnalyze:
         assert payload["headway_dominant_term"] == pytest.approx(
             1.2 * 0.36 - 0.25 * 2.56
         )
+
+    def test_config_tolerances_reach_the_verdict(self, tmp_path):
+        # kappa = 1.05 is positionally symmetric under tol_dc = 0.1, so the
+        # two-integrator fast path must not fire
+        cfg = base_config(mr={"num": [1.0, 1.0], "den": [0, 0, 1, 0.3]})
+        cfg["dynamics"]["mf"] = {"num": [1.05, 1.0], "den": [0, 0, 1, 0.3]}
+        cfg["analysis"]["tolerances"] = {"tol_dc": 0.1}
+        cfg_path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["analyze", "--config", cfg_path, "--out", out]) == 0
+        payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert payload["positional_symmetry"] is True
+        assert payload["theorem2_triggered"] is False
+        assert not any("asymmetric positional" in n for n in payload["notes"])
 
     def test_seed_and_grid_points_flags(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
@@ -322,10 +337,65 @@ class TestSweep:
             tmp_path / "s3" / "sweep.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("parameter", ["h", "mu", "N"])
+    def test_non_finite_values_exit_1(self, tmp_path, parameter):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--parameter", parameter, "--values", "1,nan"]) == 1
+        assert not out.exists()
+
     def test_missing_values_exit_1(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--parameter", "h"]) == 1
+
+
+MALFORMED = {
+    "points-not-number": ("analysis", "points", "x"),
+    "tolerances-not-object": ("analysis", "tolerances", "x"),
+    "tol-norm-not-number": ("analysis", "tolerances", {"tol_norm": "x"}),
+    "tol-crhp-not-number": ("analysis", "tolerances", {"tol_crhp": "x"}),
+    "t-final-not-number": ("sim", "t_final", "abc"),
+    "step-amplitude-not-number": ("sim", "step_amplitude", "x"),
+    "disturbance-agent-not-number": ("sim", "disturbances", [{"agent": "a"}]),
+    "disturbance-amplitude-not-number": (
+        "sim", "disturbances", [{"agent": 2, "amplitude": "x"}]),
+    "waves-agent-not-number": ("waves", "agent", "x"),
+    "nan-coefficient": (
+        "dynamics", "mf", {"num": [float("nan"), 1.0], "den": [0, 0, 1, 1 / 3]}),
+    "infinite-headway": ("dynamics", "h", float("inf")),
+}
+
+
+def all_commands_config():
+    """A config each of analyze, simulate and waves runs to exit 0."""
+    return base_config(waves={"agent": 3, "t_final": 5.0, "samples": 1024})
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("section, key, value", MALFORMED.values(),
+                             ids=list(MALFORMED))
+    def test_exit_1_without_output(self, tmp_path, capsys, section, key, value):
+        cfg = all_commands_config()
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        for command in ("analyze", "simulate", "waves"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "waves"])
+    def test_overflowing_headway_exit_3_without_warning(self, tmp_path, command):
+        cfg = all_commands_config()
+        cfg["dynamics"]["h"] = 1e308
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestUsageErrors:

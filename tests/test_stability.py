@@ -18,10 +18,17 @@ from wavestring import (
     low_order_coeffs,
     nyquist_axis_test,
 )
+from wavestring import stability, waves
 from wavestring.errors import AssumptionViolated
+from wavestring.waves import t_g_eval
 from conftest import front_coupling, random_pi_pair
 
 SHORT_GRID = FrequencyGrid(1e-4, 1e3, 600)
+
+
+def sweep(d, grid=SHORT_GRID):
+    """The axis sweep that nyquist_axis_test and awtf_norm_estimates read."""
+    return awtf_axis_sweep(d, grid.omegas())
 
 
 class TestGrid:
@@ -41,26 +48,55 @@ class TestGrid:
 
 class TestNyquist:
     def test_symmetric_passes(self, sym_dyn):
-        ok, crossings = nyquist_axis_test(sym_dyn, SHORT_GRID)
+        ok, crossings = nyquist_axis_test(sym_dyn, sweep(sym_dyn))
         assert ok and crossings == []
 
     def test_velocity_asym_passes(self, vel_asym_dyn):
-        ok, _ = nyquist_axis_test(vel_asym_dyn, SHORT_GRID)
+        ok, _ = nyquist_axis_test(vel_asym_dyn, sweep(vel_asym_dyn))
         assert ok
 
     def test_undamped_double_integrator_fails(self):
         # M = 1/s^2 gives a real curve 1 - 4/w^2, negative for w < 2
         m = RationalTF(Polynomial([1.0]), Polynomial([1.0]), p=2)
         d = AgentDynamics(m, m)
-        ok, crossings = nyquist_axis_test(d, SHORT_GRID)
+        ok, crossings = nyquist_axis_test(d, sweep(d))
         assert not ok
         assert any(abs(w - 2.0) < 1e-3 for w in crossings)
 
     def test_gain_asym_crossing_found(self, gain_asym_dyn):
         # this pair genuinely intersects the non-positive axis near w=0.344
-        ok, crossings = nyquist_axis_test(gain_asym_dyn, SHORT_GRID)
+        ok, crossings = nyquist_axis_test(gain_asym_dyn, sweep(gain_asym_dyn))
         assert not ok
         assert any(abs(w - 0.3441) < 1e-3 for w in crossings)
+
+
+class TestSharedAxisSweep:
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    @pytest.mark.parametrize("name", ["sym_dyn", "gain_asym_dyn", "vel_asym_dyn"])
+    def test_sample_t_g_is_t_g_eval(self, request, name, h):
+        base = request.getfixturevalue(name)
+        d = AgentDynamics(base.Mf, base.Mr, h=h)
+        for ws in awtf_axis_sweep(d, np.geomspace(1e-4, 1e3, 200)):
+            assert ws.t_g == t_g_eval(d, ws.s)
+
+    def test_verdict_samples_the_axis_once(self, gain_asym_dyn, monkeypatch):
+        calls = {"t_g_eval": 0, "tf_eval": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(stability, "t_g_eval",
+                            counted("t_g_eval", stability.t_g_eval))
+        monkeypatch.setattr(waves, "tf_eval", counted("tf_eval", waves.tf_eval))
+        grid = FrequencyGrid()
+        local_string_verdict(gain_asym_dyn, grid)
+        # bisection probes only; the grid itself is read from the sweep
+        assert calls["t_g_eval"] < 100
+        # Mf and Mr once per grid point, plus the refinement probes
+        assert calls["tf_eval"] <= 2 * (grid.points + 100)
 
 
 class TestHinf:
@@ -69,13 +105,13 @@ class TestHinf:
         assert est.value == pytest.approx(0.5)
 
     def test_gain_asym_norm_exceeds_one(self, gain_asym_dyn):
-        gp, gm = awtf_norm_estimates(gain_asym_dyn, SHORT_GRID)
+        gp, gm = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn))
         assert gp.value > 1.0
         assert gp.argmax_omega < 1.0  # low-frequency peak
         assert gm.value < 1.0
 
     def test_velocity_asym_norm_at_one(self, vel_asym_dyn):
-        gp, gm = awtf_norm_estimates(vel_asym_dyn, SHORT_GRID)
+        gp, gm = awtf_norm_estimates(vel_asym_dyn, sweep(vel_asym_dyn))
         assert gp.value <= 1.0 + 1e-3
         assert gm.value <= 1.0 + 1e-3
 
@@ -83,7 +119,7 @@ class TestHinf:
         values = []
         for points in (250, 500, 1000, 2000):
             gp, _ = awtf_norm_estimates(
-                gain_asym_dyn, FrequencyGrid(1e-4, 1e3, points)
+                gain_asym_dyn, sweep(gain_asym_dyn, FrequencyGrid(1e-4, 1e3, points))
             )
             values.append(gp.value)
         for a, b in zip(values, values[1:]):
@@ -91,7 +127,7 @@ class TestHinf:
 
     def test_value_at_least_every_grid_sample(self, gain_asym_dyn):
         grid = FrequencyGrid(1e-3, 1e2, 64)
-        gp, _ = awtf_norm_estimates(gain_asym_dyn, grid)
+        gp, _ = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn, grid))
         mags = [abs(s.g_plus) for s in awtf_axis_sweep(gain_asym_dyn, grid.omegas())]
         assert gp.value >= max(mags) - 1e-12
 
@@ -114,6 +150,14 @@ class TestVerdict:
     def test_velocity_asym_stable_or_marginal(self, vel_asym_dyn):
         v = local_string_verdict(vel_asym_dyn, SHORT_GRID)
         assert v.locally_string_stable in ("stable", "marginal")
+        assert not v.theorem2_triggered
+
+    def test_tolerances_reach_the_checks(self, sym_dyn, gain_asym_dyn):
+        # Mf's zero at s = -1 counts as closed-RHP under a 1.5 margin
+        with pytest.raises(AssumptionViolated):
+            local_string_verdict(sym_dyn, SHORT_GRID, tol_crhp=1.5)
+        # kappa = 1.6 is within 1.0 of symmetric, so no fast path
+        v = local_string_verdict(gain_asym_dyn, SHORT_GRID, tol_dc=1.0)
         assert not v.theorem2_triggered
 
     def test_assumption_violation_raises(self):
@@ -195,7 +239,7 @@ class TestDisturbanceGain:
         assert mags[0] < mags[1] < mags[2]
 
     def test_growth_at_norm_argmax(self, gain_asym_dyn):
-        gp, _ = awtf_norm_estimates(gain_asym_dyn, SHORT_GRID)
+        gp, _ = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn))
         assert gp.value > 1
         mags = [abs(disturbance_gain(gain_asym_dyn, N, gp.argmax_omega)[0])
                 for N in (5, 10, 20, 40)]
