@@ -15,6 +15,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,7 +27,6 @@ from .errors import (
     AssumptionViolated,
     ConfigError,
     ImproperTF,
-    NumericalError,
     WavestringError,
 )
 from .platoon import (
@@ -56,32 +56,40 @@ from .tf import (
 from .waveresponse import InverseLaplaceConfig, wave_components
 from .waves import awtf_dc
 
-_ANALYSIS_DEFAULTS = {
-    "omega_min": 1e-4,
-    "omega_max": 1e3,
-    "points": 2000,
-    "tolerances": {"tol_norm": 1e-3, "tol_crhp": 1e-9, "tol_dc": 1e-9},
+# Size bounds, checked before anything is allocated: RK4 steps of a run,
+# inverse-Laplace samples, frequency grid points and sweep values; agents.
+MAX_SAMPLES = 10**7
+MAX_AGENTS = 1000
+
+_INF = float("inf")
+
+# Every numeric config field: section -> key -> default, or (default, low,
+# high) for a field with a closed range. A number default marks a required
+# finite number, a None default a nullable one (sim.dt: None resolves to
+# default_dt of the dynamics).
+_TABLE = {
+    "dynamics": {"h": (0.0, 0.0, _INF)},
+    "sim": {
+        "dt": (None, math.ulp(0.0), _INF),  # positive
+        "t_final": 100.0,
+        "step_amplitude": 1.0,
+        "step_start": 0.0,
+    },
+    "analysis": {
+        "omega_min": 1e-4,
+        "omega_max": 1e3,
+        "points": (2000, 16, MAX_SAMPLES),
+    },
+    "analysis.tolerances": {"tol_norm": 1e-3, "tol_crhp": 1e-9, "tol_dc": 1e-9},
+    "waves": {
+        "agent": 10,
+        "t_final": 40.0,
+        "samples": (4096, -_INF, MAX_SAMPLES),
+        "sigma": None,
+        "window": 0.1,
+    },
 }
-_SIM_DEFAULTS = {
-    "dt": None,  # resolved to default_dt(dynamics)
-    "t_final": 100.0,
-    "step_amplitude": 1.0,
-    "step_start": 0.0,
-    "disturbances": [],
-}
-_WAVES_DEFAULTS = {
-    "agent": 10,
-    "t_final": 40.0,
-    "samples": 4096,
-    "sigma": None,
-    "window": 0.1,
-}
-_DISTURBANCE_DEFAULTS = {
-    "signal": "step",
-    "amplitude": 1.0,
-    "start": 0.0,
-    "duration": 1.0,
-}
+_DISTURBANCE = {"amplitude": 1.0, "start": 0.0, "duration": 1.0}  # besides agent
 
 
 def _require(cond: bool, msg: str):
@@ -95,12 +103,24 @@ def _finite(x: Any) -> bool:
             and abs(x) <= sys.float_info.max)
 
 
-def _require_numbers(section: dict, where: str, keys: Iterable[str],
-                     nullable: tuple[str, ...] = ()):
-    for key in keys:
-        val = section[key]
-        _require(_finite(val) or (val is None and key in nullable),
-                 f"{where}.{key} must be a finite number")
+def _fill(section: dict, where: str, fields: dict):
+    """Set the missing defaults of one section and check its numbers."""
+    for key, spec in fields.items():
+        default, low, high = spec if isinstance(spec, tuple) else (spec, -_INF, _INF)
+        val = section.setdefault(key, default)
+        if val is None and default is None:
+            continue
+        _require(_finite(val), f"{where}.{key} must be a finite number")
+        _require(low <= val <= high, f"{where}.{key} must lie in [{low:g}, {high:g}]")
+
+
+def _section(cfg: dict, path: str) -> dict:
+    """The object at a dotted path, created empty when missing."""
+    node = cfg
+    for key in path.split("."):
+        node = node.setdefault(key, {})
+        _require(isinstance(node, dict), f"{path} must be an object")
+    return node
 
 
 def _coeff_list(obj: Any, where: str) -> list[float]:
@@ -123,10 +143,12 @@ def resolve_config(raw: dict) -> dict:
     _require(isinstance(raw, dict), "config must be a JSON object")
     unknown = set(raw) - {"dynamics", "topology", "sim", "analysis", "waves"}
     _require(not unknown, f"unknown config sections: {sorted(unknown)}")
+    _require(isinstance(raw.get("dynamics"), dict), "config needs a dynamics object")
     cfg = copy.deepcopy(raw)
+    for path, fields in _TABLE.items():
+        _fill(_section(cfg, path), path, fields)
 
-    dyn = cfg.get("dynamics")
-    _require(isinstance(dyn, dict), "config needs a dynamics object")
+    dyn = cfg["dynamics"]
     has_direct = "mf" in dyn or "mr" in dyn
     has_factored = "plant" in dyn or "cf" in dyn or "cr" in dyn
     _require(not (has_direct and has_factored),
@@ -136,11 +158,7 @@ def resolve_config(raw: dict) -> dict:
                  "factored dynamics needs plant, cf and cr")
     else:
         _require("mf" in dyn and "mr" in dyn, "dynamics needs mf and mr")
-    dyn.setdefault("h", 0.0)
-    _require(_finite(dyn["h"]) and dyn["h"] >= 0,
-             "dynamics.h must be a non-negative finite number")
     dyn["h"] = float(dyn["h"])
-
     d = build_dynamics(cfg)  # validates the transfer functions themselves
 
     topo = cfg.setdefault("topology", {"kind": "path", "n": 20})
@@ -156,142 +174,96 @@ def resolve_config(raw: dict) -> dict:
                  "tree topology needs n (spine length) and edges")
         _require(isinstance(topo["edges"], list), "topology.edges must be a list")
 
-    sim = cfg.setdefault("sim", {})
-    _require(isinstance(sim, dict), "sim must be an object")
-    for key, val in _SIM_DEFAULTS.items():
-        sim.setdefault(key, copy.deepcopy(val))
+    sim = cfg["sim"]
     if sim["dt"] is None:
         sim["dt"] = default_dt(d)
-    _require_numbers(sim, "sim", ("dt", "t_final", "step_amplitude", "step_start"))
-    _require(sim["dt"] > 0, "sim.dt must be positive")
     sim["dt"] = float(sim["dt"])
     sim["t_final"] = float(sim["t_final"])
-    dists = sim["disturbances"]
+    dists = sim.setdefault("disturbances", [])
     _require(isinstance(dists, list), "sim.disturbances must be a list")
     for dist in dists:
-        _require(isinstance(dist, dict) and "agent" in dist,
-                 "each disturbance needs an agent index")
-        for key, val in _DISTURBANCE_DEFAULTS.items():
-            dist.setdefault(key, val)
+        _require(isinstance(dist, dict) and _finite(dist.get("agent")),
+                 "each disturbance needs a numeric agent index")
+        dist.setdefault("signal", "step")
         _require(dist["signal"] in ("step", "pulse"),
                  "disturbance signal must be step|pulse")
-        _require_numbers(dist, "disturbance",
-                         ("agent", "amplitude", "start", "duration"))
-
-    ana = cfg.setdefault("analysis", {})
-    _require(isinstance(ana, dict), "analysis must be an object")
-    for key, val in _ANALYSIS_DEFAULTS.items():
-        ana.setdefault(key, copy.deepcopy(val))
-    tols = ana["tolerances"]
-    _require(isinstance(tols, dict), "analysis.tolerances must be an object")
-    for key, val in _ANALYSIS_DEFAULTS["tolerances"].items():
-        tols.setdefault(key, val)
-    _require_numbers(ana, "analysis", ("omega_min", "omega_max", "points"))
-    _require_numbers(tols, "analysis.tolerances", _ANALYSIS_DEFAULTS["tolerances"])
-    _require(ana["points"] >= 16, "analysis.points must be >= 16")
-
-    wav = cfg.setdefault("waves", {})
-    _require(isinstance(wav, dict), "waves must be an object")
-    for key, val in _WAVES_DEFAULTS.items():
-        wav.setdefault(key, val)
-    _require_numbers(wav, "waves", _WAVES_DEFAULTS, nullable=("sigma",))
-
+        _fill(dist, "disturbance", _DISTURBANCE)
     return cfg
+
+
+def _build(what: str, ctor, *args, **kwargs):
+    """ctor(*args, **kwargs), its ValueError or TypeError as a ConfigError."""
+    try:
+        return ctor(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def build_dynamics(cfg: dict) -> AgentDynamics:
     dyn = cfg["dynamics"]
-    try:
-        if "plant" in dyn:
-            p_num, p_den = _tf_from_entry(dyn["plant"], "dynamics.plant")
-            cf_num, cf_den = _tf_from_entry(dyn["cf"], "dynamics.cf")
-            cr_num, cr_den = _tf_from_entry(dyn["cr"], "dynamics.cr")
-            mf = tf_normalize(cf_num * p_num, cf_den * p_den)
-            mr = tf_normalize(cr_num * p_num, cr_den * p_den)
-        else:
-            mf = tf_normalize(*_tf_from_entry(dyn["mf"], "dynamics.mf"))
-            mr = tf_normalize(*_tf_from_entry(dyn["mr"], "dynamics.mr"))
-    except WavestringError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"bad dynamics: {exc}") from exc
-    return AgentDynamics(Mf=mf, Mr=mr, h=float(dyn.get("h", 0.0)))
+    if "plant" in dyn:
+        (p_num, p_den), (f_num, f_den), (r_num, r_den) = (
+            _tf_from_entry(dyn[k], f"dynamics.{k}") for k in ("plant", "cf", "cr"))
+        pairs = ((f_num * p_num, f_den * p_den), (r_num * p_num, r_den * p_den))
+    else:
+        pairs = (_tf_from_entry(dyn["mf"], "dynamics.mf"),
+                 _tf_from_entry(dyn["mr"], "dynamics.mr"))
+    mf, mr = (_build("dynamics", tf_normalize, num, den) for num, den in pairs)
+    return _build("dynamics", AgentDynamics, Mf=mf, Mr=mr, h=float(dyn.get("h", 0.0)))
+
+
+def _tree(topo: dict) -> Topology:
+    edges = tuple((int(a), int(b)) for a, b in topo["edges"])
+    nodes = 1 + max(max(a, b) for a, b in edges)
+    _require(nodes - 1 <= MAX_AGENTS, f"topology has more than {MAX_AGENTS} agents")
+    return Topology(nodes, edges, int(topo["n"]))
 
 
 def build_topology(cfg: dict) -> Topology:
+    """The path or tree of the config; the agent bound is checked first."""
     topo = cfg["topology"]
-    if topo["kind"] == "path":
-        return Topology.path(int(topo["n"]))
-    try:
-        edges = tuple((int(a), int(b)) for a, b in topo["edges"])
-        nodes = 1 + max(max(a, b) for a, b in edges)
-        return Topology(nodes, edges, int(topo["n"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad topology: {exc}") from exc
+    if topo["kind"] == "tree":
+        return _build("topology", _tree, topo)
+    _require(topo["n"] <= MAX_AGENTS, f"topology has more than {MAX_AGENTS} agents")
+    return _build("topology", Topology.path, topo["n"])
 
 
 def build_grid(cfg: dict) -> FrequencyGrid:
     ana = cfg["analysis"]
-    try:
-        return FrequencyGrid(
-            omega_min=float(ana["omega_min"]),
-            omega_max=float(ana["omega_max"]),
-            points=int(ana["points"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad analysis grid: {exc}") from exc
+    return _build("analysis grid", FrequencyGrid, omega_min=float(ana["omega_min"]),
+                  omega_max=float(ana["omega_max"]), points=int(ana["points"]))
+
+
+def _sim_config(dt: float, t_final: float, **inputs) -> SimConfig:
+    _require(t_final <= MAX_SAMPLES * dt,
+             f"a {t_final:g} s run is more than {MAX_SAMPLES} steps of dt = {dt:g} s")
+    return _build("sim config", SimConfig, dt=dt, T_final=t_final, **inputs)
 
 
 def build_sim_config(cfg: dict, num_agents: int) -> SimConfig:
     sim = cfg["sim"]
     dists = tuple(
-        Disturbance(
-            agent=int(d["agent"]),
-            signal=d["signal"],
-            amplitude=float(d["amplitude"]),
-            start=float(d["start"]),
-            duration=float(d["duration"]),
-        )
+        Disturbance(agent=int(d["agent"]), signal=d["signal"],
+                    amplitude=float(d["amplitude"]), start=float(d["start"]),
+                    duration=float(d["duration"]))
         for d in sim["disturbances"]
     )
     for dist in dists:
         _require(1 <= dist.agent <= num_agents,
                  f"disturbance targets missing agent {dist.agent}")
-    try:
-        return SimConfig(
-            dt=sim["dt"],
-            T_final=sim["t_final"],
-            leader=LeaderStep(
-                amplitude=float(sim["step_amplitude"]),
-                start=float(sim["step_start"]),
-            ),
-            disturbances=dists,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad sim config: {exc}") from exc
+    _require(sim["step_amplitude"] != 0,
+             "sim.step_amplitude must be nonzero: overshoot is relative to it")
+    leader = LeaderStep(amplitude=float(sim["step_amplitude"]),
+                        start=float(sim["step_start"]))
+    return _sim_config(sim["dt"], sim["t_final"], leader=leader, disturbances=dists)
 
 
 def build_waves_config(cfg: dict) -> InverseLaplaceConfig:
     wav = cfg["waves"]
-    try:
-        return InverseLaplaceConfig(
-            T_final=float(wav["t_final"]),
-            samples=int(wav["samples"]),
-            sigma=None if wav["sigma"] is None else float(wav["sigma"]),
-            window=float(wav["window"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad waves config: {exc}") from exc
-
-
-def _json_ready(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    return _build("waves config", InverseLaplaceConfig, T_final=float(wav["t_final"]),
+                  samples=int(wav["samples"]),
+                  sigma=None if wav["sigma"] is None else float(wav["sigma"]),
+                  window=float(wav["window"]))
 
 
 def _write_atomic(path: str, data: str):
@@ -308,11 +280,14 @@ def _write_atomic(path: str, data: str):
 
 
 def _write_json(path: str, payload: dict):
-    _write_atomic(path, json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]):
+    """One line per row; str of a float is its repr, the shortest round trip."""
+    lines = [",".join(header)]
+    lines += (",".join(map(str, row)) for row in rows)
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> dict:
@@ -337,24 +312,15 @@ def load_config(path: str, overrides: Optional[dict] = None) -> dict:
     return resolve_config(raw)
 
 
-def cmd_analyze(config_path: str, out_dir: str,
-                overrides: Optional[dict] = None) -> int:
-    cfg = load_config(config_path, overrides)
+def cmd_analyze(cfg: dict, out_dir: str) -> int:
     d = build_dynamics(cfg)
     tols = cfg["analysis"]["tolerances"]
     report = check_assumption1(d, tol_crhp=tols["tol_crhp"])
-    coeffs = low_order_coeffs(d)
 
     payload: dict[str, Any] = {
         "config": cfg,
-        "assumption": {
-            "equal_integrators": report.equal_integrators,
-            "both_proper": report.both_proper,
-            "no_crhp_roots": report.no_crhp_roots,
-            "passed": report.passed,
-            "violations": list(report.violations),
-        },
-        "kappa": coeffs.kappa,
+        "assumption": {**dataclasses.asdict(report), "passed": report.passed},
+        "kappa": low_order_coeffs(d).kappa,
         "positional_symmetry": positional_symmetry(d, tol_dc=tols["tol_dc"]),
     }
     out_path = os.path.join(out_dir, "analysis.json")
@@ -389,119 +355,71 @@ def cmd_analyze(config_path: str, out_dir: str,
     return 0
 
 
-def cmd_simulate(config_path: str, out_dir: str,
-                 overrides: Optional[dict] = None) -> int:
-    cfg = load_config(config_path, overrides)
+def cmd_simulate(cfg: dict, out_dir: str) -> int:
     d = build_dynamics(cfg)
     topo = build_topology(cfg)
     sim_cfg = build_sim_config(cfg, topo.num_nodes - 1)
     net = build_network(topo, d)
     traj = simulate(net, sim_cfg)
 
-    n_agents = net.num_agents
-    header = "t," + ",".join(f"x_{n}" for n in range(n_agents + 1))
-    lines = [header]
-    for i, t in enumerate(traj.times):
-        row = [_fmt(t)] + [_fmt(traj.positions[n, i]) for n in range(n_agents + 1)]
-        lines.append(",".join(row))
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
-
     metrics = overshoot_metrics(traj, cfg["sim"]["step_amplitude"])
-    payload = {
-        "config": cfg,
-        "per_agent": [
-            {
-                "agent": m.agent,
-                "peak": m.peak,
-                "peak_time": m.peak_time,
-                "overshoot": m.overshoot,
-            }
-            for m in metrics
-        ],
-    }
-    _write_json(os.path.join(out_dir, "metrics.json"), payload)
+    n_agents = net.num_agents
+    csv_path = os.path.join(out_dir, "trajectory.csv")
+    _write_csv(csv_path, ["t"] + [f"x_{n}" for n in range(n_agents + 1)],
+               ([float(t)] + x.tolist() for t, x in zip(traj.times, traj.positions.T)))
+    _write_json(os.path.join(out_dir, "metrics.json"),
+                {"config": cfg, "per_agent": [dataclasses.asdict(m) for m in metrics]})
     print(f"trajectory written to {csv_path} ({n_agents} agents, "
           f"{len(traj.times)} samples)")
     return 0
 
 
-def cmd_waves(config_path: str, out_dir: str,
-              overrides: Optional[dict] = None) -> int:
-    cfg = load_config(config_path, overrides)
-    if cfg["topology"]["kind"] != "path":
-        raise ConfigError("waves command needs a path topology")
+def cmd_waves(cfg: dict, out_dir: str) -> int:
+    _require(cfg["topology"]["kind"] == "path", "waves command needs a path topology")
     d = build_dynamics(cfg)
     topo = build_topology(cfg)
-    n = int(cfg["waves"]["agent"])
-    N = int(cfg["topology"]["n"])
+    n, N = int(cfg["waves"]["agent"]), topo.spine_n
     _require(1 <= n <= N, f"waves.agent must be in 1..{N}")
-
     il_cfg = build_waves_config(cfg)
     amp = float(cfg["sim"]["step_amplitude"])
-    wc = wave_components(d, N=N, n=n, cfg=il_cfg, step_amplitude=amp)
-
+    sim_cfg = _sim_config(cfg["sim"]["dt"], il_cfg.T_final,
+                          leader=LeaderStep(amplitude=amp, start=0.0))
     net = build_network(topo, d)
-    sim_cfg = SimConfig(
-        dt=cfg["sim"]["dt"],
-        T_final=il_cfg.T_final,
-        leader=LeaderStep(amplitude=amp, start=0.0),
-    )
+
+    wc = wave_components(d, N=N, n=n, cfg=il_cfg, step_amplitude=amp)
     traj = simulate(net, sim_cfg)
     sim_n = np.interp(wc.times, traj.times, traj.agent(n))
 
-    lines = ["t,x_n_sim,x_n_wave,a_n,b_n"]
-    for i, t in enumerate(wc.times):
-        lines.append(
-            ",".join(_fmt(v) for v in (t, sim_n[i], wc.x[i], wc.a[i], wc.b[i]))
-        )
     csv_path = os.path.join(out_dir, "waves.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, ["t", "x_n_sim", "x_n_wave", "a_n", "b_n"],
+               zip(*(v.tolist() for v in (wc.times, sim_n, wc.x, wc.a, wc.b))))
     _write_json(os.path.join(out_dir, "waves_meta.json"), {"config": cfg})
     dev = float(np.max(np.abs(sim_n - wc.x)))
     print(f"wave traces written to {csv_path} (max |sim - wave| = {dev:.3e})")
     return 0
 
 
-def _sweep_value_row(cfg: dict, parameter: str, value: float) -> dict:
-    cfg = copy.deepcopy(cfg)
-    if parameter == "h":
-        cfg["dynamics"]["h"] = float(value)
-    elif parameter == "mu":
-        if value == 0:
-            raise ConfigError("mu must be nonzero")
-        d0 = build_dynamics(cfg)
-        scaled = RationalTF(d0.Mr.num.scaled(float(value)), d0.Mr.den, d0.Mr.p)
-        cfg["dynamics"] = {
-            "mf": {"num": list(d0.Mf.num.coeffs), "den": _shifted(d0.Mf)},
-            "mr": {"num": list(scaled.num.coeffs), "den": _shifted(scaled)},
-            "h": cfg["dynamics"]["h"],
-        }
-    elif parameter == "N":
-        cfg["topology"] = {"kind": "path", "n": int(value)}
-    else:
-        raise ConfigError(f"unknown sweep parameter {parameter!r}")
-
-    d = build_dynamics(cfg)
+def _sweep_row(cfg: dict, d0: AgentDynamics, parameter: str, value: float) -> dict:
+    row = {"parameter": parameter, "value": float(value)}
     if parameter == "N":
-        net = build_network(build_topology(cfg), d)
+        topo = build_topology({"topology": {"kind": "path", "n": int(value)}})
+        net = build_network(topo, d0)
         traj = simulate(net, build_sim_config(cfg, net.num_agents))
         metric = overshoot_metrics(traj, cfg["sim"]["step_amplitude"])[net.num_agents]
-        return {
-            "parameter": parameter,
-            "value": float(value),
-            "last_agent_peak": metric.peak,
-            "last_agent_peak_time": metric.peak_time,
-            "last_agent_overshoot": metric.overshoot,
-        }
+        return {**row, "last_agent_peak": metric.peak,
+                "last_agent_peak_time": metric.peak_time,
+                "last_agent_overshoot": metric.overshoot}
 
-    grid = build_grid(cfg)
+    if parameter == "h":
+        d = _build("dynamics", dataclasses.replace, d0, h=float(value))
+    else:
+        mr = RationalTF(d0.Mr.num.scaled(float(value)), d0.Mr.den, d0.Mr.p)
+        d = dataclasses.replace(d0, Mr=mr)
     tols = cfg["analysis"]["tolerances"]
-    verdict = local_string_verdict(d, grid, tol_norm=tols["tol_norm"],
+    verdict = local_string_verdict(d, build_grid(cfg), tol_norm=tols["tol_norm"],
                                    tol_dc=tols["tol_dc"], tol_crhp=tols["tol_crhp"])
     return {
-        "parameter": parameter,
-        "value": float(value),
+        **row,
         "kappa": low_order_coeffs(d).kappa,
         "awtf_stable": verdict.awtf_stable,
         "verdict": verdict.locally_string_stable,
@@ -512,30 +430,16 @@ def _sweep_value_row(cfg: dict, parameter: str, value: float) -> dict:
     }
 
 
-def _shifted(tf: RationalTF) -> list[float]:
-    """Denominator coefficient list with the origin poles written back out."""
-    return [0.0] * tf.p + list(tf.den.coeffs)
-
-
-def cmd_sweep(config_path: str, out_dir: str, parameter: str,
-              values: list[float], overrides: Optional[dict] = None) -> int:
-    cfg = load_config(config_path, overrides)
+def cmd_sweep(cfg: dict, out_dir: str, parameter: str, values: list[float]) -> int:
     _require(parameter in ("h", "mu", "N"), "sweep parameter must be h, mu or N")
     _require(len(values) >= 1, "sweep needs at least one value")
     _require(all(_finite(v) for v in values), "sweep values must be finite")
 
-    rows = [_sweep_value_row(cfg, parameter, v) for v in values]
-
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+    d0 = build_dynamics(cfg)
+    rows = [_sweep_row(cfg, d0, parameter, v) for v in values]
+    columns = list(rows[0])
     csv_path = os.path.join(out_dir, "sweep.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_csv(csv_path, columns, ([row[c] for c in columns] for row in rows))
     _write_json(os.path.join(out_dir, "sweep_meta.json"), {"config": cfg})
     print(f"sweep written to {csv_path} ({len(rows)} rows)")
     return 0
@@ -550,7 +454,10 @@ def _parse_values(args: argparse.Namespace) -> list[float]:
     if args.range:
         try:
             start, stop, count = args.range.split(":")
-            return list(np.linspace(float(start), float(stop), int(count)))
+            count = int(count)
+            _require(count <= MAX_SAMPLES,
+                     f"--range has more than {MAX_SAMPLES} values")
+            return list(np.linspace(float(start), float(stop), count))
         except ValueError as exc:
             raise ConfigError(f"bad --range (want start:stop:count): {exc}") from exc
     raise ConfigError("sweep needs --values or --range")
@@ -583,33 +490,32 @@ def main(argv: Optional[list[str]] = None) -> int:
                            help="comma-separated parameter values")
             p.add_argument("--range", default=None,
                            help="start:stop:count linspace")
+    # Floating-point overflow, division by zero and invalid operations in
+    # numpy raise instead of warning; like Python's own ArithmeticErrors and
+    # a LinAlgError on non-finite input, they are numerical failures.
     try:
         args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    overrides: dict = {}
-    if args.grid_points is not None:
-        overrides["analysis"] = {"points": args.grid_points}
-    if args.dt is not None:
-        overrides["sim"] = {"dt": args.dt}
-    try:
-        if args.command == "analyze":
-            return cmd_analyze(args.config, args.out, overrides)
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out, overrides)
-        if args.command == "waves":
-            return cmd_waves(args.config, args.out, overrides)
-        return cmd_sweep(args.config, args.out, args.parameter,
-                         _parse_values(args), overrides)
+        overrides = {}
+        if args.grid_points is not None:
+            overrides["analysis"] = {"points": args.grid_points}
+        if args.dt is not None:
+            overrides["sim"] = {"dt": args.dt}
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            cfg = load_config(args.config, overrides)
+            if args.command == "analyze":
+                return cmd_analyze(cfg, args.out)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.out)
+            if args.command == "waves":
+                return cmd_waves(cfg, args.out)
+            return cmd_sweep(cfg, args.out, args.parameter, _parse_values(args))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (AssumptionViolated, ImproperTF) as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, WavestringError) as exc:
+    except (WavestringError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

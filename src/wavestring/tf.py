@@ -158,7 +158,10 @@ def positional_symmetry(d: AgentDynamics, tol_dc: float = TOL_DC) -> bool:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the three structural checks on a pair (Mf, Mr)."""
+    """Outcome of the structural checks on a pair (Mf, Mr).
+
+    Every failed check adds a violation; the kappa sign check has no flag.
+    """
 
     equal_integrators: bool
     both_proper: bool
@@ -167,15 +170,18 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return self.equal_integrators and self.both_proper and self.no_crhp_roots
+        return (self.equal_integrators and self.both_proper and self.no_crhp_roots
+                and not self.violations)
 
 
 def check_assumption1(d: AgentDynamics, tol_crhp: float = TOL_CRHP) -> AssumptionReport:
-    """Check integrator counts, properness and closed-RHP roots.
+    """Check integrator counts, properness, closed-RHP roots and kappa > 0.
 
     Origin poles factored into p are exempt from the root check. A root with
-    real part > -tol_crhp counts as closed-right-half-plane. Never raises:
-    violations are reported.
+    real part > -tol_crhp counts as closed-right-half-plane. A DC gain ratio
+    kappa that is not positive (the numerators differ in sign at s = 0) is a
+    violation too; the DC gain formulas need kappa > 0.
+    Never raises: violations are reported.
     """
     violations: list[str] = []
 
@@ -200,6 +206,10 @@ def check_assumption1(d: AgentDynamics, tol_crhp: float = TOL_CRHP) -> Assumptio
                     violations.append(
                         f"{name} has a closed-RHP {kind} at {complex(root):.6g}"
                     )
+
+    kappa = d.Mf.num.coeffs[0] / d.Mr.num.coeffs[0]  # low_order_coeffs' kappa
+    if not kappa > 0:
+        violations.append(f"DC gain ratio kappa = {kappa:.6g} is not positive")
 
     return AssumptionReport(
         equal_integrators=equal,

@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavestring.cli import main, resolve_config
 from wavestring.errors import ConfigError
@@ -368,9 +374,10 @@ MALFORMED = {
 }
 
 
-def all_commands_config():
+def all_commands_config(**overrides):
     """A config each of analyze, simulate and waves runs to exit 0."""
-    return base_config(waves={"agent": 3, "t_final": 5.0, "samples": 1024})
+    return base_config(waves={"agent": 3, "t_final": 5.0, "samples": 1024},
+                       **overrides)
 
 
 class TestMalformedConfig:
@@ -427,3 +434,172 @@ class TestUsageErrors:
         assert "config error" in capsys.readouterr().err
         assert list(scratch.iterdir()) == []
         assert not out.exists()
+
+
+NEGATIVE_KAPPA = {"mf": {"num": [-1], "den": [0, 0, 1, 1]},
+                  "mr": {"num": [1], "den": [0, 0, 1, 1]}}
+
+
+class TestNegativeKappa:
+    """A pair whose numerators differ in sign at s = 0 violates the assumption."""
+
+    def config(self):
+        return all_commands_config(dynamics=copy.deepcopy(NEGATIVE_KAPPA))
+
+    def test_analyze_reports_the_violation(self, tmp_path):
+        cfg_path = write_config(tmp_path, self.config())
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 2
+        payload = json.loads((out / "analysis.json").read_text())
+        assert payload["assumption"] == {
+            "equal_integrators": True,
+            "both_proper": True,
+            "no_crhp_roots": True,
+            "passed": False,
+            "violations": ["DC gain ratio kappa = -1 is not positive"],
+        }
+        assert payload["kappa"] == -1.0
+        assert payload["verdict"] is None
+
+    @pytest.mark.parametrize("command", ["simulate", "waves"])
+    def test_simulating_commands_exit_2(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, self.config())
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert "kappa = -1 is not positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_mu_sweep_exit_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(mr=MF))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--parameter", "mu", "--values=1,-0.5"]) == 2
+        assert "kappa = -2 is not positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# command, (section, key, value) or None, extra flags
+REFUSED = {
+    "dt-1e-12": ("simulate", ("sim", "dt", 1e-12), []),
+    "t-final-1e300": ("simulate", ("sim", "t_final", 1e300), []),
+    "t-final-1e308": ("simulate", ("sim", "t_final", 1e308), []),
+    "waves-t-final-1e300": ("waves", ("waves", "t_final", 1e300), []),
+    "points-1e15": ("analyze", ("analysis", "points", 1e15), []),
+    "samples-2**50": ("waves", ("waves", "samples", 2**50), []),
+    "far-tree-edge": ("simulate", ("topology", "edges", [[0, 1], [1, 2], [2, 3],
+                                                         [3, 10**15]]), []),
+    "zero-step-amplitude": ("simulate", ("sim", "step_amplitude", 0), []),
+    "sweep-N-1e6": ("sweep", None, ["--parameter", "N", "--values", "1e6"]),
+    "sweep-N-2": ("sweep", None, ["--parameter", "N", "--values", "2"]),
+    "sweep-h-negative": ("sweep", None, ["--parameter", "h", "--values=-1"]),
+    "sweep-range-1e12-values": ("sweep", None, ["--parameter", "h",
+                                                "--range", "0:1:1000000000000"]),
+}
+
+
+class TestRefusedUpFront:
+    @pytest.mark.parametrize("command, change, flags", REFUSED.values(),
+                             ids=list(REFUSED))
+    def test_exit_1_without_allocating(self, tmp_path, capsys, command, change, flags):
+        cfg = all_commands_config()
+        if change is not None:
+            section, key, value = change
+            if section == "topology":
+                cfg["topology"] = {"kind": "tree", "n": 3}
+            cfg[section][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            rc = main([command, "--config", cfg_path, "--out", str(out)] + flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        assert peak < 8 * 2**20
+
+
+# Replacement values for one config field or sweep value at a time.
+POOL = ["x", True, None, [], [1.0], {}, {"a": 1}, -1, -1e300, 0, math.nan,
+        1e-12, 1e300, 1e308, 10**400]
+COMMANDS = [["analyze"], ["simulate"], ["waves"],
+            ["sweep", "--parameter", "h", "--values=0.3"],
+            ["sweep", "--parameter", "mu", "--values=0.8"],
+            ["sweep", "--parameter", "N", "--values=4"]]
+
+
+def contract_base() -> dict:
+    cfg = all_commands_config()
+    cfg["sim"]["disturbances"] = [{"agent": 2, "signal": "pulse", "amplitude": 0.1,
+                                   "start": 1.0, "duration": 1.0}]
+    return resolve_config(cfg)
+
+
+def field_paths(node, prefix=()):
+    """Every key and list index below node, as a path from it."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+CONTRACT_BASE = contract_base()
+FIELD_PATHS = list(field_paths(CONTRACT_BASE))
+
+
+@st.composite
+def mutated_calls(draw):
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    value = draw(st.sampled_from(POOL))
+    cfg = copy.deepcopy(CONTRACT_BASE)
+    if argv[0] == "sweep" and draw(st.booleans()):
+        argv[-1] = f"--values={json.dumps(value)}"
+    else:
+        *parents, key = draw(st.sampled_from(FIELD_PATHS))
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        node[key] = copy.deepcopy(value)
+    return argv, cfg
+
+
+def non_finite_numbers(out_dir: str) -> list:
+    bad = []
+    for name in os.listdir(out_dir):
+        with open(os.path.join(out_dir, name)) as fh:
+            text = fh.read()
+        if name.endswith(".json"):
+            json.loads(text, parse_constant=bad.append)
+            continue
+        for cell in text.replace("\n", ",").split(","):
+            try:
+                if not math.isfinite(float(cell)):
+                    bad.append(cell)
+            except ValueError:
+                pass  # a header, bool or verdict cell
+    return bad
+
+
+class TestExitCodeContract:
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
+    @given(call=mutated_calls())
+    def test_main_returns_0_to_3_and_writes_only_finite_numbers(self, call):
+        argv, cfg = call
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            out = os.path.join(tmp, "out")
+            sink = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                warnings.simplefilter("always")
+                rc = main(argv + ["--config", cfg_path, "--out", out])
+            assert [str(w.message) for w in caught] == []
+            assert rc in (0, 1, 2, 3)
+            if rc in (1, 3):
+                assert not os.path.exists(out)
+            if rc == 0:
+                assert non_finite_numbers(out) == []

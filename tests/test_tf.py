@@ -133,6 +133,17 @@ class TestAssumptionReport:
         report = check_assumption1(AgentDynamics(mf, mf))
         assert not report.both_proper
 
+    def test_negative_kappa_flagged(self):
+        # constant numerators have no roots to flag; only their signs differ
+        den = Polynomial([0, 0, 1, 1])
+        mf = tf_normalize(Polynomial([-1]), den)
+        mr = tf_normalize(Polynomial([1]), den)
+        report = check_assumption1(AgentDynamics(mf, mr))
+        assert report.equal_integrators and report.both_proper
+        assert report.no_crhp_roots
+        assert not report.passed
+        assert report.violations == ("DC gain ratio kappa = -1 is not positive",)
+
 
 class TestLowOrderCoeffs:
     def test_gain_asym_kappa(self):
