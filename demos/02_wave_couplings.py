@@ -47,9 +47,9 @@ for name, d in pairs.items():
     print(f"  {name:<20} g+ -> {gp_dc:.4f} (num {abs(ws.g_plus):.4f})   "
           f"g- -> {gm_dc:.4f} (num {abs(ws.g_minus):.4f})")
 
-    samples = awtf_axis_sweep(d, omegas)
-    columns[f"abs_g_plus_{name}"] = np.array([abs(s.g_plus) for s in samples])
-    columns[f"abs_g_minus_{name}"] = np.array([abs(s.g_minus) for s in samples])
+    sweep = awtf_axis_sweep(d, omegas)  # one array per field, one entry per omega
+    columns[f"abs_g_plus_{name}"] = np.abs(sweep.g_plus)
+    columns[f"abs_g_minus_{name}"] = np.abs(sweep.g_minus)
 
 print()
 print("peak forward-wave magnitudes over the sweep:")

@@ -22,6 +22,7 @@ from .tf import (
 from .waves import (
     ReflectionSample,
     WaveSample,
+    WaveSweep,
     alpha_beta,
     awtf_axis_sweep,
     awtf_dc,
@@ -30,6 +31,7 @@ from .waves import (
     reflection_eval,
     reflection_from_sample,
     t_g_eval,
+    wave_sweep,
 )
 from .stability import (
     FrequencyGrid,
@@ -89,6 +91,7 @@ __all__ = [
     "Trajectory",
     "WaveComponents",
     "WaveSample",
+    "WaveSweep",
     "alpha_beta",
     "awtf_axis_sweep",
     "awtf_dc",
@@ -120,4 +123,5 @@ __all__ = [
     "tf_eval",
     "tf_normalize",
     "wave_components",
+    "wave_sweep",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -470,7 +471,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command-line parser, built once per process: argparse parsers hold
+    reference cycles, and one built per call leaves garbage that only the
+    cyclic collector frees (about 260 objects per main() call)."""
     parser = _Parser(
         prog="wavestring",
         description="Wave-based string stability analysis and platoon simulation",
@@ -490,11 +495,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                            help="comma-separated parameter values")
             p.add_argument("--range", default=None,
                            help="start:stop:count linspace")
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
     # Floating-point overflow, division by zero and invalid operations in
     # numpy raise instead of warning; like Python's own ArithmeticErrors and
     # a LinAlgError on non-finite input, they are numerical failures.
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = {}
         if args.grid_points is not None:
             overrides["analysis"] = {"points": args.grid_points}

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegreeZero
+from .errors import DegreeZero, NumericalError
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,20 @@ def poly_eval(p: Polynomial, s: complex) -> complex:
 def poly_roots(p: Polynomial) -> np.ndarray:
     """All complex roots of p via companion-matrix eigenvalues.
 
-    Raises DegreeZero for constant polynomials. Root order is unspecified.
+    Raises DegreeZero for constant polynomials and NumericalError, without
+    a numpy warning, when the roots cannot be formed in floating point (the
+    companion matrix overflows, e.g. for a subnormal leading coefficient).
+    Root order is unspecified.
     """
     deg = p.degree()
     if deg < 1:
         raise DegreeZero("cannot take roots of a degree-zero polynomial")
-    return np.polynomial.polynomial.polyroots(np.asarray(p.coeffs[: deg + 1]))
+    coeffs = p.coeffs[: deg + 1]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            roots = np.polynomial.polynomial.polyroots(np.asarray(coeffs))
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"roots of {coeffs} cannot be formed: {exc}") from exc
+    if not np.isfinite(roots).all():
+        raise NumericalError(f"roots of {coeffs} are not finite")
+    return roots

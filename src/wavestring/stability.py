@@ -6,8 +6,11 @@ is no state-space bisection path. The Nyquist-style axis test that guards
 analyticity is a hard hypothesis for everything else, so an undersampled
 curve raises GridTooCoarse instead of silently passing.
 
-A verdict samples the axis once: one hint-chained awtf_axis_sweep feeds the
-axis test (each sample's t_g) and both norm estimates.
+A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
+WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
+estimates (|g_plus| and |g_minus| as np.hypot of the arrays). Sign changes
+and grid peaks are found on the arrays; only the bisection and golden-section
+probes between grid points evaluate anew, through the scalar awtf_eval.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import AssumptionViolated, GridTooCoarse
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
-    WaveSample,
+    WaveSweep,
     awtf_axis_sweep,
     awtf_eval,
     reflection_from_sample,
@@ -101,7 +104,7 @@ def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
 
 def nyquist_axis_test(
     d: AgentDynamics,
-    samples: list[WaveSample],
+    sweep: WaveSweep,
     tol_axis: float = TOL_AXIS,
     tol_omega: float = TOL_OMEGA,
 ) -> tuple[bool, list[float]]:
@@ -114,8 +117,8 @@ def nyquist_axis_test(
     the sampled phase jumps by more than pi/2 between neighbours, which
     means crossings could hide between samples.
     """
-    omegas = np.array([ws.s.imag for ws in samples])
-    values = np.array([ws.t_g for ws in samples])
+    omegas = sweep.s.imag
+    values = sweep.t_g
 
     crossings: list[float] = []
 
@@ -160,11 +163,8 @@ def nyquist_axis_test(
     crossings.extend(float(w) for w in omegas[run_starts])
 
     im = values.imag
-    for k in range(len(omegas) - 1):
-        if im[k] == 0.0 or im[k + 1] == 0.0:
-            continue
-        if im[k] * im[k + 1] > 0:
-            continue
+    for k in np.nonzero((im[:-1] != 0.0) & (im[1:] != 0.0)
+                        & ~(im[:-1] * im[1:] > 0))[0]:
         w_star = _bisect_sign_change(
             lambda w: t_g_eval(d, 1j * w).imag,
             float(omegas[k]), float(omegas[k + 1]), im[k], tol_omega,
@@ -233,21 +233,21 @@ def hinf_estimate(
 
 def awtf_norm_estimates(
     d: AgentDynamics,
-    samples: list[WaveSample],
+    sweep: WaveSweep,
     tol_omega: float = TOL_OMEGA,
 ) -> tuple[NormEstimate, NormEstimate]:
     """H-infinity estimates of (g_plus, g_minus) from an ascending
     awtf_axis_sweep, each peak refined on a hint chain seeded next to it."""
-    omegas = np.array([ws.s.imag for ws in samples])
+    omegas = sweep.s.imag
 
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
-        mags = np.array([abs(getattr(ws, attr)) for ws in samples])
-        k, peak, bracket = _grid_peak(omegas, mags, tol_omega)
+        g = getattr(sweep, attr)
+        k, peak, bracket = _grid_peak(omegas, np.hypot(g.real, g.imag), tol_omega)
         if bracket is None:
             results.append(peak)
             continue
-        chain = wave_chain(d, seed=samples[min(k + 1, len(omegas) - 1)])
+        chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
         refined = hinf_estimate(
             lambda w: getattr(chain(1j * w), attr),
             FrequencyGrid(*bracket, 16),
@@ -284,15 +284,15 @@ def local_string_verdict(
     if not report.passed:
         raise AssumptionViolated("; ".join(report.violations))
 
-    samples = awtf_axis_sweep(d, grid.omegas())
+    sweep = awtf_axis_sweep(d, grid.omegas())
     notes: list[str] = []
-    stable, crossings = nyquist_axis_test(d, samples)
+    stable, crossings = nyquist_axis_test(d, sweep)
     if not stable:
         notes.append(
             f"axis test failed at omega={', '.join(f'{w:.4g}' for w in crossings)}"
         )
 
-    norm_gp, norm_gm = awtf_norm_estimates(d, samples)
+    norm_gp, norm_gm = awtf_norm_estimates(d, sweep)
     max_norm = max(norm_gp.value, norm_gm.value)
     argmax_w = norm_gp.argmax_omega if norm_gp.value >= norm_gm.value \
         else norm_gm.argmax_omega

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NumeratorOriginZero, PoleAtSample, ZeroDenominator
+from .errors import (NumeratorOriginZero, NumericalError, PoleAtSample,
+                     ZeroDenominator)
 from .poly import Polynomial, poly_eval, poly_roots
 
 # Default tolerances; every consumer accepts overrides.
@@ -139,7 +140,11 @@ class LowOrderCoeffs:
 
 
 def low_order_coeffs(d: AgentDynamics) -> LowOrderCoeffs:
-    """Read the low-order coefficients straight off the normalized polynomials."""
+    """Read the low-order coefficients straight off the normalized polynomials.
+
+    Raises NumericalError when Mr's numerator constant n_r0 is so large or
+    small that n_r0**2 overflows or underflows to zero.
+    """
     nf0 = d.Mf.num.coeff(0)
     nf1 = d.Mf.num.coeff(1)
     nr0 = d.Mr.num.coeff(0)
@@ -147,7 +152,13 @@ def low_order_coeffs(d: AgentDynamics) -> LowOrderCoeffs:
     df1 = d.Mf.den.coeff(1)
     dr1 = d.Mr.den.coeff(1)
     kappa = nf0 / nr0
-    k_y1 = (nf1 * nr0 - nf0 * nr1 - df1 * nf0 * nr0 + dr1 * nf0 * nr0) / nr0**2
+    try:
+        k_y1 = (nf1 * nr0 - nf0 * nr1 - df1 * nf0 * nr0 + dr1 * nf0 * nr0) / nr0**2
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(
+            f"k_y1 divides by the square of Mr's numerator constant {nr0:.6g}, "
+            f"which is not representable ({exc})"
+        ) from exc
     return LowOrderCoeffs(kappa=kappa, k_y1=k_y1, l_x1=1.0 / nr0)
 
 
@@ -180,7 +191,8 @@ def check_assumption1(d: AgentDynamics, tol_crhp: float = TOL_CRHP) -> Assumptio
     Origin poles factored into p are exempt from the root check. A root with
     real part > -tol_crhp counts as closed-right-half-plane. A DC gain ratio
     kappa that is not positive (the numerators differ in sign at s = 0) is a
-    violation too; the DC gain formulas need kappa > 0.
+    violation too; the DC gain formulas need kappa > 0, and so are roots
+    that cannot be formed in floating point (poly_roots' NumericalError).
     Never raises: violations are reported.
     """
     violations: list[str] = []
@@ -200,7 +212,13 @@ def check_assumption1(d: AgentDynamics, tol_crhp: float = TOL_CRHP) -> Assumptio
         for kind, poly in (("zero", tf.num), ("pole", tf.den)):
             if poly.degree() < 1:
                 continue
-            for root in poly_roots(poly):
+            try:
+                roots = poly_roots(poly)
+            except NumericalError as exc:
+                crhp_ok = False
+                violations.append(f"{name} {kind}s: {exc}")
+                continue
+            for root in roots:
                 if root.real > -tol_crhp:
                     crhp_ok = False
                     violations.append(

@@ -20,6 +20,17 @@ evaluation refuses to guess and raises BranchAmbiguous. Frequency sweeps
 therefore chain hints (wave_chain), seeded at the largest |s| where the
 split is always unambiguous.
 
+Sweeps (awtf_axis_sweep on the imaginary axis, wave_sweep on any array of
+s) run on an array core, array_blocks: it evaluates Mf, Mr, t_g, alpha,
+beta, both root pairs and the smaller-modulus pick for a block of samples
+at once, in CPython's own complex arithmetic (pycomplex), and walks only the
+tie-window samples in Python, in chain order, each hinted by the previous
+pick. The result is the scalar chain's, bit for bit: from the first sample
+that is non-finite, singular or an unhinted tie, the scalar awtf_eval takes
+over, so every exception and message is the scalar one. A sweep is a
+WaveSweep, the WaveSample fields as arrays. Single points (bisection and
+golden-section probes, disturbance_gain) stay scalar.
+
 The square root is taken of the discriminant numerator
 
     t_g = (beta*Mr)**2 - 4*Mf*Mr
@@ -33,7 +44,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -44,7 +55,9 @@ from .errors import (
     ReflectionSingular,
     SingularSample,
 )
-from .tf import AgentDynamics, low_order_coeffs, tf_eval
+from .poly import Polynomial
+from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
+from .tf import AgentDynamics, RationalTF, low_order_coeffs, tf_eval
 
 TOL_TIE = 1e-6    # relative modulus tie window for branch selection
 TOL_QUAD = 1e-9   # quadratic residual budget (scaled by max(1, |beta|**2))
@@ -198,18 +211,198 @@ def wave_chain(d: AgentDynamics, seed: Optional[WaveSample] = None
     return sample
 
 
-def awtf_axis_sweep(d: AgentDynamics, omegas: Iterable[float]) -> list[WaveSample]:
-    """Samples at s = 1j*omega for each omega, in the caller's order.
+@dataclass(frozen=True, eq=False)
+class WaveSweep:
+    """The WaveSample fields of a sweep as arrays, one entry per frequency.
 
-    Internally evaluated from the highest frequency downward so the hint
-    chain starts where root selection is unambiguous (|g| -> 0 vs |beta| ->
-    infinity) and continuity carries it through any modulus ties near DC.
+    len(sweep) counts the entries and sweep[k] is entry k as a WaveSample,
+    so iterating a sweep yields WaveSamples.
     """
-    omegas = list(omegas)
-    chain = wave_chain(d)
-    by_index = {i: chain(1j * omegas[i]) for i in
-                sorted(range(len(omegas)), key=lambda i: -abs(omegas[i]))}
-    return [by_index[i] for i in range(len(omegas))]
+
+    s: np.ndarray
+    g_plus: np.ndarray
+    g_minus: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    t_g: np.ndarray
+    branch_flipped: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, k: int) -> WaveSample:
+        return WaveSample(*(complex(getattr(self, f)[k]) for f in _COMPLEX_FIELDS),
+                          branch_flipped=bool(self.branch_flipped[k]))
+
+    def take(self, index: np.ndarray) -> "WaveSweep":
+        """The entries at index, in that order."""
+        return WaveSweep(*(getattr(self, f)[index] for f in _FIELDS))
+
+
+_COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
+_FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
+BLOCK = 1024  # samples per array_blocks block
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _tf_arrays(tf: RationalTF, sr: np.ndarray, si: np.ndarray):
+    """tf_eval at every s: (re, im) and the mask of samples where the scalar
+    evaluation raises or overflows (a pole, a non-finite power)."""
+    def horner(p: Polynomial):
+        acc = (0.0, 0.0)
+        for c in reversed(p.coeffs):
+            acc = cmul(*acc, sr, si)
+            acc = (acc[0] + c, acc[1] + 0.0)
+        return acc
+
+    if tf.p > MAX_POWI:
+        return (sr, si), np.ones(len(sr), dtype=bool)
+    power = cpowi(sr, si, tf.p)
+    dr, di = cmul(*power, *horner(tf.den))
+    bad = ((dr == 0) & (di == 0)) | ~finite(*power)
+    return cdiv(*horner(tf.num), dr, di), bad
+
+
+def _root_arrays(coeff, half: np.ndarray, product):
+    """_root_candidates at every sample: (lo, hi) as complex arrays."""
+    c = join(*cmul(0.5, 0.0, *coeff))
+    minus, plus = c - half, c + half
+    plus_wins = _abs(plus) >= _abs(minus)
+    # The division by the losing sum (or by zero) is computed and discarded.
+    q = join(*product) / np.where(plus_wins, plus, minus)
+    return np.where(plus_wins & (plus != 0), q, minus), np.where(plus_wins, plus, q)
+
+
+def _pick_arrays(lo: np.ndarray, hi: np.ndarray):
+    """_pick_root without a hint at every sample: (picks hi, is an unresolved
+    tie, finite moduli). Ties need the previous pick; see _resolve_ties."""
+    m_lo, m_hi = _abs(lo), _abs(hi)
+    scale = np.maximum(m_lo, m_hi)
+    tie = ~(np.abs(m_lo - m_hi) >= TOL_TIE * scale)
+    tie &= ~(_abs(lo - hi) <= TOL_TIE * np.maximum(1.0, scale))
+    return ~(m_lo <= m_hi), tie, finite(m_lo, m_hi)
+
+
+def _resolve_ties(lo, hi, pick_hi, tie, hint):
+    """Pick each tie sample's root nearest the previous sample's pick (for
+    sample 0, nearest hint), walking the ties in chain order. Returns the
+    picks and where they override the smaller modulus."""
+    picks = pick_hi.copy()
+    if tie[:1].any():
+        picks[0] = not abs(lo[0] - hint) <= abs(hi[0] - hint)
+    idx = np.nonzero(tie[1:])[0] + 1
+    if idx.size:
+        # A tie sample's hint is one of the previous sample's two roots, so
+        # the choice after either is computed for all ties at once.
+        after = [(~(_abs(lo[idx] - prev) <= _abs(hi[idx] - prev))).tolist()
+                 for prev in (lo[idx - 1], hi[idx - 1])]
+        chosen = picks.tolist()
+        for i, if_lo, if_hi in zip(idx.tolist(), *after):
+            chosen[i] = if_hi if chosen[i - 1] else if_lo
+        picks[idx] = np.array(chosen)[idx]
+    return picks, tie & (picks != pick_hi)
+
+
+def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
+                 ) -> tuple[WaveSweep, int]:
+    """awtf_eval at every s, hint-chained from seed: the block and the count
+    of its leading entries that are exact (see array_blocks)."""
+    sr, si = s.real, s.imag
+    with np.errstate(all="ignore"):
+        mf, bad_f = _tf_arrays(d.Mf, sr, si)
+        mr, bad_r = _tf_arrays(d.Mr, sr, si)
+        hs = cmul(d.h, 0.0, sr, si)
+        y = cmul(1.0 + hs[0], 0.0 + hs[1], mf[0] + mr[0], mf[1] + mr[1])
+        shared = (1.0 + y[0], 0.0 + y[1])
+        ss = cmul(*shared, *shared)
+        fm = cmul(*cmul(4.0, 0.0, *mf), *mr)
+        t_g = (ss[0] - fm[0], ss[1] - fm[1])
+        alpha, beta = cdiv(*shared, *mf), cdiv(*shared, *mr)
+        w = np.sqrt(join(*t_g))
+        half = join(*cmul(0.5, 0.0, w.real, w.imag))
+        lo_p, hi_p = _root_arrays(beta, half / join(*mr), cdiv(*mf, *mr))
+        lo_m, hi_m = _root_arrays(alpha, half / join(*mf), cdiv(*mr, *mf))
+        pick_p, tie_p, fin_p = _pick_arrays(lo_p, hi_p)
+        pick_m, tie_m, fin_m = _pick_arrays(lo_m, hi_m)
+
+    ok = ~(bad_f | bad_r) & fin_p & fin_m
+    ok &= ~((mf[0] == 0) & (mf[1] == 0)) & ~((mr[0] == 0) & (mr[1] == 0))
+    ok &= finite(sr, si, *mf, *mr, *shared, *t_g, *alpha, *beta)
+    if seed is None:
+        ok[:1] &= ~(tie_p[:1] | tie_m[:1])
+    exact = len(s) if ok.all() else int(np.argmin(ok))
+    tie_p[exact:] = tie_m[exact:] = False
+
+    pick_p, flip_p = _resolve_ties(lo_p, hi_p, pick_p, tie_p, seed and seed.g_plus)
+    pick_m, flip_m = _resolve_ties(lo_m, hi_m, pick_m, tie_m, seed and seed.g_minus)
+    block = WaveSweep(
+        s=s,
+        g_plus=np.where(pick_p, hi_p, lo_p),
+        g_minus=np.where(pick_m, hi_m, lo_m),
+        alpha=join(*alpha),
+        beta=join(*beta),
+        t_g=join(*t_g),
+        branch_flipped=flip_p | flip_m,
+    )
+    return block, exact
+
+
+def array_blocks(d: AgentDynamics, s: np.ndarray
+                 ) -> Iterator[tuple[int, Optional[WaveSample], WaveSweep, int]]:
+    """The array core: awtf_eval at every s, hint-chained in the order given
+    (s[0] unhinted), BLOCK samples at a time, which bounds the temporaries.
+
+    Yields (lo, seed, block, exact) per block: block holds entries lo, lo+1,
+    ... of the sweep, seed is the entry before lo (None for lo = 0), and the
+    first `exact` entries equal the scalar chain's (wave_chain) bit for bit.
+    When exact < len(block), entry lo + exact is a sample where awtf_eval
+    raises or meets a non-finite value, or an unhinted tie at s[0]; it and
+    every later entry are the scalar chain's to evaluate, hinted by the
+    entry before it, and the caller stops iterating.
+    """
+    seed = None
+    for lo in range(0, len(s), BLOCK):
+        block, exact = _array_block(d, s[lo:lo + BLOCK], seed)
+        yield lo, seed, block, exact
+        seed = block[len(block) - 1]
+
+
+def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:
+    """[wave_chain(d)(x) for x in s] as a WaveSweep, bit for bit, and raising
+    what it raises: the array core, with the scalar chain from the first
+    entry that the core cannot settle."""
+    s = np.asarray(s, dtype=complex)
+    out = WaveSweep(*(np.empty(len(s), dtype=complex) for _ in _COMPLEX_FIELDS),
+                    branch_flipped=np.empty(len(s), dtype=bool))
+    for lo, seed, block, exact in array_blocks(d, s):
+        for f in _FIELDS:
+            getattr(out, f)[lo:lo + len(block)] = getattr(block, f)
+        if exact < len(block):
+            chain = wave_chain(d, block[exact - 1] if exact else seed)
+            for k in range(lo + exact, len(s)):
+                ws = chain(s[k])
+                for f in _FIELDS:
+                    getattr(out, f)[k] = getattr(ws, f)
+            break
+    return out
+
+
+def awtf_axis_sweep(d: AgentDynamics, omegas: np.ndarray) -> WaveSweep:
+    """Samples at s = 1j*omega for each omega (array-like), in the caller's
+    order.
+
+    The hint chain runs from the highest frequency downward, so it starts
+    where root selection is unambiguous (|g| -> 0 vs |beta| -> infinity) and
+    continuity carries it through any modulus ties near DC.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    order = np.argsort(-np.abs(omegas), kind="stable")
+    w = omegas[order]
+    sweep = wave_sweep(d, join(0.0 * w - 0.0, 0.0 + w))  # 1j * w, as Python does
+    return sweep.take(np.argsort(order))
 
 
 def awtf_dc(d: AgentDynamics) -> tuple[float, float]:

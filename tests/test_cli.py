@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import copy
 import csv
+import gc
 import io
 import json
 import math
@@ -475,6 +477,37 @@ class TestNegativeKappa:
         assert main(["sweep", "--config", cfg_path, "--out", str(out),
                      "--parameter", "mu", "--values=1,-0.5"]) == 2
         assert "kappa = -2 is not positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestParser:
+    def test_main_leaves_no_parser_cycles(self, tmp_path):
+        # argparse parsers hold reference cycles; one built per call left
+        # about 260 objects for the cyclic collector after every main()
+        cfg_path = write_config(tmp_path, base_config())
+        argv = ["analyze", "--config", cfg_path, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert parsers == []
+
+
+class TestUnrepresentableLowOrderCoefficient:
+    @pytest.mark.parametrize("nr0", [1e300, 1e-300])
+    def test_analyze_exits_3_naming_the_coefficient(self, tmp_path, capsys, nr0):
+        mr = {"num": [nr0, 4 / 3], "den": [0, 0, 1, 1 / 3]}
+        cfg_path = write_config(tmp_path, base_config(mr=mr))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"Mr's numerator constant {nr0:.6g}" in err
         assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wavestring import Polynomial, poly_eval, poly_roots
-from wavestring.errors import DegreeZero
+from wavestring.errors import DegreeZero, NumericalError
 
 
 def test_eval_constant():
@@ -72,3 +72,12 @@ def test_root_residual_bound_random():
         for r in poly_roots(p):
             bound = tol_root * scale * max(1.0, abs(r)) ** p.degree()
             assert abs(poly_eval(p, r)) <= bound
+
+
+def test_roots_that_overflow_raise_numerical_error():
+    # tf_normalize turns den [1e308, 0, 1, 1/3] into [1, 0, 1e-308, ~3.3e-309];
+    # the companion matrix divides by the subnormal leading coefficient and
+    # overflows. Any numpy warning would fail this test (filterwarnings=error).
+    p = Polynomial([1.0, 0.0, 1e-308, 1e-308 / 3.0])
+    with pytest.raises(NumericalError, match="cannot be formed"):
+        poly_roots(p)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from wavestring import (
 )
 from wavestring.errors import (
     NumeratorOriginZero,
+    NumericalError,
     PoleAtSample,
     ZeroDenominator,
 )
@@ -145,6 +148,15 @@ class TestAssumptionReport:
         assert report.violations == ("DC gain ratio kappa = -1 is not positive",)
 
 
+    def test_roots_that_cannot_be_formed_flagged(self):
+        mf = tf_normalize(Polynomial([4 / 3, 4 / 3]), Polynomial([1e308, 0, 1, 1 / 3]))
+        report = check_assumption1(AgentDynamics(mf, front_coupling()))
+        assert not report.no_crhp_roots
+        assert not report.passed
+        assert any(v.startswith("Mf poles: roots of") and "cannot be formed" in v
+                   for v in report.violations)
+
+
 class TestLowOrderCoeffs:
     def test_gain_asym_kappa(self):
         d = AgentDynamics(front_coupling(), rear_scaled(2.5 / 4))
@@ -171,6 +183,13 @@ class TestLowOrderCoeffs:
             sigma = 1e-8
             ratio = tf_eval(d.Mf, sigma) / tf_eval(d.Mr, sigma)
             assert abs(ratio - low_order_coeffs(d).kappa) <= 1e-6 * abs(ratio)
+
+
+    @pytest.mark.parametrize("nr0", [1e300, -1e300, 1e-300])
+    def test_unrepresentable_square_raises_numerical_error(self, nr0):
+        mr = tf_normalize(Polynomial([nr0, 4 / 3]), Polynomial([0, 0, 1, 1 / 3]))
+        with pytest.raises(NumericalError, match=re.escape(f"constant {nr0:.6g},")):
+            low_order_coeffs(AgentDynamics(front_coupling(), mr))
 
 
 class TestPositionalSymmetry:
