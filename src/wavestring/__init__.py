@@ -31,7 +31,6 @@ from .waves import (
     reflection_eval,
     reflection_from_sample,
     t_g_eval,
-    wave_sweep,
 )
 from .stability import (
     FrequencyGrid,
@@ -123,5 +122,4 @@ __all__ = [
     "tf_eval",
     "tf_normalize",
     "wave_components",
-    "wave_sweep",
 ]

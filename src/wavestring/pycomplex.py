@@ -12,6 +12,11 @@ the scalar result's bits, signed zeros included:
 - a Python float x in complex arithmetic acts as x + 0j, so its zero
   imaginary part is multiplied and added like any other.
 
+These are the rules of CPython 3.10 through 3.13. CPython 3.14 mixes float
+and complex operands as C99 Annex G does (a float is no longer promoted to
+x + 0j), which changes the signs of zeros in the scalar results; the
+package requires Python < 3.14 until this module follows both rule sets.
+
 Operations that the scalar code does on numpy scalars (np.sqrt and what
 follows it) are the same numpy operations on arrays and need no help, and
 abs() of either kind of complex is np.hypot of its parts. Build complex

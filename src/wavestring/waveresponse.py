@@ -14,9 +14,9 @@ origin pole.
 
 Evaluators are called in descending-frequency order, once per sample, so
 wave evaluators can chain branch-continuity hints (waves.wave_chain). The
-travelling-wave spectra of wave_components skip the per-sample call: they
-take the line's couplings from the array core (waves.array_blocks) and
-assemble the spectra as arrays, bit for bit equal to the per-sample form.
+travelling-wave spectra of wave_components take the line's couplings from
+the array core (waves.array_blocks) in place of the per-sample call, bit
+for bit equal to it.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ import numpy as np
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
-from .waves import (TOL_SING, WaveSweep, array_blocks, reflection_from_sample,
-                    wave_chain)
+from .waves import WaveSample, array_blocks, reflection_from_sample, wave_chain
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -165,26 +163,12 @@ def _wave_spectra(
     """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
     One hint-chained pass, in descending frequency, produces both so the two
-    inversions see identical branch choices. Each block of the array core
-    (waves.array_blocks) is assembled as arrays (_assemble); the scalar
-    per-sample form `both` takes over from the first sample that either
-    cannot settle, so results and errors are the scalar ones.
+    inversions see identical branch choices. The couplings come from the
+    array core (waves.array_blocks), and the scalar chain from the first
+    sample that the core cannot settle; the spectra are formed per sample,
+    in chain order, so results and errors are those of sample_line.
     """
-    line = bromwich_line(cfg)[::-1]
-    a, b = np.empty(len(line), dtype=complex), np.empty(len(line), dtype=complex)
-    for lo, seed, block, exact in array_blocks(d, line):
-        a_k, b_k, ok = _assemble(block, N, n, step_amplitude)
-        ok[exact:] = False
-        a[lo:lo + len(block)], b[lo:lo + len(block)] = a_k, b_k
-        if not ok.all():
-            settled = int(np.argmin(ok))
-            chain = wave_chain(d, block[settled - 1] if settled else seed)
-            break
-    else:
-        return a[::-1], b[::-1]
-
-    def both(s: complex) -> tuple[complex, complex]:
-        ws = chain(s)
+    def both(s: complex, ws: WaveSample) -> tuple[complex, complex]:
         refl = reflection_from_sample(ws)
         gp, gm = ws.g_plus, ws.g_minus
         loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
@@ -192,34 +176,18 @@ def _wave_spectra(
         return (gp**n * x0 / (1.0 - loop),
                 gm ** (N - n) * refl.tN * gp**N * x0 / (1.0 - loop))
 
-    for k in range(lo + settled, len(line)):
-        a[k], b[k] = both(line[k])
-    return a[::-1], b[::-1]
-
-
-def _assemble(block: WaveSweep, N: int, n: int, step_amplitude: float):
-    """`both` of _wave_spectra on every entry of a block: (A, B, settled),
-    settled being False where the scalar form raises or overflows."""
-    if N > MAX_POWI:  # the largest exponent; 1 <= n <= N
-        zeros = np.zeros(len(block), dtype=complex)
-        return zeros, zeros, np.zeros(len(block), dtype=bool)
-    gp = (block.g_plus.real, block.g_plus.imag)
-    gm = (block.g_minus.real, block.g_minus.imag)
-    with np.errstate(all="ignore"):
-        denom = (gm[0] - 1.0, gm[1] - 0.0)  # reflection_from_sample
-        t1 = cmul(-gp[0], -gp[1], *gm)
-        tN = cdiv(*cmul(*gm, gp[0] - 1.0, gp[1] - 0.0), *denom)
-        powers = [cpowi(*cmul(*gp, *gm), N - 1), cpowi(*gp, n),
-                  cpowi(*gm, N - n), cpowi(*gp, N)]
-        loop = cmul(*cmul(*t1, *tN), *powers[0])
-        x0 = step_amplitude / block.s
-        rest = join(1.0 - loop[0], 0.0 - loop[1])
-        a = join(*cmul(*powers[1], x0.real, x0.imag)) / rest
-        b = join(*cmul(*cmul(*cmul(*powers[2], *tN), *powers[3]), x0.real, x0.imag)) / rest
-    ok = ~(np.hypot(*denom) < TOL_SING) & finite(
-        *t1, *tN, *(x for p in powers for x in p), *loop,
-        x0.real, x0.imag, a.real, a.imag, b.real, b.imag)
-    return a, b, ok
+    line = bromwich_line(cfg)[::-1]
+    ab = np.empty((len(line), 2), dtype=complex)
+    for lo, seed, block, exact in array_blocks(d, line):
+        for k, ws in zip(range(lo, lo + exact), block):
+            ab[k] = both(line[k], ws)
+        if exact < len(block):
+            chain = wave_chain(d, block[exact - 1] if exact else seed)
+            for k in range(lo + exact, len(line)):
+                ab[k] = both(line[k], chain(line[k]))
+            break
+    a, b = ab[::-1].T
+    return a, b
 
 
 def wave_components(

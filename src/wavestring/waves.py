@@ -215,8 +215,8 @@ def wave_chain(d: AgentDynamics, seed: Optional[WaveSample] = None
 class WaveSweep:
     """The WaveSample fields of a sweep as arrays, one entry per frequency.
 
-    len(sweep) counts the entries and sweep[k] is entry k as a WaveSample,
-    so iterating a sweep yields WaveSamples.
+    len(sweep) counts the entries, sweep[k] is entry k as a WaveSample, and
+    iterating a sweep yields its entries as WaveSamples.
     """
 
     s: np.ndarray
@@ -233,6 +233,10 @@ class WaveSweep:
     def __getitem__(self, k: int) -> WaveSample:
         return WaveSample(*(complex(getattr(self, f)[k]) for f in _COMPLEX_FIELDS),
                           branch_flipped=bool(self.branch_flipped[k]))
+
+    def __iter__(self) -> Iterator[WaveSample]:
+        for *z, flipped in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
+            yield WaveSample(*z, branch_flipped=flipped)
 
     def take(self, index: np.ndarray) -> "WaveSweep":
         """The entries at index, in that order."""

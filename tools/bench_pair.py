@@ -1,18 +1,17 @@
 """Record a BENCH_<n>.json: bench/run.py at a parent revision and at the tree.
 
-    python3 tools/bench_pair.py --parent REV --out BENCH_7.json \
-        [--seed 1] [--seconds 40] [--pairs 10 --pairs-workload spectral] \
-        [--traced-workload spectral]
+    python3 tools/bench_pair.py --parent REV --out BENCH_7.json
 
 The parent's committed files are exported with `git archive` into a
 temporary directory; the change is this checkout's working tree. Each side
 runs `bench/run.py` from its own directory, so each benchmarks its own
-src/. Every workload runs once per side, untraced, the side that goes first
-alternating between workloads. `--pairs N` adds N more alternating pairs of
-one workload, summarised as per-side median and quartiles of `run_s` and
-the count of pairs the change wins; `--traced-workload` adds one traced
-(`--trace 1`) pair of one workload. The file keeps each run's final JSON
-line ('result') and its median reference-loop time ('host.ref_loop_s').
+src/. Every run is seed 1, 40 s. Every workload runs once per side,
+untraced, the side that goes first alternating between workloads. Then
+PAIRS more alternating pairs of the spectral workload are summarised as
+per-side median and quartiles of `run_s` and the count of pairs the change
+wins, and one traced (`--trace 1`) spectral pair follows. The file keeps
+each run's final JSON line ('result') and its median reference-loop time
+('host.ref_loop_s').
 """
 
 from __future__ import annotations
@@ -29,7 +28,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("simulate_csv", "sweep_chain", "spectral")
-COMMAND = "python3 bench/run.py --workload <workload> --seed {seed} --seconds {seconds} --trace {trace}"
+SEED, SECONDS = 1, 40
+PAIRS = 10
+PAIRED = "spectral"  # the workload of the pairs and of the traced pair
+COMMAND = f"python3 bench/run.py --workload <workload> --seed {SEED} --seconds {SECONDS} --trace "
 
 
 def git(*args: str) -> str:
@@ -54,9 +56,9 @@ def worktree_src_tree() -> str:
                               check=True, text=True, capture_output=True).stdout.strip()
 
 
-def run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(root: str, workload: str, trace: int) -> dict:
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, text=True, capture_output=True).stdout
     lines = out.strip().splitlines()
     loop_ms = float(re.search(r"median reference loop ([0-9.]+) ms", out).group(1))
@@ -75,11 +77,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--pairs", type=int, default=0)
-    ap.add_argument("--pairs-workload", choices=WORKLOADS, default="spectral")
-    ap.add_argument("--traced-workload", choices=WORKLOADS)
     args = ap.parse_args()
 
     parent_rev = git("rev-parse", args.parent)
@@ -94,7 +91,7 @@ def main() -> int:
 
         def pair(workload: str, k: int, trace: int = 0) -> dict:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            return {side: run(roots[side], workload, args.seed, args.seconds, trace)
+            return {side: run(roots[side], workload, trace)
                     for side in order}
 
         for side in sides.values():
@@ -105,36 +102,33 @@ def main() -> int:
                 sides[side]["workloads"][workload] = res
         doc = {
             "description": (
-                f"Untraced bench/run.py results, seed {args.seed}, --seconds "
-                f"{args.seconds:g}, one run per side and workload, parent and change "
+                f"Untraced bench/run.py results, seed {SEED}, --seconds {SECONDS}, "
+                "one run per side and workload, parent and change "
                 "alternating which ran first. 'result' is the harness's final JSON "
                 "line; 'host.ref_loop_s' is the median reference-loop time the "
                 "harness printed for that run. Written by tools/bench_pair.py."),
-            "command": COMMAND.format(seed=args.seed, seconds=f"{args.seconds:g}", trace=0),
+            "command": COMMAND + "0",
             **sides,
         }
-        if args.pairs:
-            runs = [pair(args.pairs_workload, k) for k in range(args.pairs)]
-            run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
-                     for side in ("parent", "change")}
-            doc["pairs"] = {
-                "workload": args.pairs_workload,
-                "metric": "run_s (s_ref)",
-                "run_s": run_s,
-                "peak_rss_mb": {side: [r[side]["result"]["metrics"]["peak_rss_mb"]["value"]
-                                       for r in runs] for side in ("parent", "change")},
-                "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
-                "parent": quartiles(run_s["parent"]),
-                "change": quartiles(run_s["change"]),
-            }
-        if args.traced_workload:
-            traced = pair(args.traced_workload, 0, trace=1)
-            doc["traced"] = {
-                "command": COMMAND.format(seed=args.seed, seconds=f"{args.seconds:g}",
-                                          trace=1).replace("<workload>", args.traced_workload),
-                **{side: {k: v for k, v in res.items() if k != "_host"}
-                   for side, res in traced.items()},
-            }
+        runs = [pair(PAIRED, k) for k in range(PAIRS)]
+        run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
+                 for side in ("parent", "change")}
+        doc["pairs"] = {
+            "workload": PAIRED,
+            "metric": "run_s (s_ref)",
+            "run_s": run_s,
+            "peak_rss_mb": {side: [r[side]["result"]["metrics"]["peak_rss_mb"]["value"]
+                                   for r in runs] for side in ("parent", "change")},
+            "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
+            "parent": quartiles(run_s["parent"]),
+            "change": quartiles(run_s["change"]),
+        }
+        traced = pair(PAIRED, 0, trace=1)
+        doc["traced"] = {
+            "command": (COMMAND + "1").replace("<workload>", PAIRED),
+            **{side: {k: v for k, v in res.items() if k != "_host"}
+               for side, res in traced.items()},
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
