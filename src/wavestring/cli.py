@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import functools
@@ -28,6 +29,7 @@ from .errors import (
     AssumptionViolated,
     ConfigError,
     ImproperTF,
+    NumericalError,
     WavestringError,
 )
 from .platoon import (
@@ -67,7 +69,8 @@ _INF = float("inf")
 # Every numeric config field: section -> key -> default, or (default, low,
 # high) for a field with a closed range. A number default marks a required
 # finite number, a None default a nullable one (sim.dt: None resolves to
-# default_dt of the dynamics).
+# default_dt of the dynamics, and stays None when their poles cannot be
+# formed, which check_assumption1 reports as a violation).
 _TABLE = {
     "dynamics": {"h": (0.0, 0.0, _INF)},
     "sim": {
@@ -177,8 +180,10 @@ def resolve_config(raw: dict) -> dict:
 
     sim = cfg["sim"]
     if sim["dt"] is None:
-        sim["dt"] = default_dt(d)
-    sim["dt"] = float(sim["dt"])
+        with contextlib.suppress(NumericalError):
+            sim["dt"] = default_dt(d)
+    if sim["dt"] is not None:
+        sim["dt"] = float(sim["dt"])
     sim["t_final"] = float(sim["t_final"])
     dists = sim.setdefault("disturbances", [])
     _require(isinstance(dists, list), "sim.disturbances must be a list")
@@ -235,7 +240,10 @@ def build_grid(cfg: dict) -> FrequencyGrid:
                   omega_max=float(ana["omega_max"]), points=int(ana["points"]))
 
 
-def _sim_config(dt: float, t_final: float, **inputs) -> SimConfig:
+def _sim_config(dt: Optional[float], t_final: float, **inputs) -> SimConfig:
+    if dt is None:
+        raise AssumptionViolated("sim.dt has no default: the poles of the dynamics "
+                                 "cannot be formed")
     _require(t_final <= MAX_SAMPLES * dt,
              f"a {t_final:g} s run is more than {MAX_SAMPLES} steps of dt = {dt:g} s")
     return _build("sim config", SimConfig, dt=dt, T_final=t_final, **inputs)

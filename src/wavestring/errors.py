@@ -54,10 +54,6 @@ class ReflectionSingular(NumericalError):
     """Boundary reflection denominator vanishes (g_minus near 1)."""
 
 
-class GridTooCoarse(NumericalError):
-    """Frequency grid undersamples the curve; refine and retry."""
-
-
 class ImproperTF(WavestringError):
     """Transfer function is not proper enough for the requested operation."""
 

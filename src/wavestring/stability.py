@@ -3,8 +3,9 @@
 The wave couplings are irrational, so norms are estimated by a log-spaced
 frequency sweep plus golden-section refinement around the grid argmax; there
 is no state-space bisection path. The Nyquist-style axis test that guards
-analyticity is a hard hypothesis for everything else, so an undersampled
-curve raises GridTooCoarse instead of silently passing.
+analyticity reads t_g at the grid frequencies only: a phase jump above pi/2
+between neighbours is refined as a passage through the origin, and a curve
+that winds between samples can hide crossings, so it needs a finer grid.
 
 A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
 WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AssumptionViolated, GridTooCoarse
+from .errors import AssumptionViolated
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
@@ -36,7 +37,7 @@ from .waves import (
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
 TOL_OMEGA = 1e-6   # relative frequency bracket for bisection/golden refinement
 TOL_AXIS = 1e-9    # Re(t_g) at a crossing below this counts as non-positive
-PHASE_JUMP_LIMIT = math.pi / 2  # adjacent-sample phase jump that flags undersampling
+PHASE_JUMP_LIMIT = math.pi / 2  # adjacent-sample phase jump taken as an origin passage
 
 
 @dataclass(frozen=True)
@@ -113,32 +114,22 @@ def nyquist_axis_test(
     Reads t_g(j omega) from an ascending awtf_axis_sweep (negative omega
     follows by conjugate symmetry), refines every sign change of the
     imaginary part by bisection on t_g_eval, and reports the crossing
-    frequencies whose real part is <= tol_axis. Raises GridTooCoarse when
-    the sampled phase jumps by more than pi/2 between neighbours, which
-    means crossings could hide between samples.
+    frequencies whose real part is <= tol_axis. A phase jump of more than
+    pi/2 between neighbours a and b makes the chord longer than either
+    (|a - b|**2 > |a|**2 + |b|**2), so it is refined as a passage through
+    the origin. A crossing between samples that shows neither sign is
+    missed; only a finer grid finds it.
     """
     omegas = sweep.s.imag
     values = sweep.t_g
 
     crossings: list[float] = []
 
-    # Phase jumps above pi/2 mean either undersampling (raise) or a passage
-    # through the origin between samples, which is itself an intersection
-    # with the non-positive real axis and gets refined below.
+    # A passage through the origin between samples is itself an
+    # intersection with the non-positive real axis; refine it.
     phases = np.angle(values)
     dphi = np.angle(np.exp(1j * np.diff(phases)))  # wrapped to (-pi, pi]
-    origin_passages: list[int] = []
     for k in np.nonzero(np.abs(dphi) > PHASE_JUMP_LIMIT)[0]:
-        seg = abs(values[k] - values[k + 1])
-        if min(abs(values[k]), abs(values[k + 1])) <= seg:
-            origin_passages.append(int(k))
-        else:
-            raise GridTooCoarse(
-                f"phase jump {abs(dphi[k]):.3f} rad between "
-                f"omega={omegas[k]:.3g} and {omegas[k + 1]:.3g} away from the "
-                "origin; refine the grid"
-            )
-    for k in origin_passages:
         im_k, im_k1 = values[k].imag, values[k + 1].imag
         if im_k != 0.0 and im_k1 != 0.0 and im_k * im_k1 <= 0:
             continue  # the imaginary-part sign-change pass below handles it
@@ -267,9 +258,10 @@ def local_string_verdict(
 ) -> StabilityVerdict:
     """Local string stability: wave couplings analytic with norms <= 1.
 
-    The axis sweep runs first, so an awtf_eval failure (BranchAmbiguous at
-    the highest frequency, say) surfaces before GridTooCoarse; both are
-    NumericalErrors.
+    One axis sweep feeds both checks: the axis test on t_g (analyticity of
+    the couplings in the right half plane) and the norm estimates of g_plus
+    and g_minus; an awtf_eval failure in the sweep (BranchAmbiguous at the
+    highest frequency, say) is a NumericalError.
 
     Fast path: two integrators, asymmetric positional coupling and zero
     headway force the unstable verdict outright; the norm estimates are still

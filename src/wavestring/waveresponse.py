@@ -12,24 +12,23 @@ Step inputs ride along as an extra 1/s factor in the evaluator; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
 origin pole.
 
-Evaluators are called in descending-frequency order, once per sample, so
-wave evaluators can chain branch-continuity hints (waves.wave_chain). The
-travelling-wave spectra of wave_components take the line's couplings from
-the array core (waves.array_blocks) in place of the per-sample call, bit
-for bit equal to it.
+inverse_laplace calls its evaluator once per sample, in descending
+frequency, so an evaluator may chain branch-continuity hints. The wave
+traces take the line's couplings from waves.wave_blocks and wave_sweep,
+which run the same hint chain from the highest frequency down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import WaveSample, array_blocks, reflection_from_sample, wave_chain
+from .waves import WaveSample, reflection_from_sample, wave_blocks, wave_sweep
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -75,24 +74,12 @@ def bromwich_line(cfg: InverseLaplaceConfig) -> np.ndarray:
     return cfg.abscissa + 1j * omegas
 
 
-def sample_line(
-    F: Callable[[complex], Any],
-    cfg: InverseLaplaceConfig,
-) -> np.ndarray:
-    """F at each point of bromwich_line(cfg), called once per point in
-    descending-frequency order so hint chains seed at large |s|.
-
-    Entry k holds F(s_k); an F returning a tuple gives one column per item.
-    """
-    line = bromwich_line(cfg)
-    return np.array([F(s) for s in line[::-1]], dtype=complex)[::-1]
-
-
 def invert_spectrum(
     spectrum: np.ndarray,
     cfg: InverseLaplaceConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a sample_line spectrum to (times, values) on [0, cfg.T_final].
+    """Invert a spectrum, entry k at bromwich_line(cfg)[k], to (times,
+    values) on [0, cfg.T_final].
 
     Raises NonDecaying when the spectrum has not rolled off by the top of
     the band, which means the band is too narrow (or the transform has a
@@ -137,10 +124,12 @@ def inverse_laplace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invert F to (times, values) on [0, cfg.T_final].
 
-    F must be analytic for Re(s) >= sigma. Raises NonDecaying as
-    invert_spectrum does.
+    F must be analytic for Re(s) >= sigma. It is called once per point of
+    bromwich_line(cfg), in descending frequency, so a hint chain seeds at
+    large |s|. Raises NonDecaying as invert_spectrum does.
     """
-    return invert_spectrum(sample_line(F, cfg), cfg)
+    line = bromwich_line(cfg)[::-1]
+    return invert_spectrum(np.array([F(s) for s in line], dtype=complex)[::-1], cfg)
 
 
 @dataclass(frozen=True)
@@ -163,10 +152,9 @@ def _wave_spectra(
     """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
     One hint-chained pass, in descending frequency, produces both so the two
-    inversions see identical branch choices. The couplings come from the
-    array core (waves.array_blocks), and the scalar chain from the first
-    sample that the core cannot settle; the spectra are formed per sample,
-    in chain order, so results and errors are those of sample_line.
+    inversions see identical branch choices. The spectra are formed per
+    sample from the wave_blocks, in chain order, so results and errors are
+    those of one scalar chain evaluated sample by sample.
     """
     def both(s: complex, ws: WaveSample) -> tuple[complex, complex]:
         refl = reflection_from_sample(ws)
@@ -178,14 +166,9 @@ def _wave_spectra(
 
     line = bromwich_line(cfg)[::-1]
     ab = np.empty((len(line), 2), dtype=complex)
-    for lo, seed, block, exact in array_blocks(d, line):
-        for k, ws in zip(range(lo, lo + exact), block):
-            ab[k] = both(line[k], ws)
-        if exact < len(block):
-            chain = wave_chain(d, block[exact - 1] if exact else seed)
-            for k in range(lo + exact, len(line)):
-                ab[k] = both(line[k], chain(line[k]))
-            break
+    samples = (pair for block in wave_blocks(d, line) for pair in zip(block.s, block))
+    for k, (s, ws) in enumerate(samples):
+        ab[k] = both(s, ws)
     a, b = ab[::-1].T
     return a, b
 
@@ -235,8 +218,9 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    chain = wave_chain(d)
-    times, wave = inverse_laplace(lambda s: chain(s).g_plus**n / s, cfg)
+    line = bromwich_line(cfg)[::-1]
+    spectrum = [gp**n / s for gp, s in zip(wave_sweep(d, line).g_plus.tolist(), line)]
+    times, wave = invert_spectrum(np.array(spectrum, dtype=complex)[::-1], cfg)
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)

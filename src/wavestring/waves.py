@@ -21,15 +21,15 @@ therefore chain hints (wave_chain), seeded at the largest |s| where the
 split is always unambiguous.
 
 Sweeps (awtf_axis_sweep on the imaginary axis, wave_sweep on any array of
-s) run on an array core, array_blocks: it evaluates Mf, Mr, t_g, alpha,
-beta, both root pairs and the smaller-modulus pick for a block of samples
-at once, in CPython's own complex arithmetic (pycomplex), and walks only the
-tie-window samples in Python, in chain order, each hinted by the previous
-pick. The result is the scalar chain's, bit for bit: from the first sample
-that is non-finite, singular or an unhinted tie, the scalar awtf_eval takes
-over, so every exception and message is the scalar one. A sweep is a
-WaveSweep, the WaveSample fields as arrays. Single points (bisection and
-golden-section probes, disturbance_gain) stay scalar.
+s) run on an array core: it evaluates Mf, Mr, t_g, alpha, beta, both root
+pairs and the smaller-modulus pick for a block of samples at once, in
+CPython's own complex arithmetic (pycomplex), and walks only the tie-window
+samples in Python, in chain order, each hinted by the previous pick.
+wave_blocks hands each block over to the scalar awtf_eval from its first
+sample that is non-finite, singular or an unhinted tie, so the result is the
+scalar chain's, bit for bit, and every exception and message is the scalar
+one. A sweep is a WaveSweep, the WaveSample fields as arrays. Single points
+(bisection and golden-section probes, disturbance_gain) stay scalar.
 
 The square root is taken of the discriminant numerator
 
@@ -245,7 +245,7 @@ class WaveSweep:
 
 _COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 _FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
-BLOCK = 1024  # samples per array_blocks block
+BLOCK = 1024  # samples per wave_blocks block
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -313,7 +313,7 @@ def _resolve_ties(lo, hi, pick_hi, tie, hint):
 def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
                  ) -> tuple[WaveSweep, int]:
     """awtf_eval at every s, hint-chained from seed: the block and the count
-    of its leading entries that are exact (see array_blocks)."""
+    of its leading entries that equal the scalar chain's (see wave_blocks)."""
     sr, si = s.real, s.imag
     with np.errstate(all="ignore"):
         mf, bad_f = _tf_arrays(d.Mf, sr, si)
@@ -354,43 +354,35 @@ def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
     return block, exact
 
 
-def array_blocks(d: AgentDynamics, s: np.ndarray
-                 ) -> Iterator[tuple[int, Optional[WaveSample], WaveSweep, int]]:
-    """The array core: awtf_eval at every s, hint-chained in the order given
-    (s[0] unhinted), BLOCK samples at a time, which bounds the temporaries.
+def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
+    """[wave_chain(d)(x) for x in s], bit for bit, as WaveSweep blocks in
+    order, at most BLOCK entries each, which bounds the temporaries.
 
-    Yields (lo, seed, block, exact) per block: block holds entries lo, lo+1,
-    ... of the sweep, seed is the entry before lo (None for lo = 0), and the
-    first `exact` entries equal the scalar chain's (wave_chain) bit for bit.
-    When exact < len(block), entry lo + exact is a sample where awtf_eval
-    raises or meets a non-finite value, or an unhinted tie at s[0]; it and
-    every later entry are the scalar chain's to evaluate, hinted by the
-    entry before it, and the caller stops iterating.
+    The core settles a block up to its first entry that is non-finite,
+    singular or an unhinted tie at s[0]; the scalar awtf_eval fills the rest,
+    each entry hinted by the one before and yielded alone, so what it raises
+    comes after every earlier entry. The next block is the core's again.
     """
     seed = None
     for lo in range(0, len(s), BLOCK):
         block, exact = _array_block(d, s[lo:lo + BLOCK], seed)
-        yield lo, seed, block, exact
-        seed = block[len(block) - 1]
+        yield block.take(slice(0, exact))
+        seed = block[exact - 1] if exact else seed
+        for x in block.s[exact:]:
+            seed = awtf_eval(d, x, seed)
+            yield WaveSweep(*(np.array([getattr(seed, f)]) for f in _FIELDS))
 
 
 def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:
-    """[wave_chain(d)(x) for x in s] as a WaveSweep, bit for bit, and raising
-    what it raises: the array core, with the scalar chain from the first
-    entry that the core cannot settle."""
+    """[wave_chain(d)(x) for x in s] as one WaveSweep: the wave_blocks."""
     s = np.asarray(s, dtype=complex)
     out = WaveSweep(*(np.empty(len(s), dtype=complex) for _ in _COMPLEX_FIELDS),
                     branch_flipped=np.empty(len(s), dtype=bool))
-    for lo, seed, block, exact in array_blocks(d, s):
+    lo = 0
+    for block in wave_blocks(d, s):
         for f in _FIELDS:
             getattr(out, f)[lo:lo + len(block)] = getattr(block, f)
-        if exact < len(block):
-            chain = wave_chain(d, block[exact - 1] if exact else seed)
-            for k in range(lo + exact, len(s)):
-                ws = chain(s[k])
-                for f in _FIELDS:
-                    getattr(out, f)[k] = getattr(ws, f)
-            break
+        lo += len(block)
     return out
 
 

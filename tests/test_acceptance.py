@@ -174,8 +174,9 @@ def test_criterion_5_wave_decomposition():
     assert np.max(np.abs(wc.b[wc.times < 15.0])) <= 1e-2
 
 
-@criterion(6, "generalized-path locality (1e-6, t<9 s; visible by 15 s; "
-              "returns from the boundary) and spine amplification", 120.0)
+@criterion(6, "generalized-path locality (1e-6, t<9 s; visible by 15 s, within "
+              "2e-2 on the symmetric two-branch shape; returns from the "
+              "boundary) and spine amplification", 120.0)
 def test_criterion_6_topology_locality():
     # Locality means the spine responds as on a plain path until the
     # boundary's reflection has travelled back, so the window must end before
@@ -240,6 +241,10 @@ def test_criterion_6_topology_locality():
 
             # the window hides nothing: the boundary shape does show
             assert by_15 > 1e-4, (label, name, by_15)
+            # plot-grade agreement until 15 s while the difference
+            # back-propagates from the boundary agent (9.4e-3 measured)
+            if (label, name) == ("symmetric", "II-two-branches"):
+                assert by_15 <= 2e-2, (label, name, by_15)
 
             # and it shows first at the boundary, then hop by hop toward the
             # leader: onsets of the 1e-6 gap over the agents that cross

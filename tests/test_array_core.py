@@ -128,6 +128,36 @@ class TestAxisOracle:
         assert_identical(awtf_axis_sweep(d, omegas), scalar_axis(d, omegas))
 
 
+class TestHandOver:
+    """Entries the core cannot settle go to the scalar awtf_eval, hinted by
+    the entry before; the next block is the core's again."""
+
+    @staticmethod
+    def tiny_rear() -> AgentDynamics:
+        # Mr = 1e-305 (s + 1)/(s^2 (s/3 + 1)) is subnormal above |s| ~ 1e2, so
+        # beta = shared/Mr overflows there: the hinted scalar chain returns
+        # that entry, the core leaves it to the scalar code
+        mr = RationalTF(Polynomial([1e-305, 1e-305]), Polynomial([1.0, 1 / 3]), p=2)
+        return AgentDynamics(front_coupling(), mr)
+
+    @pytest.mark.parametrize("block, scalar", [(7, 151), (64, 170), (1024, 300)])
+    def test_scalar_fill_then_the_core_resumes(self, monkeypatch, block, scalar):
+        d = self.tiny_rear()
+        low, high = np.geomspace(1e-2, 1e-3, 150), np.geomspace(1e4, 1e2, 150)
+        s = 1j * np.concatenate([low, high, low[::-1]])
+        with np.errstate(all="ignore"):
+            chain = wave_chain(d)
+            reference = [chain(x) for x in s]
+            calls, evaluate = [], waves.awtf_eval
+            monkeypatch.setattr(waves, "BLOCK", block)
+            monkeypatch.setattr(waves, "awtf_eval",
+                                lambda *a: calls.append(a) or evaluate(*a))
+            sweep = wave_sweep(d, s)
+        assert not np.isfinite(sweep.beta[150:300]).any()
+        assert len(calls) == scalar
+        assert_identical(sweep, reference)
+
+
 class TestBromwichOracle:
     @pytest.mark.parametrize("name,h", CANONICAL)
     def test_bench_line(self, name, h):

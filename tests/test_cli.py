@@ -480,6 +480,54 @@ class TestNegativeKappa:
         assert not out.exists()
 
 
+UNFORMABLE_POLES = {"mf": {"num": [4 / 3, 4 / 3], "den": [0, 0, 1e308, 0, 1, 1 / 3]},
+                    "mr": MF}
+UNFORMABLE = "Mf poles: roots of (1.0, 0.0, 1e-308, 3.33333333333333e-309) cannot be formed"
+
+
+class TestUnformablePoles:
+    """Poles that cannot be formed violate the assumption; with no sim.dt
+    there is no default step either, and every command still exits 2."""
+
+    def config(self, tmp_path, dt):
+        cfg = all_commands_config(dynamics=copy.deepcopy(UNFORMABLE_POLES))
+        del cfg["sim"]["dt"]
+        return write_config(tmp_path, cfg), [] if dt is None else ["--dt", str(dt)]
+
+    @pytest.mark.parametrize("dt", [None, 0.001])
+    def test_analyze_reports_the_violation(self, tmp_path, dt):
+        cfg_path, flags = self.config(tmp_path, dt)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg_path, "--out", str(out)] + flags) == 2
+        payload = json.loads((out / "analysis.json").read_text())
+        assert payload["assumption"]["passed"] is False
+        assert payload["assumption"]["no_crhp_roots"] is False
+        assert [v.startswith(UNFORMABLE) for v in payload["assumption"]["violations"]] \
+            == [True]
+        assert payload["config"]["sim"]["dt"] == dt
+        assert payload["verdict"] is None
+
+    @pytest.mark.parametrize("dt", [None, 0.001])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["waves"],
+        ["sweep", "--parameter", "mu", "--values", "1"],
+        ["sweep", "--parameter", "N", "--values", "5"],
+    ], ids=["simulate", "waves", "sweep-mu", "sweep-N"])
+    def test_other_commands_exit_2(self, tmp_path, capsys, command, dt):
+        cfg_path, flags = self.config(tmp_path, dt)
+        out = tmp_path / "out"
+        assert main(command + ["--config", cfg_path, "--out", str(out)] + flags) == 2
+        assert "assumption violated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolve_leaves_dt_unset_and_is_idempotent(self, tmp_path):
+        cfg = all_commands_config(dynamics=copy.deepcopy(UNFORMABLE_POLES))
+        del cfg["sim"]["dt"]
+        once = resolve_config(cfg)
+        assert once["sim"]["dt"] is None
+        assert resolve_config(once) == once
+
+
 class TestParser:
     def test_main_leaves_no_parser_cycles(self, tmp_path):
         # argparse parsers hold reference cycles; one built per call left

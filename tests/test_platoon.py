@@ -308,23 +308,6 @@ class TestOvershootMetrics:
         assert peaks[8] > peaks[5]
 
 
-class TestTopologyLocality:
-    def test_boundary_shape_invisible_until_wave_returns(self, sym_dyn):
-        """What actually holds: numerical-grade agreement until ~9 s, then
-        plot-grade agreement until 15 s, with the gap growing as the
-        reflection difference back-propagates from the boundary agent."""
-        cfg = SimConfig(dt=2e-3, T_final=15.0)
-        path = simulate(build_network(Topology.path(27), sym_dyn), cfg)
-        tree = simulate(
-            build_network(Topology.with_tail_branches(17, [5, 5]), sym_dyn), cfg
-        )
-        gaps = np.abs(path.positions[1:11] - tree.positions[1:11])
-        assert np.max(gaps[:, path.times < 9.0]) <= 1e-6
-        assert np.max(gaps[:, path.times < 15.0]) <= 2e-2
-        # the difference does eventually become visible
-        assert np.max(gaps) > 1e-4
-
-
 class TestFrequencyResponse:
     def test_dc_tracking_is_unity(self, gain_asym_dyn):
         net = build_network(Topology.path(5), gain_asym_dyn)
