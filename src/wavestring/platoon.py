@@ -15,6 +15,11 @@ system once at assembly, which keeps the network an ordinary (non-descriptor)
 linear ODE. That requires strictly proper couplings; a biproper coupling
 would make positions depend algebraically on input derivatives and is
 rejected at assembly.
+
+simulate integrates the network with classical RK4, applied by linearity:
+one step is z -> P z + Q u. The state advances BLOCK_STEPS steps per matvec
+with P**BLOCK_STEPS, and one matrix product per chunk of blocks fills every
+position in between, so the Python loop runs once per block, not per step.
 """
 
 from __future__ import annotations
@@ -382,7 +387,8 @@ class Trajectory:
         return self.positions[n]
 
 
-CHUNK_STEPS = 128  # states held between two position projections
+BLOCK_STEPS = 4    # RK4 steps per block: one P**4 matvec advances the state
+CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
 
 
 def _rk4_step(A, z, u0, u_half, u1, dt: float):
@@ -390,7 +396,7 @@ def _rk4_step(A, z, u0, u_half, u1, dt: float):
     t + dt/2 and t + dt.
 
     z and the u's may carry one column per state or input: simulate derives
-    its step map from these stage formulas by linearity.
+    its block maps from these stage formulas by linearity.
     """
     half = 0.5 * dt
     k1 = A @ z + u0
@@ -429,55 +435,94 @@ def _check_step_size(A: np.ndarray, dt: float) -> None:
         )
 
 
-def _step_map(A: np.ndarray, B_in: np.ndarray, dt: float):
-    """RK4 as the affine map [z, 1] -> step_map @ [z, 1], and its input columns.
+def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float):
+    """RK4 over one block of K = BLOCK_STEPS steps, as three matrices.
 
-    step_map holds P in its leading block and 1 in its corner; its last
-    column is c, left for the caller to fill. Column 3*j + k of Q weights
-    input j's sample at t + (0, dt/2, dt)[k]. Both come from the stage
-    formulas of _rk4_step by linearity. Column j of P is one step from the
-    unit state e_j, built a column at a time so that the transient memory
-    stays at a few state vectors.
+    One step is the affine map z -> P z + Q u, where P is the RK4 stability
+    polynomial of dt A and column 3*j + k of Q weights input j's sample at
+    t + (0, dt/2, dt)[k]; u stacks the samples of one step. Both come from
+    the stage formulas of _rk4_step by linearity, P in column blocks from
+    the unit states. Over a block that starts at state z_b, with samples
+    u_0..u_{K-1},
+
+        z_{b+K} = P**K z_b + sum_j P**(K-1-j) Q u_j
+        C z_{b+i} = C P**i z_b + sum_{j<i} C P**(i-1-j) Q u_j,  i = 1..K.
+
+    Returns (PK, drive, GL): PK = P**K; drive, whose rows take the block's
+    samples [u_0, ..., u_{K-1}] to the input term of z_{b+K}; and GL, whose
+    rows take [z_b, u_0, ..., u_{K-1}] to the block's K position vectors
+    (column (i-1)*na + a is agent a + 1 at step i). Its first nz rows hold
+    G, the C P**i, and the rest L, the C P**k Q. P itself is not kept.
     """
-    nz = A.shape[0]
-    step_map = np.zeros((nz + 1, nz + 1))
-    unit = np.zeros(nz)
-    for j in range(nz):
-        unit[j] = 1.0
-        step_map[:nz, j] = _rk4_step(A, unit, 0.0, 0.0, 0.0, dt)
-        unit[j] = 0.0
-    step_map[nz, nz] = 1.0
+    nz, na, K = A.shape[0], C.shape[0], BLOCK_STEPS
+    width = 16                       # columns per pass through the stages
     zero = np.zeros_like(B_in)
     Q = np.stack([
         _rk4_step(A, zero, B_in, zero, zero, dt),
         _rk4_step(A, zero, zero, B_in, zero, dt),
         _rk4_step(A, zero, zero, zero, B_in, dt),
     ], axis=2).reshape(nz, -1)
-    return step_map, Q
+    ns = Q.shape[1]
+    # P and its squares alternate between PK and a spare square that shares
+    # GL's memory, so the build holds little beyond PK and GL.
+    PK = np.empty((nz, nz))
+    memory = np.empty(max(nz * nz, (nz + K * ns) * K * na))
+    GL = memory[:(nz + K * ns) * K * na].reshape(nz + K * ns, K * na)
+    spare = memory[:nz * nz].reshape(nz, nz)
+    squarings = K.bit_length() - 1            # K is a power of two
+    cur, spare = (spare, PK) if squarings % 2 else (PK, spare)
+    for j in range(0, nz, width):
+        unit = np.eye(nz, min(width, nz - j), -j)
+        cur[:, j:j + unit.shape[1]] = _rk4_step(A, unit, 0.0, 0.0, 0.0, dt)
+    PQ = [Q]                                   # P**i Q, i < K
+    for _ in range(K - 1):
+        PQ.append(cur @ PQ[-1])
+    drive = np.concatenate(PQ[::-1], axis=1).T
+    for _ in range(squarings):
+        np.matmul(cur, cur, out=spare)
+        cur, spare = spare, cur
+    # GL is filled only now, as the squares may have used its memory. G
+    # comes from the stage formulas in A.T (P.T is RK4's polynomial in
+    # dt A.T), a few agents at a time: forming it from P would hold P, a
+    # square of P and G at once.
+    GL[nz:] = 0.0
+    for i in range(1, K + 1):
+        for j in range(i):
+            rows = slice(nz + j * ns, nz + (j + 1) * ns)
+            GL[rows, (i - 1) * na:i * na] = (C @ PQ[i - 1 - j]).T
+    del PQ
+    for a in range(0, na, width):
+        Y = C[a:a + width].T
+        for i in range(K):
+            Y = _rk4_step(A.T, Y, 0.0, 0.0, 0.0, dt)
+            GL[:nz, i * na + a:i * na + a + Y.shape[1]] = Y
+    return PK, drive, GL
 
 
 def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
     """Fixed-step classical Runge-Kutta integration from rest.
 
     The network is linear and time-invariant and its inputs are piecewise
-    constant, so one RK4 step is the affine map z -> P z + c. P is the RK4
-    stability polynomial sum_{k<=4} (dt A)**k / k! and c collects the input
-    columns weighted by the input samples at t, t + dt/2 and t + dt. Both
-    come from the stage formulas once per call (_step_map), and c is rebuilt
-    only on steps where a sample changes. States are projected to positions
-    one chunk of CHUNK_STEPS steps at a time; the state history is never
-    stored.
+    constant, so one RK4 step is the affine map z -> P z + Q u, with P the
+    RK4 stability polynomial sum_{k<=4} (dt A)**k / k! and u the input
+    samples at t, t + dt/2 and t + dt. The state advances BLOCK_STEPS = K
+    steps at a time: one matvec with P**K plus the block's input term
+    (_block_maps). One GEMM per chunk of CHUNK_BLOCKS blocks turns the
+    states at the block starts and the samples into every position of the
+    chunk; the state history is never stored. Leader steps and disturbance
+    edges need no special case: they enter through the samples. A last
+    partial block is computed whole and its extra steps dropped.
 
     The leader position is imposed, not integrated, so positions[0] equals
     the input signal exactly on the grid. Raises StepSizeUnstable when dt
     lies outside RK4's stability region for a mode that does not grow, and
     NonFiniteState when the state diverges. Its time is the first grid time
-    whose state or positions are non-finite.
+    whose positions, or whose state at a block start, are non-finite.
     """
     dt = cfg.dt
     n_steps = int(round(cfg.T_final / dt))
     times = np.arange(n_steps + 1) * dt
-    nz = net.state_dim
+    nz, na, K = net.state_dim, net.num_agents, BLOCK_STEPS
     _check_step_size(net.A, dt)
 
     # Active input channels only: w is sparse (leader plus a few disturbances).
@@ -485,40 +530,34 @@ def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
     cols = [net.input_column("leader")] + [
         net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
     ]
-    positions = np.empty((net.num_agents + 1, n_steps + 1))
+    positions = np.empty((na + 1, n_steps + 1))
     positions[0] = cfg.leader.value(times)
     positions[1:, 0] = 0.0
-    chunk = np.empty((CHUNK_STEPS, nz + 1))
-    rows = list(chunk)
-    z = np.zeros(nz + 1)
-    z[nz] = 1.0
-    last = np.full(3 * len(signals), np.nan)  # so the first step sets c
     with np.errstate(over="ignore", invalid="ignore"):
-        step_map, Q = _step_map(net.A, net.B[:, cols], dt)
-        for start in range(0, n_steps, CHUNK_STEPS):
-            stop = min(start + CHUNK_STEPS, n_steps)
-            t = times[start:stop]
-            samples = np.stack([
+        PK, drive, GL = _block_maps(net.A, net.B[:, cols], net.C, dt)
+        # Row b: the state at block start b, then that block's samples.
+        blocks = np.zeros((CHUNK_BLOCKS + 1, nz + drive.shape[0]))
+        states = [row[:nz] for row in blocks]
+        for start in range(0, n_steps, K * CHUNK_BLOCKS):
+            m = min(K * CHUNK_BLOCKS, n_steps - start)
+            nb = -(-m // K)
+            t = (start + np.arange(nb * K)) * dt
+            blocks[:nb, nz:] = np.stack([
                 sig.value(tk) for sig in signals
                 for tk in (t, t + 0.5 * dt, t + dt)
-            ], axis=1)
-            changed = np.any(samples != np.vstack((last, samples[:-1])), axis=1)
-            last = samples[-1]
-            drive = dict(zip(np.flatnonzero(changed).tolist(),
-                             samples[changed] @ Q.T))
-            for i, row in enumerate(rows[:stop - start]):
-                if i in drive:
-                    step_map[:nz, nz] = drive[i]
-                np.dot(step_map, z, out=row)
-                z = row
-            states = chunk[:stop - start, :nz]
-            block = positions[1:, start + 1:stop + 1]
-            block[:] = net.C @ states.T
-            finite = (np.all(np.isfinite(states), axis=1)
-                      & np.all(np.isfinite(block), axis=0))
+            ], axis=1).reshape(nb, -1)
+            inputs = blocks[:nb, nz:] @ drive
+            for z, z_next, w in zip(states, states[1:nb + 1], inputs):
+                np.dot(PK, z, out=z_next)
+                z_next += w
+            pos = (blocks[:nb] @ GL).reshape(nb * K, na)[:m]
+            positions[1:, start + 1:start + 1 + m] = pos.T
+            finite = np.ones(m + 1, dtype=bool)
+            finite[1:] = np.all(np.isfinite(pos), axis=1)
+            finite[:m:K] &= np.all(np.isfinite(blocks[:nb, :nz]), axis=1)
             if not finite.all():
-                first = start + 1 + int(np.argmin(finite))
-                raise NonFiniteState(float(times[first]))
+                raise NonFiniteState(float(times[start + int(np.argmin(finite))]))
+            states[0][:] = states[nb]
     for arr in (times, positions):
         arr.flags.writeable = False
     return Trajectory(times=times, positions=positions)

@@ -54,9 +54,15 @@ class RationalTF:
 
 
 def tf_eval(tf: RationalTF, s: complex) -> complex:
-    """Value num(s) / (s**p * den(s)). Raises PoleAtSample on a pole."""
+    """Value num(s) / (s**p * den(s)).
+
+    Raises PoleAtSample on a pole and NumericalError where s**p overflows.
+    """
     s = complex(s)
-    denom = (s ** tf.p) * poly_eval(tf.den, s)
+    try:
+        denom = (s ** tf.p) * poly_eval(tf.den, s)
+    except OverflowError as exc:
+        raise NumericalError(f"s**{tf.p} overflows at s={s}") from exc
     if denom == 0:
         raise PoleAtSample(f"transfer function has a pole at s={s}")
     return poly_eval(tf.num, s) / denom

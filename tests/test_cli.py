@@ -547,6 +547,17 @@ class TestParser:
         assert parsers == []
 
 
+class TestOverflowingGrid:
+    def test_analyze_exits_3_naming_the_frequency(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["analysis"]["omega_max"] = 1e200
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 3
+        assert "at s=1e+200j" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUnrepresentableLowOrderCoefficient:
     @pytest.mark.parametrize("nr0", [1e300, 1e-300])
     def test_analyze_exits_3_naming_the_coefficient(self, tmp_path, capsys, nr0):

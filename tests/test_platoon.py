@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from wavestring.errors import (
     SingularSolve,
     StepSizeUnstable,
 )
-from wavestring.platoon import realization_matches
+from wavestring.platoon import BLOCK_STEPS, CHUNK_BLOCKS, realization_matches
 from conftest import front_coupling, rear_scaled
 
 
@@ -232,7 +233,8 @@ class TestSimulate:
                 amp = np.abs(1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
                 assert refused(net, dt) == bool(np.any(amp > 1 + 1e-6)), dt
 
-    @pytest.mark.parametrize("case", ["off-grid-step", "pulse-edges", "headway"])
+    @pytest.mark.parametrize("case", ["off-grid-step", "pulse-edges", "headway",
+                                      "block-edges", "high-order"])
     def test_step_map_matches_stagewise_rk4(self, case, gain_asym_dyn):
         dt = 1 / 64
         if case == "headway":
@@ -244,6 +246,39 @@ class TestSimulate:
             net = build_network(Topology.path(10), gain_asym_dyn)
             cfg = SimConfig(dt=dt, T_final=30.0,
                             leader=LeaderStep(1.5, start=32.3 * dt))
+        elif case == "block-edges":
+            # The leader steps at offset 3 of an 8-step span. Pulse k rises
+            # on the grid at offset k and falls on a half step, the eight of
+            # them across a chunk boundary. The run ends 5 steps into an
+            # 8-step span, so the last block is partial.
+            first = BLOCK_STEPS * CHUNK_BLOCKS - 16
+            net = build_network(Topology.path(10), gain_asym_dyn)
+            cfg = SimConfig(
+                dt=dt, T_final=(8 * 240 + 5) * dt,
+                leader=LeaderStep(1.0, start=11 * dt),
+                disturbances=tuple(
+                    Disturbance(agent=k + 1, signal="pulse",
+                                amplitude=0.1 * (k + 1) * (-1) ** k,
+                                start=(first + 9 * k) * dt, duration=13.5 * dt)
+                    for k in range(8)
+                ),
+            )
+            starts = [round(d.start / dt) for d in cfg.disturbances]
+            assert sorted(k % 8 for k in starts) == list(range(8))
+            assert starts[0] < BLOCK_STEPS * CHUNK_BLOCKS < starts[-1]
+            assert 8 % BLOCK_STEPS == 0 and first % 8 == 0
+        elif case == "high-order":
+            # ninth-order blocks: the state outgrows the positions map, whose
+            # memory the squares of P share in simulate
+            lag = Polynomial([1.0, 0.05]) * Polynomial([1.0, 0.05])
+            lag = lag * lag * lag
+            mf, mr = gain_asym_dyn.Mf, gain_asym_dyn.Mr
+            d = AgentDynamics(RationalTF(mf.num, mf.den * lag, mf.p),
+                              RationalTF(mr.num, mr.den * lag, mr.p))
+            net = build_network(Topology.path(3), d)
+            assert net.state_dim ** 2 > (net.state_dim + 3 * BLOCK_STEPS) * (
+                BLOCK_STEPS * net.num_agents)
+            cfg = SimConfig(dt=dt, T_final=10.0)
         else:
             # rises on the half-step after 32 dt, falls between grid points
             net = build_network(Topology.path(10), gain_asym_dyn)
@@ -259,6 +294,25 @@ class TestSimulate:
         got = simulate(net, cfg).positions
         assert np.array_equal(got[0], want[0])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_traced_peak_is_the_block_maps(self, gain_asym_dyn):
+        # Beyond the trajectory it returns, simulate holds P**K and one more
+        # block of memory: the square that P**K is squared from, which GL
+        # (the K stacked C P**j and L) then reuses, or GL where that is
+        # larger. The stage temporaries, the drive rows and the chunk buffers
+        # take about 0.37 MB at path-50 (nz = 297). Holding P or a second
+        # square beside them would add nz**2 doubles, 0.7 MB.
+        net = build_network(Topology.path(50), gain_asym_dyn)
+        nz, na = net.state_dim, net.num_agents
+        tracemalloc.start()
+        try:
+            traj = simulate(net, SimConfig(dt=0.01, T_final=20.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond = peak - traj.positions.nbytes - traj.times.nbytes
+        shared = max(nz * nz, (nz + 3 * BLOCK_STEPS) * BLOCK_STEPS * na)
+        assert beyond <= 8 * (nz * nz + shared) + 0.5e6
 
     def test_pulse_disturbance_round_trip(self, sym_dyn):
         net = build_network(Topology.path(3), sym_dyn)

@@ -19,7 +19,7 @@ from wavestring import (
     nyquist_axis_test,
 )
 from wavestring import stability, waves
-from wavestring.errors import AssumptionViolated
+from wavestring.errors import AssumptionViolated, WavestringError
 from wavestring.waves import t_g_eval
 from conftest import front_coupling, random_pi_pair
 
@@ -159,6 +159,12 @@ class TestVerdict:
         # kappa = 1.6 is within 1.0 of symmetric, so no fast path
         v = local_string_verdict(gain_asym_dyn, SHORT_GRID, tol_dc=1.0)
         assert not v.theorem2_triggered
+
+    def test_overflowing_grid_raises_a_library_error(self, gain_asym_dyn):
+        # s**2 overflows in tf_eval at |s| = 1e200: a NumericalError, never
+        # Python's bare OverflowError
+        with pytest.raises(WavestringError, match=r"s=1e\+200j"):
+            local_string_verdict(gain_asym_dyn, FrequencyGrid(omega_max=1e200))
 
     def test_assumption_violation_raises(self):
         mf = RationalTF(Polynomial([1]), Polynomial([1, 1]), p=2)

@@ -1,15 +1,16 @@
 """Record a BENCH_<n>.json: bench/run.py at a parent revision and at the tree.
 
-    python3 tools/bench_pair.py --parent REV --out BENCH_7.json
+    python3 tools/bench_pair.py --parent REV --paired WORKLOAD --out BENCH_9.json
 
 The parent's committed files are exported with `git archive` into a
 temporary directory; the change is this checkout's working tree. Each side
 runs `bench/run.py` from its own directory, so each benchmarks its own
 src/. Every run is seed 1, 40 s. Every workload runs once per side,
 untraced, the side that goes first alternating between workloads. Then
-PAIRS more alternating pairs of the spectral workload are summarised as
-per-side median and quartiles of `run_s` and the count of pairs the change
-wins, and one traced (`--trace 1`) spectral pair follows. The file keeps
+PAIRS more alternating pairs of the --paired workload (the one whose gain
+is claimed) are summarised as per-side median and quartiles of `run_s` and
+the count of pairs the change wins, and one traced (`--trace 1`) pair of
+the same workload follows. The file keeps
 each run's final JSON line ('result') and its median reference-loop time
 ('host.ref_loop_s').
 """
@@ -30,7 +31,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("simulate_csv", "sweep_chain", "spectral")
 SEED, SECONDS = 1, 40
 PAIRS = 10
-PAIRED = "spectral"  # the workload of the pairs and of the traced pair
 COMMAND = f"python3 bench/run.py --workload <workload> --seed {SEED} --seconds {SECONDS} --trace "
 
 
@@ -76,6 +76,8 @@ def quartiles(values: list[float]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
+    ap.add_argument("--paired", required=True, choices=WORKLOADS,
+                    help="workload of the ten pairs and of the traced pair")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
@@ -110,11 +112,11 @@ def main() -> int:
             "command": COMMAND + "0",
             **sides,
         }
-        runs = [pair(PAIRED, k) for k in range(PAIRS)]
+        runs = [pair(args.paired, k) for k in range(PAIRS)]
         run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
                  for side in ("parent", "change")}
         doc["pairs"] = {
-            "workload": PAIRED,
+            "workload": args.paired,
             "metric": "run_s (s_ref)",
             "run_s": run_s,
             "peak_rss_mb": {side: [r[side]["result"]["metrics"]["peak_rss_mb"]["value"]
@@ -123,9 +125,9 @@ def main() -> int:
             "parent": quartiles(run_s["parent"]),
             "change": quartiles(run_s["change"]),
         }
-        traced = pair(PAIRED, 0, trace=1)
+        traced = pair(args.paired, 0, trace=1)
         doc["traced"] = {
-            "command": (COMMAND + "1").replace("<workload>", PAIRED),
+            "command": (COMMAND + "1").replace("<workload>", args.paired),
             **{side: {k: v for k, v in res.items() if k != "_host"}
                for side, res in traced.items()},
         }
