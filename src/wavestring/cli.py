@@ -101,6 +101,10 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _integer(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _finite(x: Any) -> bool:
     """x is an int or float (not a bool) within the float range."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -171,12 +175,15 @@ def resolve_config(raw: dict) -> dict:
     _require(topo["kind"] in ("path", "tree"), "topology.kind must be path|tree")
     if topo["kind"] == "path":
         topo.setdefault("n", 20)
-        _require(isinstance(topo["n"], int) and topo["n"] >= 3,
+        _require(_integer(topo["n"]) and topo["n"] >= 3,
                  "topology.n must be an integer >= 3")
     else:
         _require("edges" in topo and "n" in topo,
                  "tree topology needs n (spine length) and edges")
-        _require(isinstance(topo["edges"], list), "topology.edges must be a list")
+        _require(_integer(topo["n"]), "topology.n must be an integer")
+        _require(isinstance(topo["edges"], list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_integer, e))
+            for e in topo["edges"]), "topology.edges must be a list of integer pairs")
 
     sim = cfg["sim"]
     if sim["dt"] is None:
@@ -219,10 +226,10 @@ def build_dynamics(cfg: dict) -> AgentDynamics:
 
 
 def _tree(topo: dict) -> Topology:
-    edges = tuple((int(a), int(b)) for a, b in topo["edges"])
-    nodes = 1 + max(max(a, b) for a, b in edges)
+    edges = tuple(map(tuple, topo["edges"]))
+    nodes = 1 + max(map(max, edges))
     _require(nodes - 1 <= MAX_AGENTS, f"topology has more than {MAX_AGENTS} agents")
-    return Topology(nodes, edges, int(topo["n"]))
+    return Topology(nodes, edges, topo["n"])
 
 
 def build_topology(cfg: dict) -> Topology:

@@ -24,8 +24,7 @@ position in between, so the Python loop runs once per block, not per step.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -50,19 +49,58 @@ class Topology:
     A plain path is the special case with no nodes beyond the spine. In the
     generalized case extra subtrees may hang off the far spine end (node
     spine_n) only; interior spine agents must keep exactly two neighbours.
+
+    Construction checks the edges, runs one breadth-first search from the
+    leader and keeps each node's parent in `parents` (the leader's is -1).
     """
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     spine_n: int
+    parents: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges)),
-        )
-        self._validate()
+        v, n = self.num_nodes, self.spine_n
+        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
+        object.__setattr__(self, "edges", edges)
+        if n < 3:
+            raise ValueError("spine needs at least N = 3 follower agents")
+        if n >= v:
+            raise ValueError("spine extends past the node count")
+        # Sorted edges list every node's neighbours in ascending order.
+        adj: list[list[int]] = [[] for _ in range(v)]
+        for k, (a, b) in enumerate(edges):
+            if not 0 <= a < b < v:
+                raise ValueError(f"bad edge ({a}, {b})")
+            if k and edges[k - 1] == (a, b):
+                raise ValueError("duplicate edges")
+            adj[a].append(b)
+            adj[b].append(a)
+
+        parents = [-1] * v
+        order = [0]                     # grows as the search reaches nodes
+        for node in order:
+            for nb in adj[node]:
+                if nb and parents[nb] < 0:
+                    parents[nb] = node
+                    order.append(nb)
+        if len(order) != v:
+            raise DisconnectedTopology(
+                f"only {len(order)} of {v} nodes reachable from the leader"
+            )
+        if len(edges) != v - 1:
+            raise CyclicTopology("connected graph with |E| != |V|-1 has a cycle")
+
+        # Spine agent i hangs off i - 1, every other node off spine_n or another
+        # off-spine node. In a tree that means the spine edges are present,
+        # interior spine agents have degree 2 and all else hangs off spine_n.
+        for node, par in enumerate(parents[1:], 1):
+            if node <= n and par != node - 1:
+                raise ValueError(f"spine edge ({node - 1}, {node}) missing")
+            if node > n and par < n:
+                raise ValueError(f"off-spine node {node} attaches at spine agent "
+                                 f"{par}, only node {n} may branch")
+        object.__setattr__(self, "parents", tuple(parents))
 
     @staticmethod
     def path(n: int) -> "Topology":
@@ -81,76 +119,14 @@ class Topology:
                 next_node += 1
         return Topology(next_node, tuple(edges), n)
 
-    def _validate(self):
-        v = self.num_nodes
-        if self.spine_n < 3:
-            raise ValueError("spine needs at least N = 3 follower agents")
-        if self.spine_n >= v:
-            raise ValueError("spine extends past the node count")
-        for a, b in self.edges:
-            if not (0 <= a < v and 0 <= b < v) or a == b:
-                raise ValueError(f"bad edge ({a}, {b})")
-        if len(set(self.edges)) != len(self.edges):
-            raise ValueError("duplicate edges")
-
-        adj = self.adjacency()
-        parents = self.bfs_parents()
-        reached = 1 + sum(p >= 0 for p in parents)
-        if reached != v:
-            raise DisconnectedTopology(
-                f"only {reached} of {v} nodes reachable from the leader"
-            )
-        if len(self.edges) != v - 1:
-            raise CyclicTopology("connected graph with |E| != |V|-1 has a cycle")
-
-        edge_set = set(self.edges)
-        for i in range(self.spine_n):
-            if (i, i + 1) not in edge_set:
-                raise ValueError(f"spine edge ({i}, {i + 1}) missing")
-        for i in range(1, self.spine_n):
-            if len(adj[i]) != 2:
-                raise ValueError(
-                    f"interior spine agent {i} has degree {len(adj[i])}, not 2"
-                )
-        # Everything past the spine must hang off the far end.
-        for node in range(self.spine_n + 1, v):
-            walk = node
-            while walk > self.spine_n:
-                walk = parents[walk]
-            if walk != self.spine_n:
-                raise ValueError(
-                    f"off-spine node {node} attaches at spine agent {walk}, "
-                    f"only node {self.spine_n} may branch"
-                )
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
-
     def bfs_parents(self) -> list[int]:
         """Parent of every node under BFS from the leader (leader's is -1)."""
-        adj = self.adjacency()
-        parents = [-1] * self.num_nodes
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for nb in sorted(adj[node]):
-                if nb not in seen:
-                    seen.add(nb)
-                    parents[nb] = node
-                    queue.append(nb)
-        return parents
+        return list(self.parents)
 
     def children(self) -> list[list[int]]:
-        parents = self.bfs_parents()
         kids: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for node, par in enumerate(parents):
-            if par >= 0:
-                kids[par].append(node)
+        for node, par in enumerate(self.parents[1:], 1):
+            kids[par].append(node)
         return kids
 
 
@@ -219,15 +195,13 @@ class NetworkSystem:
     Positions cover agents 1..V; the leader is prepended by the simulator.
     """
 
-    topology: Topology
-    dynamics: AgentDynamics
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
 
     @property
     def num_agents(self) -> int:
-        return self.topology.num_nodes - 1
+        return self.C.shape[0]
 
     @property
     def state_dim(self) -> int:
@@ -257,7 +231,7 @@ def build_network(topology: Topology, d: AgentDynamics) -> NetworkSystem:
 
     blk_f = realize(d.Mf)
     blk_r = realize(d.Mr)
-    parents = topology.bfs_parents()
+    parents = topology.parents
     children = topology.children()
     n_agents = topology.num_nodes - 1
 
@@ -316,7 +290,7 @@ def build_network(topology: Topology, d: AgentDynamics) -> NetworkSystem:
         raise SingularSolve(f"network matrices are non-finite (headway h={d.h:g})")
     for arr in (A_net, B_net, C_out):
         arr.flags.writeable = False
-    return NetworkSystem(topology=topology, dynamics=d, A=A_net, B=B_net, C=C_out)
+    return NetworkSystem(A=A_net, B=B_net, C=C_out)
 
 
 @dataclass(frozen=True)

@@ -87,10 +87,10 @@ class StabilityVerdict:
 
 
 def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                        f_lo: float, tol_omega: float) -> float:
+                        f_lo: float) -> float:
     """Geometric bisection of a sign change of f on [lo, hi], f(lo) = f_lo,
-    down to a tol_omega relative bracket; returns its geometric midpoint."""
-    while (hi - lo) > tol_omega * hi:
+    down to a TOL_OMEGA relative bracket; returns its geometric midpoint."""
+    while (hi - lo) > TOL_OMEGA * hi:
         mid = math.sqrt(lo * hi)
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -103,18 +103,13 @@ def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
     return math.sqrt(lo * hi)
 
 
-def nyquist_axis_test(
-    d: AgentDynamics,
-    sweep: WaveSweep,
-    tol_axis: float = TOL_AXIS,
-    tol_omega: float = TOL_OMEGA,
-) -> tuple[bool, list[float]]:
+def nyquist_axis_test(d: AgentDynamics, sweep: WaveSweep) -> tuple[bool, list[float]]:
     """Does the axis image of t_g avoid the non-positive real axis?
 
     Reads t_g(j omega) from an ascending awtf_axis_sweep (negative omega
     follows by conjugate symmetry), refines every sign change of the
     imaginary part by bisection on t_g_eval, and reports the crossing
-    frequencies whose real part is <= tol_axis. A phase jump of more than
+    frequencies whose real part is <= TOL_AXIS. A phase jump of more than
     pi/2 between neighbours a and b makes the chord longer than either
     (|a - b|**2 > |a|**2 + |b|**2), so it is refined as a passage through
     the origin. A crossing between samples that shows neither sign is
@@ -135,21 +130,21 @@ def nyquist_axis_test(
             continue  # the imaginary-part sign-change pass below handles it
         re_k, re_k1 = values[k].real, values[k + 1].real
         if re_k * re_k1 > 0:
-            continue  # grazing without a sign change; tol_axis decides at samples
+            continue  # grazing without a sign change; TOL_AXIS decides at samples
         w_star = _bisect_sign_change(
             lambda w: t_g_eval(d, 1j * w).real,
-            float(omegas[k]), float(omegas[k + 1]), re_k, tol_omega,
+            float(omegas[k]), float(omegas[k + 1]), re_k,
         )
         t_star = t_g_eval(d, 1j * w_star)
         # Re vanishes inside the bracket by construction; only a curve that
         # is also near the real axis there actually touches the target set.
-        im_window = 1e-6 * max(abs(values[k]), abs(values[k + 1])) + tol_axis
+        im_window = 1e-6 * max(abs(values[k]), abs(values[k + 1])) + TOL_AXIS
         if abs(t_star.imag) <= im_window:
             crossings.append(w_star)
 
     # Samples sitting exactly on the real axis need no refinement; a run of
     # them is one crossing, reported at its first sample.
-    on_axis = (values.imag == 0.0) & (values.real <= tol_axis)
+    on_axis = (values.imag == 0.0) & (values.real <= TOL_AXIS)
     run_starts = on_axis & ~np.concatenate(([False], on_axis[:-1]))
     crossings.extend(float(w) for w in omegas[run_starts])
 
@@ -158,9 +153,9 @@ def nyquist_axis_test(
                         & ~(im[:-1] * im[1:] > 0))[0]:
         w_star = _bisect_sign_change(
             lambda w: t_g_eval(d, 1j * w).imag,
-            float(omegas[k]), float(omegas[k + 1]), im[k], tol_omega,
+            float(omegas[k]), float(omegas[k + 1]), im[k],
         )
-        if t_g_eval(d, 1j * w_star).real <= tol_axis:
+        if t_g_eval(d, 1j * w_star).real <= TOL_AXIS:
             crossings.append(w_star)
 
     return len(crossings) == 0, crossings
@@ -169,21 +164,20 @@ def nyquist_axis_test(
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _grid_peak(omegas: np.ndarray, mags: np.ndarray, tol_omega: float
+def _grid_peak(omegas: np.ndarray, mags: np.ndarray
                ) -> tuple[int, NormEstimate, Optional[tuple[float, float]]]:
     """Grid argmax k of mags, its unrefined estimate and the bracket of its
-    two neighbours (None when narrower than tol_omega relative)."""
+    two neighbours (None when narrower than TOL_OMEGA relative)."""
     k = int(np.argmax(mags))
     peak = NormEstimate(float(mags[k]), float(omegas[k]), refined=False)
     lo = float(omegas[max(k - 1, 0)])
     hi = float(omegas[min(k + 1, len(omegas) - 1)])
-    return k, peak, None if hi <= lo * (1.0 + tol_omega) else (lo, hi)
+    return k, peak, None if hi <= lo * (1.0 + TOL_OMEGA) else (lo, hi)
 
 
 def hinf_estimate(
     evaluator: Callable[[float], complex],
     grid: FrequencyGrid = FrequencyGrid(),
-    tol_omega: float = TOL_OMEGA,
 ) -> NormEstimate:
     """Peak of |evaluator(omega)| over the grid, golden-section refined.
 
@@ -195,7 +189,7 @@ def hinf_estimate(
     """
     omegas = grid.omegas()
     mags = np.array([abs(evaluator(w)) for w in omegas])
-    _, peak, bracket = _grid_peak(omegas, mags, tol_omega)
+    _, peak, bracket = _grid_peak(omegas, mags)
     if bracket is None:
         return peak
     best_val, best_w = peak.value, peak.argmax_omega
@@ -206,7 +200,7 @@ def hinf_estimate(
     x2 = a + _INV_GOLDEN * (b - a)
     f1 = abs(evaluator(math.exp(x1)))
     f2 = abs(evaluator(math.exp(x2)))
-    while (b - a) > math.log1p(tol_omega):
+    while (b - a) > math.log1p(TOL_OMEGA):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLDEN * (b - a)
@@ -222,11 +216,8 @@ def hinf_estimate(
     return NormEstimate(value=best_val, argmax_omega=best_w, refined=True)
 
 
-def awtf_norm_estimates(
-    d: AgentDynamics,
-    sweep: WaveSweep,
-    tol_omega: float = TOL_OMEGA,
-) -> tuple[NormEstimate, NormEstimate]:
+def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
+                        ) -> tuple[NormEstimate, NormEstimate]:
     """H-infinity estimates of (g_plus, g_minus) from an ascending
     awtf_axis_sweep, each peak refined on a hint chain seeded next to it."""
     omegas = sweep.s.imag
@@ -234,16 +225,13 @@ def awtf_norm_estimates(
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
         g = getattr(sweep, attr)
-        k, peak, bracket = _grid_peak(omegas, np.hypot(g.real, g.imag), tol_omega)
+        k, peak, bracket = _grid_peak(omegas, np.hypot(g.real, g.imag))
         if bracket is None:
             results.append(peak)
             continue
         chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
-        refined = hinf_estimate(
-            lambda w: getattr(chain(1j * w), attr),
-            FrequencyGrid(*bracket, 16),
-            tol_omega=tol_omega,
-        )
+        refined = hinf_estimate(lambda w: getattr(chain(1j * w), attr),
+                                FrequencyGrid(*bracket, 16))
         best = refined if refined.value >= peak.value else peak
         results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
     return results[0], results[1]

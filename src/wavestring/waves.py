@@ -60,7 +60,6 @@ from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
 from .tf import AgentDynamics, RationalTF, low_order_coeffs, tf_eval
 
 TOL_TIE = 1e-6    # relative modulus tie window for branch selection
-TOL_QUAD = 1e-9   # quadratic residual budget (scaled by max(1, |beta|**2))
 TOL_SING = 1e-8   # |g_minus - 1| below this means the rear reflection blows up
 
 
@@ -417,19 +416,17 @@ def awtf_dc(d: AgentDynamics) -> tuple[float, float]:
     return 1.0, 1.0 / kappa
 
 
-def reflection_from_sample(
-    ws: WaveSample, tol_sing: float = TOL_SING
-) -> ReflectionSample:
+def reflection_from_sample(ws: WaveSample) -> ReflectionSample:
     """Boundary reflections t1 = -g_plus*g_minus, tN = g_minus*(g_plus-1)/(g_minus-1).
 
-    Raises ReflectionSingular when g_minus is within tol_sing of 1 (the rear
+    Raises ReflectionSingular when g_minus is within TOL_SING of 1 (the rear
     reflection denominator vanishes there; this happens as s -> 0 whenever
     the backward DC gain is 1).
     """
     denom = ws.g_minus - 1.0
-    if abs(denom) < tol_sing:
+    if abs(denom) < TOL_SING:
         raise ReflectionSingular(
-            f"g_minus is within {tol_sing:g} of 1 at s={ws.s}"
+            f"g_minus is within {TOL_SING:g} of 1 at s={ws.s}"
         )
     t1 = -ws.g_plus * ws.g_minus
     tN = ws.g_minus * (ws.g_plus - 1.0) / denom
@@ -440,10 +437,9 @@ def reflection_eval(
     d: AgentDynamics,
     s: complex,
     hint: Optional[WaveSample] = None,
-    tol_sing: float = TOL_SING,
 ) -> ReflectionSample:
     """Boundary reflections at s; see reflection_from_sample."""
-    return reflection_from_sample(awtf_eval(d, s, hint), tol_sing)
+    return reflection_from_sample(awtf_eval(d, s, hint))
 
 
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:

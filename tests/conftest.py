@@ -75,3 +75,23 @@ def random_pi_pair(rng: np.random.Generator, min_kappa_gap: float = 0.1):
     mf = tf_normalize(Polynomial([kif, kpf]), den)
     mr = tf_normalize(Polynomial([kir, kpr]), den)
     return AgentDynamics(mf, mr)
+
+
+def undamped() -> AgentDynamics:
+    m = RationalTF(Polynomial([1.0]), Polynomial([1.0]), p=2)
+    return AgentDynamics(m, m)
+
+
+def canonical(name: str, h: float) -> AgentDynamics:
+    rear = {"gain-asym": rear_scaled(2.5 / 4), "vel-asym": rear_velocity_asym(),
+            "sym": front_coupling()}[name]
+    return AgentDynamics(front_coupling(), rear, h=h)
+
+
+CANONICAL = [(name, h) for name in ("gain-asym", "vel-asym", "sym") for h in (0.0, 0.5)]
+
+
+def bench_pairs() -> list:
+    """The 12 seed-1 random PI pairs of the bench's spectral workload."""
+    rng = np.random.default_rng(1)
+    return [random_pi_pair(rng) for _ in range(12)]

@@ -21,32 +21,12 @@ from wavestring.waves import (
     wave_chain,
     wave_sweep,
 )
-from conftest import front_coupling, random_pi_pair, rear_scaled, rear_velocity_asym
+from conftest import CANONICAL, bench_pairs, canonical, front_coupling, undamped
 
 FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 DEFAULT_OMEGAS = FrequencyGrid().omegas()
 # the waves call of the bench's spectral workload: vel-asym, 40 s, 16384 samples
 BENCH_LINE = InverseLaplaceConfig(T_final=40.0, samples=16384)
-
-
-def undamped() -> AgentDynamics:
-    m = RationalTF(Polynomial([1.0]), Polynomial([1.0]), p=2)
-    return AgentDynamics(m, m)
-
-
-def canonical(name: str, h: float) -> AgentDynamics:
-    rear = {"gain-asym": rear_scaled(2.5 / 4), "vel-asym": rear_velocity_asym(),
-            "sym": front_coupling()}[name]
-    return AgentDynamics(front_coupling(), rear, h=h)
-
-
-CANONICAL = [(name, h) for name in ("gain-asym", "vel-asym", "sym") for h in (0.0, 0.5)]
-
-
-def bench_pairs() -> list:
-    """The 12 seed-1 random PI pairs of the bench's spectral workload."""
-    rng = np.random.default_rng(1)
-    return [random_pi_pair(rng) for _ in range(12)]
 
 
 def scalar_axis(d, omegas):

@@ -226,6 +226,26 @@ class TestSimulate:
         cfg_path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("topology", [
+        {"n": 3.9}, {"n": "3"},
+        {"edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"]]},
+        {"edges": [[0.5, 1], [1, 2.9], [2, 3], [3, 4]]},
+        {"edges": [[False, True], [True, 2], [2, 3], [3, 4]]},
+        {"edges": ["01", "12", "23", "34"]},
+        {"edges": [[0, 1], [1, 2], [2, 3], [3, 4, 5]]},
+    ], ids=["n-float", "n-string", "string-ends", "float-ends", "bool-ends",
+            "string-edges", "three-ends"])
+    def test_tree_config_is_not_coerced(self, tmp_path, capsys, topology):
+        # int() would make each of these but the last the path 0-1-2-3-4
+        cfg = base_config()
+        cfg["topology"] = {"kind": "tree", "n": 3,
+                           "edges": [[0, 1], [1, 2], [2, 3], [3, 4]], **topology}
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_disturbance_on_missing_agent_exit_1(self, tmp_path):
         cfg = base_config()
         cfg["sim"]["disturbances"] = [{"agent": 99}]

@@ -88,6 +88,35 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(5, ((0, 1), (1, 2), (2, 3), (1, 4)), 3)
 
+    def test_second_child_of_leader_rejected(self):
+        with pytest.raises(ValueError, match="off-spine node 4 attaches at spine agent 0"):
+            Topology(5, ((0, 1), (1, 2), (2, 3), (0, 4)), 3)
+
+    def test_missing_spine_edge_rejected(self):
+        # a tree whose path to agent 3 detours through node 4
+        with pytest.raises(ValueError, match=r"spine edge \(2, 3\) missing"):
+            Topology(5, ((0, 1), (1, 2), (2, 4), (3, 4)), 3)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
+            Topology(4, ((0, 1), (1, 2), (2, 3), (2, 2)), 3)
+
+    def test_duplicate_edge_rejected(self):
+        with pytest.raises(ValueError, match="duplicate edges"):
+            Topology(4, ((0, 1), (1, 2), (2, 3), (3, 2)), 3)
+
+    def test_tail_numbered_out_of_order(self):
+        # the tail 3 - 6 - 5 - 4 hangs off the far spine end, each off-spine
+        # node below a parent with a larger id
+        t = Topology(7, ((0, 1), (1, 2), (2, 3), (3, 6), (6, 5), (5, 4)), 3)
+        assert t.bfs_parents() == [-1, 0, 1, 2, 5, 6, 3]
+        assert t.children() == [[1], [2], [3], [6], [], [4], [5]]
+
+    def test_parents_stay_out_of_equality_and_repr(self):
+        t = Topology.path(3)
+        assert t == Topology(4, ((2, 3), (1, 0), (1, 2)), 3)
+        assert repr(t) == "Topology(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)), spine_n=3)"
+
     def test_tail_branches(self):
         t = Topology.with_tail_branches(3, [2, 1])
         assert t.num_nodes == 7

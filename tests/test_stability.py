@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,8 @@ from wavestring import (
 from wavestring import stability, waves
 from wavestring.errors import AssumptionViolated, WavestringError
 from wavestring.waves import t_g_eval
-from conftest import front_coupling, random_pi_pair
+from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
+                      random_pi_pair, undamped)
 
 SHORT_GRID = FrequencyGrid(1e-4, 1e3, 600)
 
@@ -68,6 +71,71 @@ class TestNyquist:
         ok, crossings = nyquist_axis_test(gain_asym_dyn, sweep(gain_asym_dyn))
         assert not ok
         assert any(abs(w - 0.3441) < 1e-3 for w in crossings)
+
+
+P = np.polynomial.polynomial
+
+
+def exact_axis_crossings(d, grid=FrequencyGrid()):
+    """The crossings of t_g(j omega) with the non-positive real axis, exactly.
+
+    Clearing denominators gives t_g = Tn/Td with
+        Tn = (s**p Df Dr + (1 + h s)(Nf Dr + Nr Df))**2 - 4 Nf Nr Df Dr,
+        Td = (s**p Df Dr)**2,
+    so t_g(j omega) is real at the real roots of Im[Tn(j omega) conj(Td(j omega))],
+    a real polynomial in omega. Its positive roots inside the grid's range,
+    found in omega / sqrt(omega_min omega_max), count where Re t_g <= TOL_AXIS.
+    None when that polynomial vanishes identically (t_g real on the whole axis).
+    """
+    nf, df, nr, dr = (np.array(q.coeffs) for q in (d.Mf.num, d.Mf.den, d.Mr.num, d.Mr.den))
+    base = P.polymul(np.eye(d.p + 1)[d.p], P.polymul(df, dr))
+    shared = P.polyadd(base, P.polymul([1.0, d.h],
+                                       P.polyadd(P.polymul(nf, dr), P.polymul(nr, df))))
+    tn = P.polysub(P.polymul(shared, shared),
+                   4.0 * P.polymul(P.polymul(nf, nr), P.polymul(df, dr)))
+    scale = math.sqrt(grid.omega_min * grid.omega_max)
+
+    def on_axis(c):
+        """Real and imaginary coefficients of c(j scale x) in x."""
+        k = np.arange(len(c))
+        c = c * scale ** k * np.array([1, 1j, -1, -1j])[k % 4]
+        return c.real, c.imag
+
+    (tn_re, tn_im), (td_re, td_im) = on_axis(tn), on_axis(P.polymul(base, base))
+    im = P.polysub(P.polymul(tn_im, td_re), P.polymul(tn_re, td_im))
+    if not np.any(im):
+        return None
+    x = P.polyroots(im)
+    w = scale * x.real[(x.real > 0) & (np.abs(x.imag) <= 1e-8 * np.abs(x))]
+    w = w[(w >= grid.omega_min) & (w <= grid.omega_max)]
+    return sorted(float(v) for v in w if t_g_eval(d, 1j * v).real <= stability.TOL_AXIS)
+
+
+class TestExactAxisCrossings:
+    """The grid's axis test against the crossings of a polynomial oracle."""
+
+    @staticmethod
+    def assert_grid_finds_exact(d):
+        exact = exact_axis_crossings(d)
+        assert exact is not None
+        grid = sorted(local_string_verdict(d).crossings)
+        assert len(grid) == len(exact)
+        for got, want in zip(grid, exact):
+            assert got == pytest.approx(want, rel=1e-5)
+        return exact
+
+    @pytest.mark.parametrize("name,h", CANONICAL)
+    def test_canonical_dynamics(self, name, h):
+        exact = self.assert_grid_finds_exact(canonical(name, h))
+        assert len(exact) == (0 if h == 0.0 and name != "gain-asym" else 1)
+
+    @pytest.mark.parametrize("d", bench_pairs(), ids=[f"pair-{k:02d}" for k in range(12)])
+    def test_bench_pi_pairs(self, d):
+        self.assert_grid_finds_exact(d)
+
+    def test_real_curve_has_no_oracle(self):
+        # M = 1/s^2: t_g = 1 - 4/w^2 is real on the whole axis
+        assert exact_axis_crossings(undamped()) is None
 
 
 class TestSharedAxisSweep:
