@@ -38,7 +38,7 @@ cfg = InverseLaplaceConfig(T_final=40.0)
 wc = wave_components(d, N=N, n=n, cfg=cfg)
 
 net = build_network(Topology.path(N), d)
-traj = simulate(net, SimConfig(dt=2e-3, T_final=40.0))
+traj = simulate(net, SimConfig(dt=2e-3, T_final=40.0), agents=(n,))
 sim = np.interp(wc.times, traj.times, traj.agent(n))
 
 print(f"agent {n} of {N}, leader steps 0 -> 1 at t = 0")

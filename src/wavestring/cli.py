@@ -403,7 +403,7 @@ def cmd_waves(cfg: dict, out_dir: str) -> int:
     net = build_network(topo, d)
 
     wc = wave_components(d, N=N, n=n, cfg=il_cfg, step_amplitude=amp)
-    traj = simulate(net, sim_cfg)
+    traj = simulate(net, sim_cfg, agents=(n,))
     sim_n = np.interp(wc.times, traj.times, traj.agent(n))
 
     csv_path = os.path.join(out_dir, "waves.csv")
@@ -420,8 +420,9 @@ def _sweep_row(cfg: dict, d0: AgentDynamics, parameter: str, value: float) -> di
     if parameter == "N":
         topo = build_topology({"topology": {"kind": "path", "n": int(value)}})
         net = build_network(topo, d0)
-        traj = simulate(net, build_sim_config(cfg, net.num_agents))
-        metric = overshoot_metrics(traj, cfg["sim"]["step_amplitude"])[net.num_agents]
+        last = net.num_agents
+        traj = simulate(net, build_sim_config(cfg, last), agents=(last,))
+        metric = overshoot_metrics(traj, cfg["sim"]["step_amplitude"])[-1]
         return {**row, "last_agent_peak": metric.peak,
                 "last_agent_peak_time": metric.peak_time,
                 "last_agent_overshoot": metric.overshoot}

@@ -17,15 +17,18 @@ would make positions depend algebraically on input derivatives and is
 rejected at assembly.
 
 simulate integrates the network with classical RK4, applied by linearity:
-one step is z -> P z + Q u. The state advances BLOCK_STEPS steps per matvec
-with P**BLOCK_STEPS, and one matrix product per chunk of blocks fills every
-position in between, so the Python loop runs once per block, not per step.
+one step is z -> P z + Q u. The state advances K steps per matvec with P**K,
+and one matrix product per chunk of blocks fills the positions in between,
+so the Python loop runs once per block, not per step. Only the agents a
+caller asks for are reported; the fewer there are, the longer the block
+(block_steps): a one-agent run of the N sweep takes 16 steps per matvec.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -61,7 +64,14 @@ class Topology:
 
     def __post_init__(self):
         v, n = self.num_nodes, self.spine_n
-        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
+        ends = []
+        for edge in self.edges:
+            try:
+                a, b = map(operator.index, edge)
+            except TypeError:
+                raise ValueError(f"bad edge {tuple(edge)}: ends must be integers") from None
+            ends.append((min(a, b), max(a, b)))
+        edges = tuple(sorted(ends))
         object.__setattr__(self, "edges", edges)
         if n < 3:
             raise ValueError("spine needs at least N = 3 follower agents")
@@ -352,17 +362,45 @@ def default_dt(d: AgentDynamics) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """times in seconds, positions indexed (agent, time) with row 0 the leader."""
+    """times in seconds, positions indexed (row, time).
+
+    Row 0 is the leader and row k is agent agents[k - 1]; agents defaults to
+    1, 2, ... for every row after the leader.
+    """
 
     times: np.ndarray
     positions: np.ndarray
+    agents: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.agents is None:
+            object.__setattr__(self, "agents", tuple(range(1, self.positions.shape[0])))
 
     def agent(self, n: int) -> np.ndarray:
-        return self.positions[n]
+        """Positions of agent n (0 is the leader)."""
+        if n == 0:
+            return self.positions[0]
+        if n not in self.agents:
+            raise ValueError(f"agent {n} was not simulated")
+        return self.positions[1 + self.agents.index(n)]
 
 
-BLOCK_STEPS = 4    # RK4 steps per block: one P**4 matvec advances the state
 CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
+
+
+def block_steps(nz: int, inputs: int, agents: int) -> int:
+    """RK4 steps per block: one P**K matvec advances the state K steps.
+
+    The largest K in (16, 8) whose output map GL, (nz + 3 K inputs) rows by
+    K agents columns, fits in the nz**2 square the build holds anyway, else
+    4. So a longer block never raises the peak memory, and a full run of a
+    chain of low-order agents, where G's build cost of about 4 K nz**2
+    agents would dominate, keeps K = 4.
+    """
+    for K in (16, 8):
+        if (nz + 3 * K * inputs) * K * agents <= nz * nz:
+            return K
+    return 4
 
 
 def _rk4_step(A, z, u0, u_half, u1, dt: float):
@@ -409,8 +447,8 @@ def _check_step_size(A: np.ndarray, dt: float) -> None:
         )
 
 
-def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float):
-    """RK4 over one block of K = BLOCK_STEPS steps, as three matrices.
+def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float, K: int):
+    """RK4 over one block of K steps (a power of two), as three matrices.
 
     One step is the affine map z -> P z + Q u, where P is the RK4 stability
     polynomial of dt A and column 3*j + k of Q weights input j's sample at
@@ -425,10 +463,10 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float):
     Returns (PK, drive, GL): PK = P**K; drive, whose rows take the block's
     samples [u_0, ..., u_{K-1}] to the input term of z_{b+K}; and GL, whose
     rows take [z_b, u_0, ..., u_{K-1}] to the block's K position vectors
-    (column (i-1)*na + a is agent a + 1 at step i). Its first nz rows hold
+    (column (i-1)*na + a is row a of C at step i). Its first nz rows hold
     G, the C P**i, and the rest L, the C P**k Q. P itself is not kept.
     """
-    nz, na, K = A.shape[0], C.shape[0], BLOCK_STEPS
+    nz, na = A.shape[0], C.shape[0]
     width = 16                       # columns per pass through the stages
     zero = np.zeros_like(B_in)
     Q = np.stack([
@@ -460,11 +498,12 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float):
     # dt A.T), a few agents at a time: forming it from P would hold P, a
     # square of P and G at once.
     GL[nz:] = 0.0
+    CPQ = [(C @ pq).T for pq in PQ]            # C P**k Q, each formed once
+    del PQ
     for i in range(1, K + 1):
         for j in range(i):
-            rows = slice(nz + j * ns, nz + (j + 1) * ns)
-            GL[rows, (i - 1) * na:i * na] = (C @ PQ[i - 1 - j]).T
-    del PQ
+            GL[nz + j * ns:nz + (j + 1) * ns, (i - 1) * na:i * na] = CPQ[i - 1 - j]
+    del CPQ
     for a in range(0, na, width):
         Y = C[a:a + width].T
         for i in range(K):
@@ -473,30 +512,50 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float):
     return PK, drive, GL
 
 
-def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
+def simulate(
+    net: NetworkSystem, cfg: SimConfig, agents: Optional[Sequence[int]] = None
+) -> Trajectory:
     """Fixed-step classical Runge-Kutta integration from rest.
 
     The network is linear and time-invariant and its inputs are piecewise
     constant, so one RK4 step is the affine map z -> P z + Q u, with P the
     RK4 stability polynomial sum_{k<=4} (dt A)**k / k! and u the input
-    samples at t, t + dt/2 and t + dt. The state advances BLOCK_STEPS = K
-    steps at a time: one matvec with P**K plus the block's input term
-    (_block_maps). One GEMM per chunk of CHUNK_BLOCKS blocks turns the
-    states at the block starts and the samples into every position of the
-    chunk; the state history is never stored. Leader steps and disturbance
-    edges need no special case: they enter through the samples. A last
-    partial block is computed whole and its extra steps dropped.
+    samples at t, t + dt/2 and t + dt. The state advances K steps at a
+    time: one matvec with P**K plus the block's input term (_block_maps).
+    One GEMM per chunk of CHUNK_BLOCKS blocks turns the states at the block
+    starts and the samples into every reported position of the chunk; the
+    state history is never stored. Leader steps and disturbance edges need
+    no special case: they enter through the samples. A last partial block
+    is computed whole and its extra steps dropped.
+
+    agents lists the agent ids to report (default: all, in order); the
+    trajectory's row k is agents[k - 1]. Fewer agents shrink the output
+    map, and block_steps picks K from its size: 4 for a full run of an
+    ordinary chain, 16 for one agent of the N sweep. The integration is the
+    same RK4 whatever K is; the positions differ only in rounding.
 
     The leader position is imposed, not integrated, so positions[0] equals
-    the input signal exactly on the grid. Raises StepSizeUnstable when dt
-    lies outside RK4's stability region for a mode that does not grow, and
-    NonFiniteState when the state diverges. Its time is the first grid time
-    whose positions, or whose state at a block start, are non-finite.
+    the input signal exactly on the grid. Raises ValueError for an agents
+    list that is empty, repeats an id or names no agent of the network,
+    StepSizeUnstable when dt lies outside RK4's stability region for a mode
+    that does not grow, and NonFiniteState when the state diverges. Its
+    time is the first grid time whose reported positions, or whose state at
+    a block start, are non-finite; a subset run checks fewer of both, so it
+    reports a divergence no earlier than a full run.
     """
     dt = cfg.dt
     n_steps = int(round(cfg.T_final / dt))
     times = np.arange(n_steps + 1) * dt
-    nz, na, K = net.state_dim, net.num_agents, BLOCK_STEPS
+    nz = net.state_dim
+    if agents is None:
+        agents, C = tuple(range(1, net.num_agents + 1)), net.C
+    else:
+        agents = tuple(agents)
+        if not (agents and len(set(agents)) == len(agents) and all(
+                isinstance(a, (int, np.integer)) and 1 <= a <= net.num_agents
+                for a in agents)):
+            raise ValueError(f"agents {agents} must be distinct ids in 1..{net.num_agents}")
+        C = net.C[[a - 1 for a in agents]]
     _check_step_size(net.A, dt)
 
     # Active input channels only: w is sparse (leader plus a few disturbances).
@@ -504,11 +563,12 @@ def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
     cols = [net.input_column("leader")] + [
         net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
     ]
+    na, K = len(agents), block_steps(nz, len(cols), len(agents))
     positions = np.empty((na + 1, n_steps + 1))
     positions[0] = cfg.leader.value(times)
     positions[1:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        PK, drive, GL = _block_maps(net.A, net.B[:, cols], net.C, dt)
+        PK, drive, GL = _block_maps(net.A, net.B[:, cols], C, dt, K)
         # Row b: the state at block start b, then that block's samples.
         blocks = np.zeros((CHUNK_BLOCKS + 1, nz + drive.shape[0]))
         states = [row[:nz] for row in blocks]
@@ -534,7 +594,7 @@ def simulate(net: NetworkSystem, cfg: SimConfig) -> Trajectory:
             states[0][:] = states[nb]
     for arr in (times, positions):
         arr.flags.writeable = False
-    return Trajectory(times=times, positions=positions)
+    return Trajectory(times=times, positions=positions, agents=agents)
 
 
 @dataclass(frozen=True)
@@ -546,10 +606,10 @@ class OvershootMetric:
 
 
 def overshoot_metrics(traj: Trajectory, step_amplitude: float) -> list[OvershootMetric]:
-    """Per-agent peak and fractional overshoot of a step response."""
+    """Per-row peak and fractional overshoot of a step response, the leader
+    first, then traj.agents in order."""
     out = []
-    for n in range(traj.positions.shape[0]):
-        row = traj.positions[n]
+    for n, row in zip((0, *traj.agents), traj.positions):
         k = int(np.argmax(row))
         peak = float(row[k])
         out.append(

@@ -224,6 +224,6 @@ def early_time_check(
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)
-    traj = simulate(net, sim_cfg)
+    traj = simulate(net, sim_cfg, agents=(n,))
     sim_on_wave_grid = np.interp(times, traj.times, traj.agent(n))
     return float(np.max(np.abs(sim_on_wave_grid - wave)))

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -30,7 +31,7 @@ from wavestring.errors import (
     SingularSolve,
     StepSizeUnstable,
 )
-from wavestring.platoon import BLOCK_STEPS, CHUNK_BLOCKS, realization_matches
+from wavestring.platoon import CHUNK_BLOCKS, block_steps, realization_matches
 from conftest import front_coupling, rear_scaled
 
 
@@ -100,6 +101,16 @@ class TestTopology:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match=r"bad edge \(2, 2\)"):
             Topology(4, ((0, 1), (1, 2), (2, 3), (2, 2)), 3)
+
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (1, 2.5), (2, 3), (3, 4)),
+        ((0, 1), (1, 2), (2.0, 3), (3, 4)),
+        ((0, 1), (1, 2), (2, 3), ("3", 4)),
+    ], ids=["fraction", "integral-float", "string"])
+    def test_non_integer_edge_end_rejected(self, edges):
+        bad = next(e for e in edges if not all(isinstance(v, int) for v in e))
+        with pytest.raises(ValueError, match=rf"bad edge {re.escape(str(bad))}"):
+            Topology(5, edges, 3)
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate edges"):
@@ -262,55 +273,62 @@ class TestSimulate:
                 amp = np.abs(1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
                 assert refused(net, dt) == bool(np.any(amp > 1 + 1e-6)), dt
 
-    @pytest.mark.parametrize("case", ["off-grid-step", "pulse-edges", "headway",
-                                      "block-edges", "high-order"])
-    def test_step_map_matches_stagewise_rk4(self, case, gain_asym_dyn):
+    @staticmethod
+    def stagewise_case(case, dyn, one_agent):
+        """(net, cfg, agents) of one step-map case; agents is None for a full
+        run, else the last agent alone."""
         dt = 1 / 64
         if case == "headway":
-            d = AgentDynamics(gain_asym_dyn.Mf, gain_asym_dyn.Mr, h=0.8)
+            d = AgentDynamics(dyn.Mf, dyn.Mr, h=0.8)
             net = build_network(Topology.path(3), d)
             cfg = SimConfig(dt=dt, T_final=30.0)
         elif case == "off-grid-step":
             # starts between t = 32 dt and t + dt/2
-            net = build_network(Topology.path(10), gain_asym_dyn)
+            net = build_network(Topology.path(10), dyn)
             cfg = SimConfig(dt=dt, T_final=30.0,
                             leader=LeaderStep(1.5, start=32.3 * dt))
         elif case == "block-edges":
-            # The leader steps at offset 3 of an 8-step span. Pulse k rises
-            # on the grid at offset k and falls on a half step, the eight of
-            # them across a chunk boundary. The run ends 5 steps into an
-            # 8-step span, so the last block is partial.
-            first = BLOCK_STEPS * CHUNK_BLOCKS - 16
-            net = build_network(Topology.path(10), gain_asym_dyn)
+            # Pulse k rises on the grid at offset k of a 16-step span and
+            # falls on the half step of offset k + 8, so each offset of a
+            # block of K = 4, 8 or 16 steps carries an edge; the pulses
+            # straddle the first chunk boundary. The leader steps at offset
+            # 11, and the run ends 5 steps into a 16-step span, so the last
+            # block is partial.
+            net = build_network(Topology.path(20), dyn)
+            K = block_steps(net.state_dim, 9, 1 if one_agent else net.num_agents)
+            first = K * CHUNK_BLOCKS - 16
             cfg = SimConfig(
-                dt=dt, T_final=(8 * 240 + 5) * dt,
+                dt=dt, T_final=(16 * 120 + 5) * dt,
                 leader=LeaderStep(1.0, start=11 * dt),
                 disturbances=tuple(
                     Disturbance(agent=k + 1, signal="pulse",
                                 amplitude=0.1 * (k + 1) * (-1) ** k,
-                                start=(first + 9 * k) * dt, duration=13.5 * dt)
+                                start=(first + 17 * k) * dt, duration=8.5 * dt)
                     for k in range(8)
                 ),
             )
-            starts = [round(d.start / dt) for d in cfg.disturbances]
-            assert sorted(k % 8 for k in starts) == list(range(8))
-            assert starts[0] < BLOCK_STEPS * CHUNK_BLOCKS < starts[-1]
-            assert 8 % BLOCK_STEPS == 0 and first % 8 == 0
+            rises = [round(d.start / dt) for d in cfg.disturbances]
+            falls = [int((d.start + d.duration) / dt) for d in cfg.disturbances]
+            assert sorted(k % K for k in rises + falls) == sorted(
+                list(range(K)) * (16 // K))
+            assert rises[0] < K * CHUNK_BLOCKS < rises[-1]
+            assert round(cfg.T_final / dt) % K == 5 % K
         elif case == "high-order":
             # ninth-order blocks: the state outgrows the positions map, whose
             # memory the squares of P share in simulate
             lag = Polynomial([1.0, 0.05]) * Polynomial([1.0, 0.05])
             lag = lag * lag * lag
-            mf, mr = gain_asym_dyn.Mf, gain_asym_dyn.Mr
+            mf, mr = dyn.Mf, dyn.Mr
             d = AgentDynamics(RationalTF(mf.num, mf.den * lag, mf.p),
                               RationalTF(mr.num, mr.den * lag, mr.p))
             net = build_network(Topology.path(3), d)
-            assert net.state_dim ** 2 > (net.state_dim + 3 * BLOCK_STEPS) * (
-                BLOCK_STEPS * net.num_agents)
+            K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents)
+            assert net.state_dim ** 2 > (net.state_dim + 3 * K) * (
+                K * (1 if one_agent else net.num_agents))
             cfg = SimConfig(dt=dt, T_final=10.0)
         else:
             # rises on the half-step after 32 dt, falls between grid points
-            net = build_network(Topology.path(10), gain_asym_dyn)
+            net = build_network(Topology.path(10), dyn)
             cfg = SimConfig(
                 dt=dt, T_final=30.0, leader=LeaderStep(1.0, start=0.2),
                 disturbances=(
@@ -319,10 +337,89 @@ class TestSimulate:
                     Disturbance(agent=9, amplitude=0.25, start=7.0),
                 ),
             )
+        return net, cfg, (net.num_agents,) if one_agent else None
+
+    STAGEWISE_CASES = ["off-grid-step", "pulse-edges", "headway", "block-edges",
+                       "high-order"]
+
+    @pytest.mark.parametrize("case", STAGEWISE_CASES)
+    def test_step_map_matches_stagewise_rk4(self, case, gain_asym_dyn):
+        net, cfg, _ = self.stagewise_case(case, gain_asym_dyn, one_agent=False)
         want = rk4_reference(net, cfg)
         got = simulate(net, cfg).positions
         assert np.array_equal(got[0], want[0])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", STAGEWISE_CASES)
+    def test_one_agent_path_matches_stagewise_rk4(self, case, gain_asym_dyn):
+        net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
+        K = block_steps(net.state_dim, 1 + len(cfg.disturbances), 1)
+        # the three-agent headway chain is too small for a longer block
+        assert K == {"headway": 4}.get(case, 16)
+        want = rk4_reference(net, cfg)[[0, *agents]]
+        traj = simulate(net, cfg, agents=agents)
+        assert traj.agents == agents
+        assert np.array_equal(traj.positions[0], want[0])
+        assert np.max(np.abs(traj.positions - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_block_length_follows_the_output_map(self, gain_asym_dyn):
+        # full runs of ordinary chains keep K = 4, one agent of the N sweep
+        # gets 16, and the high-order full run fits K = 8
+        for n in (10, 20, 30, 40, 50):
+            nz = build_network(Topology.path(n), gain_asym_dyn).state_dim
+            assert block_steps(nz, 1, n) == 4
+            assert block_steps(nz, 1, 1) == 16
+        net, cfg, _ = self.stagewise_case("high-order", gain_asym_dyn, one_agent=False)
+        assert block_steps(net.state_dim, 1, net.num_agents) == 8
+
+    def test_subset_rows_match_the_full_run(self, gain_asym_dyn):
+        net = build_network(Topology.path(12), gain_asym_dyn)
+        cfg = SimConfig(dt=0.01, T_final=40.0, disturbances=(
+            Disturbance(agent=5, signal="pulse", amplitude=0.3, start=2.0),))
+        full = simulate(net, cfg)
+        for agents in ((12,), (7, 2, 12), (3,)):
+            sub = simulate(net, cfg, agents=agents)
+            assert sub.agents == agents and sub.positions.shape[0] == len(agents) + 1
+            assert np.array_equal(sub.times, full.times)
+            assert np.array_equal(sub.agent(0), full.agent(0))
+            want = full.positions[list(agents)]
+            assert np.max(np.abs(sub.positions[1:] - want)) <= 1e-10 * np.max(np.abs(want))
+            for n in agents:
+                assert np.array_equal(sub.agent(n), sub.positions[1 + agents.index(n)])
+            metrics = overshoot_metrics(sub, 1.0)
+            assert [m.agent for m in metrics] == [0, *agents]
+            assert metrics[-1].peak_time == overshoot_metrics(full, 1.0)[agents[-1]].peak_time
+
+    @pytest.mark.parametrize("agents", [(), (0,), (13,), (-1,), (4, 4), (2.0,)],
+                             ids=["empty", "leader", "past-last", "negative",
+                                  "repeated", "float"])
+    def test_bad_agents_rejected(self, agents, sym_dyn):
+        net = build_network(Topology.path(12), sym_dyn)
+        with pytest.raises(ValueError, match="agents"):
+            simulate(net, SimConfig(dt=0.01, T_final=1.0), agents=agents)
+
+    def test_agent_not_simulated_rejected(self, sym_dyn):
+        net = build_network(Topology.path(12), sym_dyn)
+        traj = simulate(net, SimConfig(dt=0.01, T_final=1.0), agents=(5, 9))
+        with pytest.raises(ValueError, match="agent 4 was not simulated"):
+            traj.agent(4)
+        full = simulate(net, SimConfig(dt=0.01, T_final=1.0))
+        with pytest.raises(ValueError, match="agent 13 was not simulated"):
+            full.agent(13)
+
+    def test_one_agent_divergence_no_earlier_than_full(self):
+        mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
+        net = build_network(Topology.path(10), AgentDynamics(mf, mf))
+        assert block_steps(net.state_dim, 1, 1) == 16
+        times = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for agents in (None, (10,), (1,)):
+                with pytest.raises(NonFiniteState) as err:
+                    simulate(net, SimConfig(dt=0.01, T_final=100.0), agents=agents)
+                times[agents] = err.value.time
+        assert 0 < times[None] <= times[(10,)] <= 100.0
+        assert times[None] <= times[(1,)] <= 100.0
 
     def test_traced_peak_is_the_block_maps(self, gain_asym_dyn):
         # Beyond the trajectory it returns, simulate holds P**K and one more
@@ -330,18 +427,22 @@ class TestSimulate:
         # (the K stacked C P**j and L) then reuses, or GL where that is
         # larger. The stage temporaries, the drive rows and the chunk buffers
         # take about 0.37 MB at path-50 (nz = 297). Holding P or a second
-        # square beside them would add nz**2 doubles, 0.7 MB.
+        # square beside them would add nz**2 doubles, 0.7 MB. Both the full
+        # run (K = 4) and the last agent alone (K = 16) are held to this.
         net = build_network(Topology.path(50), gain_asym_dyn)
-        nz, na = net.state_dim, net.num_agents
-        tracemalloc.start()
-        try:
-            traj = simulate(net, SimConfig(dt=0.01, T_final=20.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        beyond = peak - traj.positions.nbytes - traj.times.nbytes
-        shared = max(nz * nz, (nz + 3 * BLOCK_STEPS) * BLOCK_STEPS * na)
-        assert beyond <= 8 * (nz * nz + shared) + 0.5e6
+        nz = net.state_dim
+        for agents in (None, (50,)):
+            na = net.num_agents if agents is None else len(agents)
+            K = block_steps(nz, 1, na)
+            tracemalloc.start()
+            try:
+                traj = simulate(net, SimConfig(dt=0.01, T_final=20.0), agents=agents)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond = peak - traj.positions.nbytes - traj.times.nbytes
+            shared = max(nz * nz, (nz + 3 * K) * K * na)
+            assert beyond <= 8 * (nz * nz + shared) + 0.5e6, agents
 
     def test_pulse_disturbance_round_trip(self, sym_dyn):
         net = build_network(Topology.path(3), sym_dyn)

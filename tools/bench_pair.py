@@ -11,8 +11,9 @@ PAIRS more alternating pairs of the --paired workload (the one whose gain
 is claimed) are summarised as per-side median and quartiles of `run_s` and
 the count of pairs the change wins, and one traced (`--trace 1`) pair of
 the same workload follows. The file keeps
-each run's final JSON line ('result') and its median reference-loop time
-('host.ref_loop_s').
+each run's final JSON line ('result'), its median reference-loop time
+('host.ref_loop_s') and its median untraced pass wall in raw seconds
+('pass_wall_s'), the unscaled time beside the s_ref metrics.
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ def run(root: str, workload: str, trace: int) -> dict:
     out = subprocess.run(cmd, cwd=root, check=True, text=True, capture_output=True).stdout
     lines = out.strip().splitlines()
     loop_ms = float(re.search(r"median reference loop ([0-9.]+) ms", out).group(1))
+    wall_s = float(re.search(r"median untraced pass wall ([0-9.]+) s", out).group(1))
     record = json.loads(next(ln for ln in lines if ln.startswith("record "))[7:])
     print(f"  {workload} trace={trace} {root}: {lines[-1][:120]}", file=sys.stderr)
-    return {"host.ref_loop_s": loop_ms / 1e3, "result": json.loads(lines[-1]),
+    return {"host.ref_loop_s": loop_ms / 1e3, "pass_wall_s": wall_s,
+            "result": json.loads(lines[-1]),
             "_host": {k: v for k, v in record.items() if k != "git_rev"}}
 
 
@@ -107,7 +110,8 @@ def main() -> int:
                 f"Untraced bench/run.py results, seed {SEED}, --seconds {SECONDS}, "
                 "one run per side and workload, parent and change "
                 "alternating which ran first. 'result' is the harness's final JSON "
-                "line; 'host.ref_loop_s' is the median reference-loop time the "
+                "line; 'host.ref_loop_s' is the median reference-loop time and "
+                "'pass_wall_s' the median untraced pass wall (raw seconds) the "
                 "harness printed for that run. Written by tools/bench_pair.py."),
             "command": COMMAND + "0",
             **sides,
@@ -121,6 +125,10 @@ def main() -> int:
             "run_s": run_s,
             "peak_rss_mb": {side: [r[side]["result"]["metrics"]["peak_rss_mb"]["value"]
                                    for r in runs] for side in ("parent", "change")},
+            "pass_wall_s": {side: [r[side]["pass_wall_s"] for r in runs]
+                            for side in ("parent", "change")},
+            "host.ref_loop_s": {side: [r[side]["host.ref_loop_s"] for r in runs]
+                                for side in ("parent", "change")},
             "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
             "parent": quartiles(run_s["parent"]),
             "change": quartiles(run_s["change"]),
