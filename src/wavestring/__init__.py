@@ -23,7 +23,6 @@ from .waves import (
     ReflectionSample,
     WaveSample,
     WaveSweep,
-    alpha_beta,
     awtf_axis_sweep,
     awtf_dc,
     awtf_eval,
@@ -91,7 +90,6 @@ __all__ = [
     "WaveComponents",
     "WaveSample",
     "WaveSweep",
-    "alpha_beta",
     "awtf_axis_sweep",
     "awtf_dc",
     "awtf_eval",

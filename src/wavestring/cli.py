@@ -59,7 +59,7 @@ from .tf import (
 from .waveresponse import InverseLaplaceConfig, wave_components
 from .waves import awtf_dc
 
-# Size bounds, checked before anything is allocated: RK4 steps of a run,
+# Size bounds, checked before anything is allocated: output steps of a run,
 # inverse-Laplace samples, frequency grid points and sweep values; agents.
 MAX_SAMPLES = 10**7
 MAX_AGENTS = 1000

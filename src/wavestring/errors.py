@@ -74,10 +74,6 @@ class NonFiniteState(NumericalError):
         super().__init__(message or f"non-finite state at t={time:.6g} s")
 
 
-class StepSizeUnstable(NumericalError):
-    """Step size lies outside the integrator's stability region."""
-
-
 class SingularSolve(NumericalError):
     """Frequency-response solve hit an eigenvalue of the network matrix."""
 

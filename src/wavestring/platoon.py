@@ -16,16 +16,19 @@ linear ODE. That requires strictly proper couplings; a biproper coupling
 would make positions depend algebraically on input derivatives and is
 rejected at assembly.
 
-simulate integrates the network with classical RK4, applied by linearity:
-one step is z -> P z + Q u. The state advances K steps per matvec with P**K,
-and one matrix product per chunk of blocks fills the positions in between,
-so the Python loop runs once per block, not per step. Only the agents a
-caller asks for are reported; the fewer there are, the longer the block
-(block_steps): a one-agent run of the N sweep takes 16 steps per matvec.
+simulate solves the network exactly on its output grid: the inputs are
+piecewise constant, so one step is z -> Phi z + W u with Phi = exp(dt A),
+and an input edge inside a step adds one column to W. The state advances K
+steps per matvec with Phi**K, and one matrix product per chunk of blocks
+fills the positions in between, so the Python loop runs once per block,
+not per step. Only the agents a caller asks for are reported; the fewer
+there are, the longer the block (block_steps): a one-agent run of the N
+sweep takes 16 steps per matvec.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -39,10 +42,9 @@ from .errors import (
     ImproperTF,
     NonFiniteState,
     SingularSolve,
-    StepSizeUnstable,
 )
 from .poly import poly_roots
-from .tf import AgentDynamics, RationalTF, check_assumption1, tf_eval
+from .tf import AgentDynamics, RationalTF, check_assumption1
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,12 @@ class Topology:
     parents: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        for name in ("num_nodes", "spine_n"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"not {getattr(self, name)!r}") from None
         v, n = self.num_nodes, self.spine_n
         ends = []
         for edge in self.edges:
@@ -128,10 +136,6 @@ class Topology:
                 prev = next_node
                 next_node += 1
         return Topology(next_node, tuple(edges), n)
-
-    def bfs_parents(self) -> list[int]:
-        """Parent of every node under BFS from the leader (leader's is -1)."""
-        return list(self.parents)
 
     def children(self) -> list[list[int]]:
         kids: list[list[int]] = [[] for _ in range(self.num_nodes)]
@@ -312,6 +316,10 @@ class LeaderStep:
         """Leader position at time t (a float or an array of times)."""
         return np.where(t >= self.start, self.amplitude, 0.0)
 
+    def edges(self) -> tuple[tuple[float, float], ...]:
+        """(time, jump) of each edge: value(t) sums the jumps at times <= t."""
+        return ((self.start, self.amplitude),)
+
 
 @dataclass(frozen=True)
 class Disturbance:
@@ -333,6 +341,13 @@ class Disturbance:
         if self.signal == "pulse":
             on = on & (t < self.start + self.duration)
         return np.where(on, self.amplitude, 0.0)
+
+    def edges(self) -> tuple[tuple[float, float], ...]:
+        """(time, jump) of each edge: value(t) sums the jumps at times <= t."""
+        if self.signal == "step":
+            return ((self.start, self.amplitude),)
+        end = self.start + self.duration
+        return ((self.start, self.amplitude), (end, -self.amplitude)) if end > self.start else ()
 
 
 @dataclass(frozen=True)
@@ -386,162 +401,159 @@ class Trajectory:
 
 
 CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
+THETA = 0.5        # largest h * ||A||_1 one Taylor series covers
 
 
 def block_steps(nz: int, inputs: int, agents: int) -> int:
-    """RK4 steps per block: one P**K matvec advances the state K steps.
+    """Steps per block: one Phi**K matvec advances the state K steps.
 
-    The largest K in (16, 8) whose output map GL, (nz + 3 K inputs) rows by
-    K agents columns, fits in the nz**2 square the build holds anyway, else
-    4. So a longer block never raises the peak memory, and a full run of a
-    chain of low-order agents, where G's build cost of about 4 K nz**2
-    agents would dominate, keeps K = 4.
+    inputs counts the input columns of one step. The largest K in (16, 8)
+    whose output map GL, (nz + K inputs) rows by K agents columns, fits in
+    the nz**2 square the build holds anyway, else 4. So a longer block
+    never raises the peak memory, and a full run of a chain of low-order
+    agents, where G's build cost of about K nz**2 agents would dominate,
+    keeps K = 4.
     """
     for K in (16, 8):
-        if (nz + 3 * K * inputs) * K * agents <= nz * nz:
+        if (nz + K * inputs) * K * agents <= nz * nz:
             return K
     return 4
 
 
-def _rk4_step(A, z, u0, u_half, u1, dt: float):
-    """One classical Runge-Kutta step of z' = A z + u, with u sampled at t,
-    t + dt/2 and t + dt.
+def _series(A, X, h, terms: int, Y, Z):
+    """sum_{k=1..terms} h**k A**(k-1) X / k! by Horner's rule,
+    h (X + h A / 2 (X + h A / 3 (...))), in the buffers Y and Z, shaped
+    like X; returns the one that holds the sum.
 
-    z and the u's may carry one column per state or input: simulate derives
-    its block maps from these stage formulas by linearity.
+    For X = A V + B U this is the Taylor series of the state rows of
+    (exp(h M) - I) [V; U], M = [[A, B], [0, 0]]. h is a scalar or a row
+    with one step per column.
     """
-    half = 0.5 * dt
-    k1 = A @ z + u0
-    k2 = A @ (z + half * k1) + u_half
-    k3 = A @ (z + half * k2) + u_half
-    k4 = A @ (z + dt * k3) + u1
-    return z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    Y[...] = X
+    for k in range(terms, 1, -1):
+        np.matmul(A, Y, out=Z)
+        Z *= h / k
+        Z += X
+        Y, Z = Z, Y
+    Y *= h
+    return Y
 
 
-def _check_step_size(A: np.ndarray, dt: float) -> None:
-    """Refuse a dt at which RK4 amplifies a mode that does not grow.
+def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
+                tau: np.ndarray, C: np.ndarray, dt: float, K: int):
+    """The exact step map over one block of K steps (a power of two), as
+    three matrices.
 
-    R(x) = 1 + x + x**2/2 + x**3/6 + x**4/24 is RK4's amplification per step
-    of the mode z' = lambda z at x = dt*lambda. The test is |R(x)| > 1 + 1e-6
-    for any eigenvalue with Re lambda <= 1e-6; the margins allow for the
-    integrator modes at the origin, which eigvals returns split by about
-    1e-7.
-
-    A norm bound settles the usual dt without the eigenvalues: every
-    eigenvalue has |lambda| <= ||A||_1, |R| <= 1 on the half disc |x| <= 1,
-    Re x <= 0, and |R'| <= 8/3 on the unit disc, so dt*||A||_1 <= 1 with
-    dt <= 3/8 leaves no mode to refuse. A non-finite A is left to the first
-    step, which reports it as NonFiniteState.
-    """
-    bound = np.linalg.norm(A, 1)
-    if not np.isfinite(bound) or (dt * bound <= 1.0 and dt <= 0.375):
-        return
-    lam = np.linalg.eigvals(A)
-    x = dt * lam[lam.real <= 1e-6]
-    amp = np.abs(1.0 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
-    worst = float(np.max(amp, initial=0.0))
-    if worst > 1.0 + 1e-6:
-        raise StepSizeUnstable(
-            f"dt={dt:g} s is outside RK4's stability region: a non-growing "
-            f"mode is amplified by {worst:.6g} per step"
-        )
-
-
-def _block_maps(A: np.ndarray, B_in: np.ndarray, C: np.ndarray, dt: float, K: int):
-    """RK4 over one block of K steps (a power of two), as three matrices.
-
-    One step is the affine map z -> P z + Q u, where P is the RK4 stability
-    polynomial of dt A and column 3*j + k of Q weights input j's sample at
-    t + (0, dt/2, dt)[k]; u stacks the samples of one step. Both come from
-    the stage formulas of _rk4_step by linearity, P in column blocks from
-    the unit states. Over a block that starts at state z_b, with samples
+    With the inputs held at their samples u, one step takes z to
+    Phi z + Gamma u, where Phi = exp(dt A) and Gamma is the integral of
+    exp(s A) B_in over 0 <= s <= dt. An edge of input j strictly inside a
+    step, tau before its end (edge_inputs and tau list one each), adds the
+    column Gamma(tau) b_j, whose sample is the jump on that step and 0 on
+    every other. W stacks Gamma and those columns, and u one step's
+    samples. Over a block that starts at state z_b, with samples
     u_0..u_{K-1},
 
-        z_{b+K} = P**K z_b + sum_j P**(K-1-j) Q u_j
-        C z_{b+i} = C P**i z_b + sum_{j<i} C P**(i-1-j) Q u_j,  i = 1..K.
+        z_{b+K} = Phi**K z_b + sum_j Phi**(K-1-j) W u_j
+        C z_{b+i} = C Phi**i z_b + sum_{j<i} C Phi**(i-1-j) W u_j,  i = 1..K.
 
-    Returns (PK, drive, GL): PK = P**K; drive, whose rows take the block's
-    samples [u_0, ..., u_{K-1}] to the input term of z_{b+K}; and GL, whose
-    rows take [z_b, u_0, ..., u_{K-1}] to the block's K position vectors
-    (column (i-1)*na + a is row a of C at step i). Its first nz rows hold
-    G, the C P**i, and the rest L, the C P**k Q. P itself is not kept.
+    Returns (PK, drive, GL): PK = Phi**K; drive, whose rows take the
+    block's samples [u_0, ..., u_{K-1}] to the input term of z_{b+K}; and
+    GL, whose rows take [z_b, u_0, ..., u_{K-1}] to the block's K position
+    vectors (column (i-1)*na + a is row a of C at step i). Its first nz
+    rows hold G, the C Phi**i, and the rest L, the C Phi**k W.
+
+    The build sums the Taylor series of h [[A, B], [0, 0]], h = dt / 2**s
+    with x = h ||A||_1 <= THETA, to the first k with x**k / (k + 1)! below
+    the unit roundoff, which bounds the tail against the sum: E =
+    exp(h A) - I, Gamma over h, and an edge column's Gamma over tau mod h.
+    s doublings of the step then give Phi and Gamma, and an edge column
+    takes the step of each set bit of tau // h. The squarings go on to
+    Phi**K, and each of the last log2 K, by Phi**(2**j), doubles the lists
+    Phi**i W and C Phi**i.
     """
-    nz, na = A.shape[0], C.shape[0]
-    width = 16                       # columns per pass through the stages
-    zero = np.zeros_like(B_in)
-    Q = np.stack([
-        _rk4_step(A, zero, B_in, zero, zero, dt),
-        _rk4_step(A, zero, zero, B_in, zero, dt),
-        _rk4_step(A, zero, zero, zero, B_in, dt),
-    ], axis=2).reshape(nz, -1)
-    ns = Q.shape[1]
-    # P and its squares alternate between PK and a spare square that shares
-    # GL's memory, so the build holds little beyond PK and GL.
-    PK = np.empty((nz, nz))
+    nz, na, ni = A.shape[0], C.shape[0], B_in.shape[1]
+    src = np.concatenate([np.arange(ni), edge_inputs])
+    ns = len(src)
+    norm = np.linalg.norm(A, 1)
+    s = max(0, math.frexp(dt * norm / THETA)[1])
+    h = math.ldexp(dt, -s)
+    whole = np.minimum(tau // h, np.ldexp(1.0, s) - 1)
+    x = h * norm                     # at most THETA, unless dt * norm overflowed
+    terms = next((k for k in range(1, 30) if x**k <= 2.0**-53 * math.factorial(k + 1)), 30)
+    steps = np.concatenate([np.full(ni, h), tau - whole * h])
+    W = _series(A, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
+    # Phi and its squares alternate between PK and a spare square that
+    # shares GL's memory, so the build holds little beyond PK and GL. E
+    # keeps the digits that I + E would round away. A doubling takes E to
+    # 2 E + E**2, Gamma to E Gamma + 2 Gamma and an edge column v, at a set
+    # bit, to E v + v + Gamma b_j.
     memory = np.empty(max(nz * nz, (nz + K * ns) * K * na))
     GL = memory[:(nz + K * ns) * K * na].reshape(nz + K * ns, K * na)
-    spare = memory[:nz * nz].reshape(nz, nz)
-    squarings = K.bit_length() - 1            # K is a power of two
-    cur, spare = (spare, PK) if squarings % 2 else (PK, spare)
-    for j in range(0, nz, width):
-        unit = np.eye(nz, min(width, nz - j), -j)
-        cur[:, j:j + unit.shape[1]] = _rk4_step(A, unit, 0.0, 0.0, 0.0, dt)
-    PQ = [Q]                                   # P**i Q, i < K
-    for _ in range(K - 1):
-        PQ.append(cur @ PQ[-1])
-    drive = np.concatenate(PQ[::-1], axis=1).T
-    for _ in range(squarings):
+    PK, square = np.empty((nz, nz)), memory[:nz * nz].reshape(nz, nz)
+    cur = _series(A, A, h, terms, PK, square)
+    spare = square if cur is PK else PK
+    for level in range(s):
+        bit = np.floor(np.ldexp(whole, -level)) % 2 == 1
+        on = np.concatenate([np.ones(ni, dtype=bool), bit])
+        W[:, on] = cur @ W[:, on] + W[:, on] + W[:, src[on]]
+        np.matmul(cur, cur, out=spare)
+        spare += cur
+        spare += cur
+        cur, spare = spare, cur
+    cur.flat[::nz + 1] += 1.0                  # Phi
+    PW, CP = [W], [C]                          # Phi**i W, C Phi**i
+    for _ in range(K.bit_length() - 1):
+        PW += [cur @ pw for pw in PW]
+        CP += [cp @ cur for cp in CP]
         np.matmul(cur, cur, out=spare)
         cur, spare = spare, cur
-    # GL is filled only now, as the squares may have used its memory. G
-    # comes from the stage formulas in A.T (P.T is RK4's polynomial in
-    # dt A.T), a few agents at a time: forming it from P would hold P, a
-    # square of P and G at once.
+    if cur is not PK:
+        PK[...] = cur
+    drive = np.concatenate(PW[::-1], axis=1).T
+    # GL is filled only now, as the squares used its memory.
     GL[nz:] = 0.0
-    CPQ = [(C @ pq).T for pq in PQ]            # C P**k Q, each formed once
-    del PQ
+    CPW = [(C @ pw).T for pw in PW]            # C Phi**k W, each formed once
+    del PW
     for i in range(1, K + 1):
         for j in range(i):
-            GL[nz + j * ns:nz + (j + 1) * ns, (i - 1) * na:i * na] = CPQ[i - 1 - j]
-    del CPQ
-    for a in range(0, na, width):
-        Y = C[a:a + width].T
-        for i in range(K):
-            Y = _rk4_step(A.T, Y, 0.0, 0.0, 0.0, dt)
-            GL[:nz, i * na + a:i * na + a + Y.shape[1]] = Y
+            GL[nz + j * ns:nz + (j + 1) * ns, (i - 1) * na:i * na] = CPW[i - 1 - j]
+    for i in range(1, K):
+        GL[:nz, (i - 1) * na:i * na] = CP[i].T
+    del CP
+    GL[:nz, (K - 1) * na:] = (C @ PK).T
     return PK, drive, GL
 
 
 def simulate(
     net: NetworkSystem, cfg: SimConfig, agents: Optional[Sequence[int]] = None
 ) -> Trajectory:
-    """Fixed-step classical Runge-Kutta integration from rest.
+    """The exact response from rest, on the grid t = k dt.
 
     The network is linear and time-invariant and its inputs are piecewise
-    constant, so one RK4 step is the affine map z -> P z + Q u, with P the
-    RK4 stability polynomial sum_{k<=4} (dt A)**k / k! and u the input
-    samples at t, t + dt/2 and t + dt. The state advances K steps at a
-    time: one matvec with P**K plus the block's input term (_block_maps).
-    One GEMM per chunk of CHUNK_BLOCKS blocks turns the states at the block
-    starts and the samples into every reported position of the chunk; the
-    state history is never stored. Leader steps and disturbance edges need
-    no special case: they enter through the samples. A last partial block
-    is computed whole and its extra steps dropped.
+    constant, so one step is exactly the affine map z -> Phi z + W u, with
+    Phi = exp(dt A): u holds each input's sample at the step's start and,
+    for each edge strictly inside the step, its jump (_block_maps). The
+    result is exact for any dt, step time or pulse width, up to rounding;
+    dt sets only the output spacing. The state advances K steps at a time:
+    one matvec with Phi**K plus the block's input term. One GEMM per chunk
+    of CHUNK_BLOCKS blocks turns the states at the block starts and the
+    samples into every reported position of the chunk; the state history
+    is never stored. A last partial block is computed whole and its extra
+    steps dropped.
 
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output
     map, and block_steps picks K from its size: 4 for a full run of an
-    ordinary chain, 16 for one agent of the N sweep. The integration is the
-    same RK4 whatever K is; the positions differ only in rounding.
+    ordinary chain, 16 for one agent of the N sweep. The positions differ
+    only in rounding whatever K is.
 
     The leader position is imposed, not integrated, so positions[0] equals
     the input signal exactly on the grid. Raises ValueError for an agents
     list that is empty, repeats an id or names no agent of the network,
-    StepSizeUnstable when dt lies outside RK4's stability region for a mode
-    that does not grow, and NonFiniteState when the state diverges. Its
-    time is the first grid time whose reported positions, or whose state at
-    a block start, are non-finite; a subset run checks fewer of both, so it
-    reports a divergence no earlier than a full run.
+    and NonFiniteState when the state diverges. Its time is the first grid
+    time whose reported positions, or whose state at a block start, are
+    non-finite; a subset run checks fewer of both, so it reports a
+    divergence no earlier than a full run.
     """
     dt = cfg.dt
     n_steps = int(round(cfg.T_final / dt))
@@ -556,19 +568,29 @@ def simulate(
                 for a in agents)):
             raise ValueError(f"agents {agents} must be distinct ids in 1..{net.num_agents}")
         C = net.C[[a - 1 for a in agents]]
-    _check_step_size(net.A, dt)
 
     # Active input channels only: w is sparse (leader plus a few disturbances).
     signals = [cfg.leader, *cfg.disturbances]
     cols = [net.input_column("leader")] + [
         net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
     ]
-    na, K = len(agents), block_steps(nz, len(cols), len(agents))
+    # Edges strictly inside a step: the step, the input, the jump and the
+    # time from the edge to the step's end.
+    edges = []
+    for j, sig in enumerate(signals):
+        for when, jump in sig.edges():
+            k = int(np.searchsorted(times, when))      # first grid time >= when
+            if 0 < k <= n_steps and times[k] != when:
+                edges.append((k - 1, j, jump, times[k] - when))
+    edge_steps, edge_inputs, jumps, tau = np.array(edges).reshape(-1, 4).T
+    edge_steps, edge_inputs = edge_steps.astype(int), edge_inputs.astype(int)
+    ni, ns = len(cols), len(cols) + len(edges)
+    na, K = len(agents), block_steps(nz, ns, len(agents))
     positions = np.empty((na + 1, n_steps + 1))
     positions[0] = cfg.leader.value(times)
     positions[1:, 0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        PK, drive, GL = _block_maps(net.A, net.B[:, cols], C, dt, K)
+        PK, drive, GL = _block_maps(net.A, net.B[:, cols], edge_inputs, tau, C, dt, K)
         # Row b: the state at block start b, then that block's samples.
         blocks = np.zeros((CHUNK_BLOCKS + 1, nz + drive.shape[0]))
         states = [row[:nz] for row in blocks]
@@ -576,10 +598,11 @@ def simulate(
             m = min(K * CHUNK_BLOCKS, n_steps - start)
             nb = -(-m // K)
             t = (start + np.arange(nb * K)) * dt
-            blocks[:nb, nz:] = np.stack([
-                sig.value(tk) for sig in signals
-                for tk in (t, t + 0.5 * dt, t + dt)
-            ], axis=1).reshape(nb, -1)
+            u = np.zeros((nb * K, ns))
+            u[:, :ni] = np.stack([sig.value(t) for sig in signals], axis=1)
+            here = (edge_steps >= start) & (edge_steps < start + nb * K)
+            u[edge_steps[here] - start, ni + np.flatnonzero(here)] = jumps[here]
+            blocks[:nb, nz:] = u.reshape(nb, -1)
             inputs = blocks[:nb, nz:] @ drive
             for z, z_next, w in zip(states, states[1:nb + 1], inputs):
                 np.dot(PK, z, out=z_next)
@@ -648,17 +671,3 @@ def frequency_response(
         raise SingularSolve(f"solve at s={s} produced non-finite values")
     return complex(net.C[to_agent - 1] @ sol)
 
-
-def realization_matches(
-    block: StateSpaceBlock,
-    tf: RationalTF,
-    samples: Sequence[complex],
-    rtol: float = 1e-8,
-) -> bool:
-    """Frequency-response agreement between a block and its transfer function."""
-    for s in samples:
-        want = tf_eval(tf, s)
-        got = block.response(s)
-        if abs(got - want) > rtol * max(1.0, abs(want)):
-            return False
-    return True

@@ -105,12 +105,6 @@ def _eval_terms(d: AgentDynamics, s: complex) -> tuple[complex, ...]:
     return mf, mr, shared, t_g
 
 
-def alpha_beta(d: AgentDynamics, s: complex) -> tuple[complex, complex]:
-    """(alpha, beta) at s, headway-aware. Raises SingularSample at poles/zeros."""
-    mf, mr, shared, _ = _eval_terms(d, complex(s))
-    return shared / mf, shared / mr
-
-
 def t_g_eval(d: AgentDynamics, s: complex) -> complex:
     """Discriminant numerator (beta*Mr)**2 - 4*Mf*Mr at s.
 

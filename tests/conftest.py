@@ -8,8 +8,9 @@ couplings give the canonical comparison set: identical (symmetric), scaled by
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from wavestring import AgentDynamics, Polynomial, RationalTF, tf_normalize
+from wavestring import AgentDynamics, Polynomial, RationalTF, tf_eval, tf_normalize
 
 
 def front_coupling() -> RationalTF:
@@ -55,6 +56,61 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+def realization_matches(block, tf: RationalTF, samples, rtol: float = 1e-8) -> bool:
+    """Frequency-response agreement between a state-space block and its
+    transfer function."""
+    for s in samples:
+        want = tf_eval(tf, s)
+        if abs(block.response(s) - want) > rtol * max(1.0, abs(want)):
+            return False
+    return True
+
+
+def expm_reference(net, cfg):
+    """The exact solution, event by event: the oracle for simulate's step map.
+
+    Each step runs exp(tau [[A, B], [0, 0]]) from one grid time or input
+    edge (a step's start, a pulse's start or end) to the next, with the
+    inputs held at their values at its start.
+    The augmented matrix is balanced first, as the high-order case's
+    companion blocks are badly scaled.
+    """
+    n_steps = int(round(cfg.T_final / cfg.dt))
+    times = np.arange(n_steps + 1) * cfg.dt
+    signals = [cfg.leader, *cfg.disturbances]
+    cols = [net.input_column("leader")] + [
+        net.input_column(("delta", dist.agent)) for dist in cfg.disturbances
+    ]
+    nz, ni = net.state_dim, len(cols)
+    M = np.zeros((nz + ni, nz + ni))
+    M[:nz, :nz], M[:nz, nz:] = net.A, net.B[:, cols]
+    balanced, T = scipy.linalg.matrix_balance(M, permute=False)
+    scale = np.diag(T)
+    maps = {}
+
+    def advance(z, t0, t1):
+        if t1 - t0 not in maps:
+            E = scale[:, None] * scipy.linalg.expm((t1 - t0) * balanced) / scale
+            maps[t1 - t0] = E[:nz]
+        u = [float(sig.value(t0)) for sig in signals]
+        return maps[t1 - t0] @ np.concatenate([z, u])
+
+    edges = sorted({sig.start for sig in signals} | {
+        dist.start + dist.duration for dist in cfg.disturbances if dist.signal == "pulse"})
+    positions = np.zeros((net.num_agents + 1, n_steps + 1))
+    z = np.zeros(nz)
+    for i, t in enumerate(times):
+        positions[0, i] = cfg.leader.value(t)
+        positions[1:, i] = net.C @ z
+        if i == n_steps:
+            break
+        for when in edges:
+            if t < when < times[i + 1]:
+                z, t = advance(z, t, when), when
+        z = advance(z, t, times[i + 1])
+    return positions
 
 
 def random_pi_pair(rng: np.random.Generator, min_kappa_gap: float = 0.1):

@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -15,8 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavestring
+from wavestring import SimConfig, Topology, build_network
 from wavestring.cli import main, resolve_config
 from wavestring.errors import ConfigError
+from conftest import expm_reference
 
 MF = {"num": [4 / 3, 4 / 3], "den": [0, 0, 1, 1 / 3]}
 MR_SCALED = {"num": [2.5 / 3, 2.5 / 3], "den": [0, 0, 1, 1 / 3]}
@@ -254,16 +259,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
         assert not out.exists()
 
-    def test_step_outside_stability_region_exit_3(self, tmp_path, capsys):
+    def test_long_step_exit_0(self, tmp_path, gain_asym_dyn):
+        # the step map is exact, so no step size is refused: dt = 5 s writes
+        # the exact solution on its 5 s grid
         cfg = base_config()
         cfg["topology"]["n"] = 3
         cfg["sim"]["t_final"] = 100.0
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         argv = ["simulate", "--config", cfg_path, "--out", str(out), "--dt", "5"]
-        assert main(argv) == 3
-        assert "dt=5 " in capsys.readouterr().err
-        assert not out.exists()
+        assert main(argv) == 0
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.arange(21) * 5.0)
+        net = build_network(Topology.path(3), gain_asym_dyn)
+        want = expm_reference(net, SimConfig(dt=5.0, T_final=100.0))
+        assert np.max(np.abs(rows[:, 1:].T - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestWaves:
@@ -715,3 +725,15 @@ class TestExitCodeContract:
                 assert not os.path.exists(out)
             if rc == 0:
                 assert non_finite_numbers(out) == []
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; the runtime needs numpy alone
+    src = os.path.dirname(os.path.dirname(wavestring.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, wavestring.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -29,46 +29,16 @@ from wavestring.errors import (
     ImproperTF,
     NonFiniteState,
     SingularSolve,
-    StepSizeUnstable,
 )
-from wavestring.platoon import CHUNK_BLOCKS, block_steps, realization_matches
-from conftest import front_coupling, rear_scaled
-
-
-def rk4_reference(net, cfg):
-    """Four-stage RK4, one step at a time: the oracle for simulate's step map."""
-    n_steps = int(round(cfg.T_final / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
-    A, B, C = net.A, net.B, net.C
-    channels = [(B[:, 0], cfg.leader)] + [
-        (B[:, dist.agent], dist) for dist in cfg.disturbances
-    ]
-
-    def drive(t):
-        return sum(float(sig.value(t)) * col for col, sig in channels)
-
-    positions = np.zeros((net.num_agents + 1, n_steps + 1))
-    z = np.zeros(A.shape[0])
-    half, sixth = 0.5 * cfg.dt, cfg.dt / 6.0
-    for i, t in enumerate(times):
-        positions[0, i] = cfg.leader.value(t)
-        positions[1:, i] = C @ z
-        if i == n_steps:
-            break
-        u0, u_half, u1 = drive(t), drive(t + half), drive(t + cfg.dt)
-        k1 = A @ z + u0
-        k2 = A @ (z + half * k1) + u_half
-        k3 = A @ (z + half * k2) + u_half
-        k4 = A @ (z + cfg.dt * k3) + u1
-        z = z + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return positions
+from wavestring.platoon import CHUNK_BLOCKS, block_steps
+from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
 
 
 class TestTopology:
     def test_path_shape(self):
         t = Topology.path(5)
         assert t.num_nodes == 6
-        assert t.bfs_parents() == [-1, 0, 1, 2, 3, 4]
+        assert t.parents == (-1, 0, 1, 2, 3, 4)
         assert t.children()[5] == []
 
     def test_short_path_rejected(self):
@@ -112,6 +82,16 @@ class TestTopology:
         with pytest.raises(ValueError, match=rf"bad edge {re.escape(str(bad))}"):
             Topology(5, edges, 3)
 
+    @pytest.mark.parametrize("num_nodes, spine_n, name", [
+        (5.0, 3, "num_nodes"),
+        ("5", 3, "num_nodes"),
+        (5, 3.5, "spine_n"),
+        (5, 3.0, "spine_n"),
+    ], ids=["float-nodes", "string-nodes", "fraction-spine", "integral-float-spine"])
+    def test_non_integer_size_rejected(self, num_nodes, spine_n, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Topology(num_nodes, ((0, 1), (1, 2), (2, 3), (3, 4)), spine_n)
+
     def test_duplicate_edge_rejected(self):
         with pytest.raises(ValueError, match="duplicate edges"):
             Topology(4, ((0, 1), (1, 2), (2, 3), (3, 2)), 3)
@@ -120,7 +100,7 @@ class TestTopology:
         # the tail 3 - 6 - 5 - 4 hangs off the far spine end, each off-spine
         # node below a parent with a larger id
         t = Topology(7, ((0, 1), (1, 2), (2, 3), (3, 6), (6, 5), (5, 4)), 3)
-        assert t.bfs_parents() == [-1, 0, 1, 2, 5, 6, 3]
+        assert t.parents == (-1, 0, 1, 2, 5, 6, 3)
         assert t.children() == [[1], [2], [3], [6], [], [4], [5]]
 
     def test_parents_stay_out_of_equality_and_repr(self):
@@ -225,16 +205,15 @@ class TestSimulate:
                                      leader=LeaderStep(2.0)))
         assert np.max(np.abs(2 * t1.positions - t2.positions)) <= 1e-9
 
-    def test_rk4_convergence_order(self, sym_dyn):
+    def test_step_size_sets_only_the_output_spacing(self, sym_dyn):
+        # the map is exact, so halving dt moves the final positions by
+        # rounding only
         net = build_network(Topology.path(10), sym_dyn)
-        finals = []
-        for dt in (0.02, 0.01, 0.005):
-            traj = simulate(net, SimConfig(dt=dt, T_final=10.0))
-            finals.append(traj.positions[:, -1])
-        e1 = np.max(np.abs(finals[0] - finals[1]))
-        e2 = np.max(np.abs(finals[1] - finals[2]))
-        order = np.log2(e1 / e2)
-        assert order >= 3.5
+        runs = [simulate(net, SimConfig(dt=dt, T_final=10.0)) for dt in (0.02, 0.01, 0.005)]
+        peak = max(np.max(np.abs(traj.positions)) for traj in runs)
+        finals = [traj.positions[:, -1] for traj in runs]
+        assert np.max(np.abs(finals[0] - finals[1])) <= 1e-12 * peak
+        assert np.max(np.abs(finals[1] - finals[2])) <= 1e-12 * peak
 
     def test_divergence_reported_with_time(self):
         # repulsive front coupling: network unstable, state blows up
@@ -251,27 +230,50 @@ class TestSimulate:
             before = simulate(net, SimConfig(dt=0.01, T_final=err.value.time - 0.01))
         assert np.all(np.isfinite(before.positions))
 
-    def test_step_outside_stability_region_refused(self, gain_asym_dyn):
+    def test_divergence_of_unobserved_states_reported_at_block_start(self):
+        # A repulsive chain with a weak rear coupling: the far agents' states
+        # overflow before agent 1's position does. The first non-finite
+        # state is at a block start, and the run that ends there is finite.
+        mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
+        mr = RationalTF(mf.num.scaled(1e-3), mf.den, mf.p)
+        net = build_network(Topology.path(10), AgentDynamics(mf, mr))
+        K = block_steps(net.state_dim, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as err:
+                simulate(net, SimConfig(dt=0.01, T_final=100.0), agents=(1,))
+            assert round(err.value.time / 0.01) % K == 0
+            before = simulate(net, SimConfig(dt=0.01, T_final=err.value.time), agents=(1,))
+        assert np.all(np.isfinite(before.positions))
+
+    @pytest.mark.parametrize("edges", [False, True], ids=["on-grid", "inside-steps"])
+    def test_long_step_matches_expm_oracle(self, edges, gain_asym_dyn):
+        # dt = 5 s is far outside any explicit integrator's stability region;
+        # the series covers dt / 256, so an edge inside a step composes the
+        # squares of the bits of its offset
         net = build_network(Topology.path(3), gain_asym_dyn)
-        with pytest.raises(StepSizeUnstable, match="dt=5 "):
-            simulate(net, SimConfig(dt=5.0, T_final=100.0))
+        cfg = SimConfig(dt=5.0, T_final=100.0)
+        if edges:
+            cfg = SimConfig(dt=5.0, T_final=100.0, leader=LeaderStep(1.0, start=7.3),
+                            disturbances=(
+                                Disturbance(agent=2, signal="pulse", amplitude=-0.6,
+                                            start=12.1, duration=1.3),
+                                Disturbance(agent=3, amplitude=0.4, start=33.0)))
+        want = expm_reference(net, cfg)
+        got = simulate(net, cfg).positions
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_norm_bound_shortcut_agrees_with_eigenvalues(self, gain_asym_dyn):
-        def refused(net, dt):
-            try:
-                simulate(net, SimConfig(dt=dt, T_final=10 * dt))
-            except StepSizeUnstable:
-                return True
-            return False
-
+    def test_every_step_size_matches_expm_oracle(self, gain_asym_dyn):
+        # step sizes on both sides of dt ||A||_1 = 1, up to 5 s, with and
+        # without headway
         for d in (gain_asym_dyn, AgentDynamics(gain_asym_dyn.Mf, gain_asym_dyn.Mr, h=0.8)):
             net = build_network(Topology.path(4), d)
-            lam = np.linalg.eigvals(net.A)
             bound = np.linalg.norm(net.A, 1)
             for dt in (0.5 / bound, 1.0 / bound, 0.3, 0.5, 0.8, 1.2, 5.0):
-                x = dt * lam[lam.real <= 1e-6]
-                amp = np.abs(1 + x + x**2 / 2 + x**3 / 6 + x**4 / 24)
-                assert refused(net, dt) == bool(np.any(amp > 1 + 1e-6)), dt
+                cfg = SimConfig(dt=dt, T_final=max(10 * dt, 30.0))
+                want = expm_reference(net, cfg)
+                got = simulate(net, cfg).positions
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), dt
 
     @staticmethod
     def stagewise_case(case, dyn, one_agent):
@@ -294,8 +296,9 @@ class TestSimulate:
             # straddle the first chunk boundary. The leader steps at offset
             # 11, and the run ends 5 steps into a 16-step span, so the last
             # block is partial.
+            # nine inputs and eight falls inside a step: 17 input columns
             net = build_network(Topology.path(20), dyn)
-            K = block_steps(net.state_dim, 9, 1 if one_agent else net.num_agents)
+            K = block_steps(net.state_dim, 17, 1 if one_agent else net.num_agents)
             first = K * CHUNK_BLOCKS - 16
             cfg = SimConfig(
                 dt=dt, T_final=(16 * 120 + 5) * dt,
@@ -323,7 +326,7 @@ class TestSimulate:
                               RationalTF(mr.num, mr.den * lag, mr.p))
             net = build_network(Topology.path(3), d)
             K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents)
-            assert net.state_dim ** 2 > (net.state_dim + 3 * K) * (
+            assert net.state_dim ** 2 > (net.state_dim + K) * (
                 K * (1 if one_agent else net.num_agents))
             cfg = SimConfig(dt=dt, T_final=10.0)
         else:
@@ -343,20 +346,21 @@ class TestSimulate:
                        "high-order"]
 
     @pytest.mark.parametrize("case", STAGEWISE_CASES)
-    def test_step_map_matches_stagewise_rk4(self, case, gain_asym_dyn):
+    def test_step_map_matches_expm_oracle(self, case, gain_asym_dyn):
         net, cfg, _ = self.stagewise_case(case, gain_asym_dyn, one_agent=False)
-        want = rk4_reference(net, cfg)
+        want = expm_reference(net, cfg)
         got = simulate(net, cfg).positions
         assert np.array_equal(got[0], want[0])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", STAGEWISE_CASES)
-    def test_one_agent_path_matches_stagewise_rk4(self, case, gain_asym_dyn):
+    def test_one_agent_path_matches_expm_oracle(self, case, gain_asym_dyn):
         net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
-        K = block_steps(net.state_dim, 1 + len(cfg.disturbances), 1)
-        # the three-agent headway chain is too small for a longer block
+        # even at the most columns a step can take, three per input, every
+        # case but the three-agent headway chain runs 16-step blocks
+        K = block_steps(net.state_dim, 3 * (1 + len(cfg.disturbances)), 1)
         assert K == {"headway": 4}.get(case, 16)
-        want = rk4_reference(net, cfg)[[0, *agents]]
+        want = expm_reference(net, cfg)[[0, *agents]]
         traj = simulate(net, cfg, agents=agents)
         assert traj.agents == agents
         assert np.array_equal(traj.positions[0], want[0])
@@ -422,13 +426,15 @@ class TestSimulate:
         assert times[None] <= times[(1,)] <= 100.0
 
     def test_traced_peak_is_the_block_maps(self, gain_asym_dyn):
-        # Beyond the trajectory it returns, simulate holds P**K and one more
-        # block of memory: the square that P**K is squared from, which GL
-        # (the K stacked C P**j and L) then reuses, or GL where that is
-        # larger. The stage temporaries, the drive rows and the chunk buffers
-        # take about 0.37 MB at path-50 (nz = 297). Holding P or a second
-        # square beside them would add nz**2 doubles, 0.7 MB. Both the full
-        # run (K = 4) and the last agent alone (K = 16) are held to this.
+        # Beyond the trajectory it returns, simulate holds Phi**K and one more
+        # block of memory: the square that Phi**K is squared from, which GL
+        # (the K stacked C Phi**j and L) then reuses, or GL where that is
+        # larger. The rest stays inside the 0.5 MB slack at path-50
+        # (nz = 297): the K - 1 rows C Phi**j that the last squarings build
+        # (0.36 MB for the full run), the drive rows and the chunk buffers.
+        # Holding Phi or a second square beside them would add nz**2
+        # doubles, 0.7 MB. Both the full run (K = 4) and
+        # the last agent alone (K = 16) are held to this.
         net = build_network(Topology.path(50), gain_asym_dyn)
         nz = net.state_dim
         for agents in (None, (50,)):
@@ -441,8 +447,20 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
             beyond = peak - traj.positions.nbytes - traj.times.nbytes
-            shared = max(nz * nz, (nz + 3 * K) * K * na)
+            shared = max(nz * nz, (nz + K) * K * na)
             assert beyond <= 8 * (nz * nz + shared) + 0.5e6, agents
+
+    def test_signal_edges_sum_to_its_value(self):
+        # simulate samples value() at the grid and adds an edge's jump
+        # inside a step, so the two must describe the same signal
+        t = np.linspace(-1.0, 4.0, 5001)
+        for sig in (LeaderStep(1.5, start=0.3),
+                    Disturbance(agent=1, amplitude=-2.0, start=1.0),
+                    Disturbance(agent=1, signal="pulse", amplitude=0.7, start=0.5, duration=1.25),
+                    Disturbance(agent=1, signal="pulse", amplitude=0.7, start=0.5, duration=1e-9),
+                    Disturbance(agent=1, signal="pulse", amplitude=0.7, start=0.5, duration=-1.0)):
+            total = sum(np.where(t >= when, jump, 0.0) for when, jump in sig.edges())
+            assert np.array_equal(sig.value(t), total + np.zeros_like(t)), sig
 
     def test_pulse_disturbance_round_trip(self, sym_dyn):
         net = build_network(Topology.path(3), sym_dyn)

@@ -1,8 +1,8 @@
 """Randomized invariant checks over low-order dynamics (degree <= 4).
 
 One seeded pass of 100 random agent-dynamics draws feeds every per-dynamics
-invariant; trajectory-level invariants (convergence order, linearity) run on
-fixed cases in test_platoon.
+invariant; trajectory-level invariants (step-size independence, linearity)
+run on fixed cases in test_platoon.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from wavestring import (
     tf_eval,
     tf_normalize,
 )
-from wavestring.platoon import realization_matches
+from conftest import realization_matches
 
 
 def random_dynamics(rng: np.random.Generator) -> AgentDynamics:

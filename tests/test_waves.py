@@ -5,7 +5,6 @@ from wavestring import (
     AgentDynamics,
     Polynomial,
     RationalTF,
-    alpha_beta,
     awtf_axis_sweep,
     awtf_dc,
     awtf_eval,
@@ -32,7 +31,8 @@ def all_three(sym, asym, velasym):
 class TestAlphaBeta:
     def test_symmetric_equal(self, sym_dyn):
         s = 0.3 + 0.7j
-        a, b = alpha_beta(sym_dyn, s)
+        w = awtf_eval(sym_dyn, s)
+        a, b = w.alpha, w.beta
         m = tf_eval(sym_dyn.Mf, s)
         want = (1 + 2 * m) / m
         assert a == pytest.approx(want)
@@ -40,13 +40,14 @@ class TestAlphaBeta:
 
     def test_beta_limit_at_dc(self, gain_asym_dyn):
         # with integrators, beta -> 1 + kappa as s -> 0
-        _, b = alpha_beta(gain_asym_dyn, 1e-7)
+        b = awtf_eval(gain_asym_dyn, 1e-7).beta
         kappa = low_order_coeffs(gain_asym_dyn).kappa
         assert b == pytest.approx(1 + kappa, abs=1e-5)
 
     def test_headway_zero_matches_plain_form(self, gain_asym_dyn):
         s = 0.2 + 1.1j
-        a, b = alpha_beta(gain_asym_dyn, s)
+        w = awtf_eval(gain_asym_dyn, s)
+        a, b = w.alpha, w.beta
         mf = tf_eval(gain_asym_dyn.Mf, s)
         mr = tf_eval(gain_asym_dyn.Mr, s)
         assert a == pytest.approx((1 + mf + mr) / mf, rel=1e-14)
@@ -54,11 +55,11 @@ class TestAlphaBeta:
 
     def test_origin_is_singular(self, sym_dyn):
         with pytest.raises(SingularSample):
-            alpha_beta(sym_dyn, 0.0)
+            awtf_eval(sym_dyn, 0.0)
 
     def test_numerator_zero_is_singular(self, sym_dyn):
         with pytest.raises(SingularSample):
-            alpha_beta(sym_dyn, -1.0)  # zero of 4+4s
+            awtf_eval(sym_dyn, -1.0)  # zero of 4+4s
 
 
 class TestTg:
