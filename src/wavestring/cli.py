@@ -503,8 +503,6 @@ def _parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--grid-points", type=int, default=None)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="accepted for interface compatibility; ignored")
         if name == "sweep":
             p.add_argument("--parameter", required=True, choices=["h", "mu", "N"])
             p.add_argument("--values", default=None,

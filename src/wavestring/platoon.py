@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -41,6 +42,7 @@ from .errors import (
     DisconnectedTopology,
     ImproperTF,
     NonFiniteState,
+    NumericalError,
     SingularSolve,
 )
 from .poly import poly_roots
@@ -402,6 +404,7 @@ class Trajectory:
 
 CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
 THETA = 0.5        # largest h * ||A||_1 one Taylor series covers
+MAX_DOUBLINGS = 40  # more doublings than this lose the positions' digits
 
 
 def block_steps(nz: int, inputs: int, agents: int) -> int:
@@ -475,10 +478,15 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     src = np.concatenate([np.arange(ni), edge_inputs])
     ns = len(src)
     norm = np.linalg.norm(A, 1)
-    s = max(0, math.frexp(dt * norm / THETA)[1])
+    # An overflowed dt * norm counts as 2**1024.
+    s = max(0, math.frexp(min(dt * norm / THETA, sys.float_info.max))[1])
+    if s > MAX_DOUBLINGS:
+        raise NumericalError(
+            f"dt*||A||_1 = {dt * norm:.3g} needs s = {s} doublings of the step "
+            f"map, more than {MAX_DOUBLINGS}; use a smaller dt")
     h = math.ldexp(dt, -s)
     whole = np.minimum(tau // h, np.ldexp(1.0, s) - 1)
-    x = h * norm                     # at most THETA, unless dt * norm overflowed
+    x = h * norm                     # at most THETA
     terms = next((k for k in range(1, 30) if x**k <= 2.0**-53 * math.factorial(k + 1)), 30)
     steps = np.concatenate([np.full(ni, h), tau - whole * h])
     W = _series(A, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
@@ -534,12 +542,14 @@ def simulate(
     Phi = exp(dt A): u holds each input's sample at the step's start and,
     for each edge strictly inside the step, its jump (_block_maps). The
     result is exact for any dt, step time or pulse width, up to rounding;
-    dt sets only the output spacing. The state advances K steps at a time:
-    one matvec with Phi**K plus the block's input term. One GEMM per chunk
-    of CHUNK_BLOCKS blocks turns the states at the block starts and the
-    samples into every reported position of the chunk; the state history
-    is never stored. A last partial block is computed whole and its extra
-    steps dropped.
+    dt sets only the output spacing, up to a bound: a dt with dt ||A||_1
+    at or above 2**MAX_DOUBLINGS THETA is refused (NumericalError), as the
+    step map's doublings would round away the positions' digits. The state
+    advances K steps at a time: one matvec with Phi**K plus the block's
+    input term. One GEMM per chunk of CHUNK_BLOCKS blocks turns the states
+    at the block starts and the samples into every reported position of
+    the chunk; the state history is never stored. A last partial block is
+    computed whole and its extra steps dropped.
 
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output

@@ -30,6 +30,7 @@ from .waves import (
     awtf_axis_sweep,
     awtf_eval,
     reflection_from_sample,
+    round_trip,
     t_g_eval,
     wave_chain,
 )
@@ -350,8 +351,7 @@ def disturbance_gain(
     s = 1j * omega
     ws = awtf_eval(d, s)
     refl = reflection_from_sample(ws)
-    loop = refl.tN * refl.t1 * (ws.g_plus * ws.g_minus) ** (N - 1)
-    denom = 1.0 - loop
+    denom = round_trip(ws, refl, N)
     forward = ws.g_plus**N * (1.0 + refl.tN) / denom
     backward = ws.g_minus ** (N - 1) * (1.0 + refl.t1) / denom
     return forward, backward

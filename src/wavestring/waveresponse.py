@@ -1,34 +1,31 @@
 """Time-domain wave traces via numerical inverse Laplace transformation.
 
-The transform is inverted on a Bromwich line s = sigma + j*omega: the
-evaluator is sampled on a uniform omega grid, the spectrum is tapered with a
-raised cosine on its top fraction, and an inverse real FFT plus exp(sigma*t)
-weighting recovers the time series. Sampling the line with spacing
-2*pi/period aliases the weighted signal with period `period`; the period is
-therefore held at 8x the requested horizon so the wraparound images carry a
-factor exp(-sigma*period) ~ 1e-7 at the default sigma = 2/T_final.
+The transform is inverted on a Bromwich line s = sigma + j*omega: it is
+sampled on a uniform omega grid (bromwich_line), the spectrum is tapered
+with a raised cosine on its top fraction, and an inverse real FFT plus
+exp(sigma*t) weighting recovers the time series. Sampling the line with
+spacing 2*pi/period aliases the weighted signal with period `period`; the
+period is therefore held at 8x the requested horizon so the wraparound
+images carry a factor exp(-sigma*period) ~ 1e-7 at the default
+sigma = 2/T_final.
 
-Step inputs ride along as an extra 1/s factor in the evaluator; the k = 0
+Step inputs ride along as an extra 1/s factor in the spectrum; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
-origin pole.
-
-inverse_laplace calls its evaluator once per sample, in descending
-frequency, so an evaluator may chain branch-continuity hints. The wave
-traces take the line's couplings from waves.wave_blocks and wave_sweep,
-which run the same hint chain from the highest frequency down.
+origin pole. The wave spectra take the line's couplings from one hint chain
+through waves.wave_blocks (_line_walk), run from the highest frequency down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import WaveSample, reflection_from_sample, wave_blocks, wave_sweep
+from .waves import WaveSample, reflection_from_sample, round_trip, wave_blocks
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -74,28 +71,28 @@ def bromwich_line(cfg: InverseLaplaceConfig) -> np.ndarray:
     return cfg.abscissa + 1j * omegas
 
 
-def invert_spectrum(
+def inverse_laplace(
     spectrum: np.ndarray,
     cfg: InverseLaplaceConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Invert a spectrum, entry k at bromwich_line(cfg)[k], to (times,
-    values) on [0, cfg.T_final].
+    """Invert a spectrum, entry k at bromwich_line(cfg)[k] (ascending
+    frequency), to (times, values) on [0, cfg.T_final].
 
     Raises NonDecaying when the spectrum has not rolled off by the top of
     the band, which means the band is too narrow (or the transform has a
     direct feedthrough term with no decaying inverse).
     """
-    sigma = cfg.abscissa
-    period = cfg.period
     n = cfg.samples
     m = n // 2
+    dt = cfg.period / n
+    times = np.arange(n) * dt
+    keep = times <= cfg.T_final
+    times = times[keep]
 
     mags = np.abs(spectrum)
     peak = float(np.max(mags))
     if peak == 0.0:
-        times = np.arange(n) * (period / n)
-        keep = times <= cfg.T_final
-        return times[keep], np.zeros(int(np.count_nonzero(keep)))
+        return times, np.zeros(len(times))
     tail = mags[int((1.0 - TAIL_FRACTION) * m):]
     if float(np.mean(tail)) > TAIL_THRESHOLD * peak:
         raise NonDecaying(
@@ -109,27 +106,16 @@ def invert_spectrum(
         ramp = np.arange(m + 1 - k0)
         weights[k0:] = 0.5 * (1.0 + np.cos(np.pi * ramp / (m - k0)))
 
-    dt = period / n
     g = np.fft.irfft(spectrum * weights, n=n) / dt
-    times = np.arange(n) * dt
-    keep = times <= cfg.T_final
-    times = times[keep]
-    values = g[keep] * np.exp(sigma * times)
-    return times, values
+    return times, g[keep] * np.exp(cfg.abscissa * times)
 
 
-def inverse_laplace(
-    F: Callable[[complex], complex],
-    cfg: InverseLaplaceConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invert F to (times, values) on [0, cfg.T_final].
-
-    F must be analytic for Re(s) >= sigma. It is called once per point of
-    bromwich_line(cfg), in descending frequency, so a hint chain seeds at
-    large |s|. Raises NonDecaying as invert_spectrum does.
-    """
-    line = bromwich_line(cfg)[::-1]
-    return invert_spectrum(np.array([F(s) for s in line], dtype=complex)[::-1], cfg)
+def _line_walk(d: AgentDynamics, cfg: InverseLaplaceConfig
+               ) -> Iterator[tuple[complex, WaveSample]]:
+    """(s, awtf_eval at s) at each point of bromwich_line(cfg), from the top
+    frequency down: one hint chain, sample by sample, through wave_blocks."""
+    for block in wave_blocks(d, bromwich_line(cfg)[::-1]):
+        yield from zip(block.s, block)
 
 
 @dataclass(frozen=True)
@@ -151,23 +137,19 @@ def _wave_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
-    One hint-chained pass, in descending frequency, produces both so the two
-    inversions see identical branch choices. The spectra are formed per
-    sample from the wave_blocks, in chain order, so results and errors are
-    those of one scalar chain evaluated sample by sample.
+    One walk of the line produces both, so the two inversions see identical
+    branch choices, and results and errors are those of one scalar chain
+    evaluated sample by sample.
     """
     def both(s: complex, ws: WaveSample) -> tuple[complex, complex]:
         refl = reflection_from_sample(ws)
         gp, gm = ws.g_plus, ws.g_minus
-        loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
+        denom = round_trip(ws, refl, N)
         x0 = step_amplitude / s
-        return (gp**n * x0 / (1.0 - loop),
-                gm ** (N - n) * refl.tN * gp**N * x0 / (1.0 - loop))
+        return gp**n * x0 / denom, gm ** (N - n) * refl.tN * gp**N * x0 / denom
 
-    line = bromwich_line(cfg)[::-1]
-    ab = np.empty((len(line), 2), dtype=complex)
-    samples = (pair for block in wave_blocks(d, line) for pair in zip(block.s, block))
-    for k, (s, ws) in enumerate(samples):
+    ab = np.empty((cfg.samples // 2 + 1, 2), dtype=complex)
+    for k, (s, ws) in enumerate(_line_walk(d, cfg)):
         ab[k] = both(s, ws)
     a, b = ab[::-1].T
     return a, b
@@ -192,8 +174,8 @@ def wave_components(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     a_spectrum, b_spectrum = _wave_spectra(d, N, n, cfg, step_amplitude)
-    times, a_t = invert_spectrum(a_spectrum, cfg)
-    _, b_t = invert_spectrum(b_spectrum, cfg)
+    times, a_t = inverse_laplace(a_spectrum, cfg)
+    _, b_t = inverse_laplace(b_spectrum, cfg)
     return WaveComponents(times=times, a=a_t, b=b_t, x=a_t + b_t)
 
 
@@ -218,9 +200,8 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    line = bromwich_line(cfg)[::-1]
-    spectrum = [gp**n / s for gp, s in zip(wave_sweep(d, line).g_plus.tolist(), line)]
-    times, wave = invert_spectrum(np.array(spectrum, dtype=complex)[::-1], cfg)
+    spectrum = [ws.g_plus**n / s for s, ws in _line_walk(d, cfg)]
+    times, wave = inverse_laplace(np.array(spectrum, dtype=complex)[::-1], cfg)
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)

@@ -427,6 +427,12 @@ def reflection_from_sample(ws: WaveSample) -> ReflectionSample:
     return ReflectionSample(s=ws.s, t1=t1, tN=tN)
 
 
+def round_trip(ws: WaveSample, refl: ReflectionSample, N: int) -> complex:
+    """1 - t1*tN*(g_plus*g_minus)**(N-1): the denominator of every transfer
+    of an N-agent path, one wave's trip to both ends and back."""
+    return 1.0 - refl.t1 * refl.tN * (ws.g_plus * ws.g_minus) ** (N - 1)
+
+
 def reflection_eval(
     d: AgentDynamics,
     s: complex,

@@ -158,14 +158,35 @@ class TestAnalyze:
         assert payload["theorem2_triggered"] is False
         assert not any("asymmetric positional" in n for n in payload["notes"])
 
+    def test_config_tol_norm_reaches_the_marginal_band(self, tmp_path):
+        # g_minus peaks at 1.012188 near omega = 0.5778: marginal within
+        # tol_norm = 0.02, unstable under the default 1e-3
+        den = [0, 1, 0.5]
+        cfg = base_config(mr={"num": [2.0], "den": den})
+        cfg["dynamics"]["mf"] = {"num": [0.5, 0.25], "den": den}
+        for tol_norm, verdict in ((0.02, "marginal"), (None, "unstable")):
+            tolerances = {} if tol_norm is None else {"tol_norm": tol_norm}
+            cfg["analysis"]["tolerances"] = tolerances
+            cfg_path = write_config(tmp_path, cfg)
+            out = tmp_path / verdict
+            assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 0
+            payload = json.loads((out / "analysis.json").read_text())
+            assert payload["verdict"] == verdict
+            marginal_note = any("sits on the |G|=1 boundary" in n for n in payload["notes"])
+            assert marginal_note is (verdict == "marginal")
+
     def test_seed_and_grid_points_flags(self, tmp_path):
         cfg_path = write_config(tmp_path, base_config())
         out = str(tmp_path / "out")
         rc = main(["analyze", "--config", cfg_path, "--out", out,
-                   "--grid-points", "256", "--seed", "7"])
+                   "--grid-points", "256"])
         assert rc == 0
         payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert payload["config"]["analysis"]["points"] == 256
+        # --seed was accepted and ignored; it is gone
+        rc = main(["analyze", "--config", cfg_path, "--out", str(tmp_path / "o2"),
+                   "--seed", "7"])
+        assert rc == 1
 
 
 class TestSimulate:
@@ -260,8 +281,8 @@ class TestSimulate:
         assert not out.exists()
 
     def test_long_step_exit_0(self, tmp_path, gain_asym_dyn):
-        # the step map is exact, so no step size is refused: dt = 5 s writes
-        # the exact solution on its 5 s grid
+        # the step map is exact, so dt = 5 s writes the exact solution on
+        # its 5 s grid
         cfg = base_config()
         cfg["topology"]["n"] = 3
         cfg["sim"]["t_final"] = 100.0
@@ -274,6 +295,19 @@ class TestSimulate:
         net = build_network(Topology.path(3), gain_asym_dyn)
         want = expm_reference(net, SimConfig(dt=5.0, T_final=100.0))
         assert np.max(np.abs(rows[:, 1:].T - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_absurd_step_exit_3(self, tmp_path, capsys):
+        # dt ||A||_1 = 1.7e17 on the symmetric path-3 needs 59 doublings of
+        # the step map, which would leave x_1 at -6.9e8 where it is 1.0
+        cfg = base_config(mr=MF)
+        cfg["topology"]["n"] = 3
+        cfg["sim"]["t_final"] = 1e17
+        cfg_path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--dt", "1e16"]
+        assert main(argv) == 3
+        assert "dt*||A||_1 = 1.7e+17 needs s = 59 doublings" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWaves:

@@ -28,9 +28,10 @@ from wavestring.errors import (
     DisconnectedTopology,
     ImproperTF,
     NonFiniteState,
+    NumericalError,
     SingularSolve,
 )
-from wavestring.platoon import CHUNK_BLOCKS, block_steps
+from wavestring.platoon import CHUNK_BLOCKS, MAX_DOUBLINGS, THETA, block_steps
 from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
 
 
@@ -274,6 +275,22 @@ class TestSimulate:
                 want = expm_reference(net, cfg)
                 got = simulate(net, cfg).positions
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), dt
+
+    def test_step_size_bound(self, sym_dyn):
+        # dt ||A||_1 = 17 dt on the symmetric path-3. Up to s = 40 doublings
+        # the steady state 1.0 survives ten steps (1.6e-11 off at dt = 1e10,
+        # s = 39; 1.6e-9 just below the bound, s = 40); beyond, the
+        # doublings round it away (7e8 off at dt = 1e16, s = 59), so those
+        # steps are refused, as is an overflowing dt ||A||_1
+        net = build_network(Topology.path(3), sym_dyn)
+        bound = 2.0**MAX_DOUBLINGS * THETA / np.linalg.norm(net.A, 1)
+        for dt in (1e10, 0.99 * bound):
+            got = simulate(net, SimConfig(dt=dt, T_final=10 * dt)).positions
+            assert np.max(np.abs(got[1:, -1] - 1.0)) <= 1e-8, dt
+        for dt, s in ((1.01 * bound, 41), (1e16, 59), (1.7e307, 1024)):
+            message = rf"dt\*\|\|A\|\|_1 = .* needs s = {s} doublings"
+            with pytest.raises(NumericalError, match=message):
+                simulate(net, SimConfig(dt=dt, T_final=10 * dt))
 
     @staticmethod
     def stagewise_case(case, dyn, one_agent):

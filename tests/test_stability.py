@@ -19,6 +19,7 @@ from wavestring import (
     local_string_verdict,
     low_order_coeffs,
     nyquist_axis_test,
+    tf_normalize,
 )
 from wavestring import stability, waves
 from wavestring.errors import AssumptionViolated, WavestringError
@@ -200,6 +201,14 @@ class TestHinf:
         assert gp.value >= max(mags) - 1e-12
 
 
+def interior_peak():
+    """One-integrator agents, axis test passed, whose g_minus peaks at
+    1.012188 near omega = 0.5778, far from the DC end of the grid."""
+    den = Polynomial([0, 1, 0.5])
+    return AgentDynamics(tf_normalize(Polynomial([0.5, 0.25]), den),
+                         tf_normalize(Polynomial([2.0]), den))
+
+
 class TestVerdict:
     def test_symmetric_stable(self, sym_dyn):
         v = local_string_verdict(sym_dyn, SHORT_GRID)
@@ -219,6 +228,20 @@ class TestVerdict:
         v = local_string_verdict(vel_asym_dyn, SHORT_GRID)
         assert v.locally_string_stable in ("stable", "marginal")
         assert not v.theorem2_triggered
+
+    def test_interior_peak_within_tol_norm_is_marginal(self):
+        v = local_string_verdict(interior_peak(), SHORT_GRID, tol_norm=0.02)
+        assert v.awtf_stable and not v.theorem2_triggered
+        assert v.norm_gm.value == pytest.approx(1.012188, abs=1e-6)
+        assert v.locally_string_stable == "marginal"
+        assert v.notes == (
+            "peak 1.012188 at interior omega=0.5778 sits on the |G|=1 boundary",)
+
+    def test_interior_peak_beyond_tol_norm_is_unstable(self):
+        v = local_string_verdict(interior_peak(), SHORT_GRID, tol_norm=1e-3)
+        assert v.awtf_stable and not v.theorem2_triggered
+        assert v.locally_string_stable == "unstable"
+        assert v.notes == ()
 
     def test_tolerances_reach_the_checks(self, sym_dyn, gain_asym_dyn):
         # Mf's zero at s = -1 counts as closed-RHP under a 1.5 margin

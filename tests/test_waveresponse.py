@@ -14,7 +14,7 @@ from wavestring import (
     wave_components,
 )
 from wavestring.errors import NonDecaying
-from wavestring.waveresponse import _wave_spectra, bromwich_line, invert_spectrum
+from wavestring.waveresponse import _wave_spectra, bromwich_line
 
 
 class TestConfig:
@@ -34,33 +34,47 @@ class TestConfig:
             InverseLaplaceConfig(T_final=1.0, window=1.0)
 
 
+def on_line(F, cfg):
+    """F sampled on bromwich_line(cfg), the spectrum inverse_laplace takes."""
+    return F(bromwich_line(cfg))
+
+
 class TestKnownPairs:
     def test_unit_step(self):
         cfg = InverseLaplaceConfig(T_final=10.0)
-        t, f = inverse_laplace(lambda s: 1.0 / s, cfg)
+        t, f = inverse_laplace(on_line(lambda s: 1.0 / s, cfg), cfg)
         plateau = (t >= 1.0) & (t <= 9.0)
         assert np.max(np.abs(f[plateau] - 1.0)) <= 1e-3
         assert t[0] == 0.0 and t[-1] <= 10.0
 
     def test_decaying_exponential(self):
         cfg = InverseLaplaceConfig(T_final=10.0)
-        t, f = inverse_laplace(lambda s: 1.0 / (s + 1.0), cfg)
+        t, f = inverse_laplace(on_line(lambda s: 1.0 / (s + 1.0), cfg), cfg)
         plateau = (t >= 1.0) & (t <= 9.0)
         assert np.max(np.abs(f[plateau] - np.exp(-t[plateau]))) <= 1e-3
 
     def test_non_decaying_guard(self):
         cfg = InverseLaplaceConfig(T_final=10.0)
         with pytest.raises(NonDecaying):
-            inverse_laplace(lambda s: s / (s + 1.0), cfg)
+            inverse_laplace(on_line(lambda s: s / (s + 1.0), cfg), cfg)
 
     def test_grid_doubling_stability(self):
         base = InverseLaplaceConfig(T_final=10.0, samples=4096)
         fine = InverseLaplaceConfig(T_final=10.0, samples=8192)
-        t1, f1 = inverse_laplace(lambda s: 1.0 / (s + 1.0) / s, base)
-        t2, f2 = inverse_laplace(lambda s: 1.0 / (s + 1.0) / s, fine)
+        t1, f1 = inverse_laplace(on_line(lambda s: 1.0 / (s + 1.0) / s, base), base)
+        t2, f2 = inverse_laplace(on_line(lambda s: 1.0 / (s + 1.0) / s, fine), fine)
         on_coarse = np.interp(t1, t2, f2)
         rms = np.sqrt(np.mean((f1 - on_coarse) ** 2))
         assert rms <= 1e-4
+
+    def test_zero_spectrum_inverts_to_zeros(self):
+        # same time grid as a nonzero spectrum, and no NonDecaying from a
+        # tail that is as large as the (zero) peak
+        cfg = InverseLaplaceConfig(T_final=10.0, samples=1024)
+        t, f = inverse_laplace(np.zeros(len(bromwich_line(cfg)), dtype=complex), cfg)
+        t_ref, _ = inverse_laplace(on_line(lambda s: 1.0 / (s + 1.0) ** 2, cfg), cfg)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(f, np.zeros(len(t_ref)))
 
 
 class TestWaveComponents:
@@ -96,7 +110,7 @@ class TestWaveComponents:
         cfg = InverseLaplaceConfig(T_final=30.0)
         N = n = 12
         a_spectrum, b_spectrum = _wave_spectra(vel_asym_dyn, N, n, cfg, 1.0)
-        _, x_closed = invert_spectrum(a_spectrum + b_spectrum, cfg)
+        _, x_closed = inverse_laplace(a_spectrum + b_spectrum, cfg)
         wc = wave_components(vel_asym_dyn, N=N, n=n, cfg=cfg)
         assert np.max(np.abs(wc.x - x_closed)) <= 1e-6
 
@@ -104,6 +118,14 @@ class TestWaveComponents:
         with pytest.raises(ValueError):
             wave_components(sym_dyn, N=10, n=11,
                             cfg=InverseLaplaceConfig(T_final=5.0))
+
+    def test_zero_step_is_silent(self, sym_dyn):
+        cfg = InverseLaplaceConfig(T_final=10.0, samples=1024)
+        wc = wave_components(sym_dyn, N=10, n=4, cfg=cfg, step_amplitude=0.0)
+        t_ref, _ = inverse_laplace(on_line(lambda s: 1.0 / (s + 1.0) ** 2, cfg), cfg)
+        assert np.array_equal(wc.times, t_ref)
+        for trace in (wc.a, wc.b, wc.x):
+            assert np.array_equal(trace, np.zeros(len(t_ref)))
 
     def test_rear_end_backward_wave_is_reflected_forward_wave(self, sym_dyn):
         # at the last agent the backward spectrum is exactly tN times the
