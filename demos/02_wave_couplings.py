@@ -22,7 +22,7 @@ from wavestring import (
     awtf_axis_sweep,
     awtf_dc,
     awtf_eval,
-    reflection_eval,
+    reflection_from_sample,
     tf_normalize,
 )
 
@@ -62,7 +62,7 @@ for name in pairs:
 print()
 print("boundary reflections at s = 0.2j (leader t1, rear end tN):")
 for name, d in pairs.items():
-    refl = reflection_eval(d, 0.2j)
+    refl = reflection_from_sample(awtf_eval(d, 0.2j))
     print(f"  {name:<20} t1 = {refl.t1:.4f}   tN = {refl.tN:.4f}")
 
 os.makedirs(OUT_DIR, exist_ok=True)

@@ -27,7 +27,6 @@ from .waves import (
     awtf_dc,
     awtf_eval,
     quadratic_residuals,
-    reflection_eval,
     reflection_from_sample,
     t_g_eval,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "positional_symmetry",
     "quadratic_residuals",
     "realize",
-    "reflection_eval",
     "reflection_from_sample",
     "simulate",
     "t_g_eval",

@@ -67,8 +67,9 @@ MAX_AGENTS = 1000
 _INF = float("inf")
 
 # Every numeric config field: section -> key -> default, or (default, low,
-# high) for a field with a closed range. A number default marks a required
-# finite number, a None default a nullable one (sim.dt: None resolves to
+# high) for a field with a closed range. A float default marks a required
+# finite number, an int default a required JSON integer (a count or an agent
+# index), a None default a nullable number (sim.dt: None resolves to
 # default_dt of the dynamics, and stays None when their poles cannot be
 # formed, which check_assumption1 reports as a violation).
 _TABLE = {
@@ -119,6 +120,8 @@ def _fill(section: dict, where: str, fields: dict):
         if val is None and default is None:
             continue
         _require(_finite(val), f"{where}.{key} must be a finite number")
+        if _integer(default):
+            _require(_integer(val), f"{where}.{key} must be an integer")
         _require(low <= val <= high, f"{where}.{key} must lie in [{low:g}, {high:g}]")
 
 
@@ -195,8 +198,8 @@ def resolve_config(raw: dict) -> dict:
     dists = sim.setdefault("disturbances", [])
     _require(isinstance(dists, list), "sim.disturbances must be a list")
     for dist in dists:
-        _require(isinstance(dist, dict) and _finite(dist.get("agent")),
-                 "each disturbance needs a numeric agent index")
+        _require(isinstance(dist, dict) and _finite(dist.get("agent"))
+                 and _integer(dist["agent"]), "disturbance.agent must be an integer")
         dist.setdefault("signal", "step")
         _require(dist["signal"] in ("step", "pulse"),
                  "disturbance signal must be step|pulse")
@@ -244,7 +247,7 @@ def build_topology(cfg: dict) -> Topology:
 def build_grid(cfg: dict) -> FrequencyGrid:
     ana = cfg["analysis"]
     return _build("analysis grid", FrequencyGrid, omega_min=float(ana["omega_min"]),
-                  omega_max=float(ana["omega_max"]), points=int(ana["points"]))
+                  omega_max=float(ana["omega_max"]), points=ana["points"])
 
 
 def _sim_config(dt: Optional[float], t_final: float, **inputs) -> SimConfig:
@@ -259,7 +262,7 @@ def _sim_config(dt: Optional[float], t_final: float, **inputs) -> SimConfig:
 def build_sim_config(cfg: dict, num_agents: int) -> SimConfig:
     sim = cfg["sim"]
     dists = tuple(
-        Disturbance(agent=int(d["agent"]), signal=d["signal"],
+        Disturbance(agent=d["agent"], signal=d["signal"],
                     amplitude=float(d["amplitude"]), start=float(d["start"]),
                     duration=float(d["duration"]))
         for d in sim["disturbances"]
@@ -277,7 +280,7 @@ def build_sim_config(cfg: dict, num_agents: int) -> SimConfig:
 def build_waves_config(cfg: dict) -> InverseLaplaceConfig:
     wav = cfg["waves"]
     return _build("waves config", InverseLaplaceConfig, T_final=float(wav["t_final"]),
-                  samples=int(wav["samples"]),
+                  samples=wav["samples"],
                   sigma=None if wav["sigma"] is None else float(wav["sigma"]),
                   window=float(wav["window"]))
 
@@ -306,25 +309,15 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]):
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def load_config(path: str, overrides: Optional[dict] = None) -> dict:
-    """Read, override and resolve a config file.
-
-    overrides maps a section name to the keys set in it before resolution
-    (the --grid-points and --dt flags).
-    """
+def load_config(path: str) -> dict:
+    """Read and resolve a config file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if overrides:
-        _require(isinstance(raw, dict), "config must be a JSON object")
-        for section, values in overrides.items():
-            target = raw.setdefault(section, {})
-            _require(isinstance(target, dict), f"{section} must be an object")
-            target.update(values)
     return resolve_config(raw)
 
 
@@ -394,7 +387,7 @@ def cmd_waves(cfg: dict, out_dir: str) -> int:
     _require(cfg["topology"]["kind"] == "path", "waves command needs a path topology")
     d = build_dynamics(cfg)
     topo = build_topology(cfg)
-    n, N = int(cfg["waves"]["agent"]), topo.spine_n
+    n, N = cfg["waves"]["agent"], topo.spine_n
     _require(1 <= n <= N, f"waves.agent must be in 1..{N}")
     il_cfg = build_waves_config(cfg)
     amp = float(cfg["sim"]["step_amplitude"])
@@ -451,6 +444,8 @@ def cmd_sweep(cfg: dict, out_dir: str, parameter: str, values: list[float]) -> i
     _require(parameter in ("h", "mu", "N"), "sweep parameter must be h, mu or N")
     _require(len(values) >= 1, "sweep needs at least one value")
     _require(all(_finite(v) for v in values), "sweep values must be finite")
+    for v in values if parameter == "N" else ():
+        _require(float(v).is_integer(), f"N = {float(v)!r} is not a whole number")
 
     d0 = build_dynamics(cfg)
     rows = [_sweep_row(cfg, d0, parameter, v) for v in values]
@@ -501,8 +496,6 @@ def _parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--grid-points", type=int, default=None)
-        p.add_argument("--dt", type=float, default=None)
         if name == "sweep":
             p.add_argument("--parameter", required=True, choices=["h", "mu", "N"])
             p.add_argument("--values", default=None,
@@ -518,13 +511,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     # a LinAlgError on non-finite input, they are numerical failures.
     try:
         args = _parser().parse_args(argv)
-        overrides = {}
-        if args.grid_points is not None:
-            overrides["analysis"] = {"points": args.grid_points}
-        if args.dt is not None:
-            overrides["sim"] = {"dt": args.dt}
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            cfg = load_config(args.config, overrides)
+            cfg = load_config(args.config)
             if args.command == "analyze":
                 return cmd_analyze(cfg, args.out)
             if args.command == "simulate":

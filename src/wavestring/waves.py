@@ -433,15 +433,6 @@ def round_trip(ws: WaveSample, refl: ReflectionSample, N: int) -> complex:
     return 1.0 - refl.t1 * refl.tN * (ws.g_plus * ws.g_minus) ** (N - 1)
 
 
-def reflection_eval(
-    d: AgentDynamics,
-    s: complex,
-    hint: Optional[WaveSample] = None,
-) -> ReflectionSample:
-    """Boundary reflections at s; see reflection_from_sample."""
-    return reflection_from_sample(awtf_eval(d, s, hint))
-
-
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:
     """|g**2 - coeff*g + ratio| for both couplings, for verification."""
     mf, mr, _, _ = _eval_terms(d, ws.s)

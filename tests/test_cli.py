@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 import wavestring
 from wavestring import SimConfig, Topology, build_network
+from wavestring import cli
 from wavestring.cli import main, resolve_config
 from wavestring.errors import ConfigError
 from conftest import expm_reference
@@ -176,10 +178,11 @@ class TestAnalyze:
             assert marginal_note is (verdict == "marginal")
 
     def test_seed_and_grid_points_flags(self, tmp_path):
-        cfg_path = write_config(tmp_path, base_config())
+        cfg = base_config()
+        cfg["analysis"]["points"] = 256
+        cfg_path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
-        rc = main(["analyze", "--config", cfg_path, "--out", out,
-                   "--grid-points", "256"])
+        rc = main(["analyze", "--config", cfg_path, "--out", out])
         assert rc == 0
         payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
         assert payload["config"]["analysis"]["points"] == 256
@@ -285,10 +288,10 @@ class TestSimulate:
         # its 5 s grid
         cfg = base_config()
         cfg["topology"]["n"] = 3
-        cfg["sim"]["t_final"] = 100.0
+        cfg["sim"].update(t_final=100.0, dt=5.0)
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--dt", "5"]
+        argv = ["simulate", "--config", cfg_path, "--out", str(out)]
         assert main(argv) == 0
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert np.array_equal(rows[:, 0], np.arange(21) * 5.0)
@@ -301,10 +304,10 @@ class TestSimulate:
         # the step map, which would leave x_1 at -6.9e8 where it is 1.0
         cfg = base_config(mr=MF)
         cfg["topology"]["n"] = 3
-        cfg["sim"]["t_final"] = 1e17
+        cfg["sim"].update(t_final=1e17, dt=1e16)
         cfg_path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        argv = ["simulate", "--config", cfg_path, "--out", str(out), "--dt", "1e16"]
+        argv = ["simulate", "--config", cfg_path, "--out", str(out)]
         assert main(argv) == 3
         assert "dt*||A||_1 = 1.7e+17 needs s = 59 doublings" in capsys.readouterr().err
         assert not out.exists()
@@ -422,6 +425,20 @@ class TestSweep:
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--parameter", "h"]) == 1
 
+    @pytest.mark.parametrize("values, named", [
+        (["--values", "5.9,7.2"], "N = 5.9"),
+        (["--values", "5,7.2"], "N = 7.2"),
+        (["--range", "10:50:4"], "N = 23.333333333333336"),
+    ], ids=["values", "second-value", "range"])
+    def test_fractional_chain_length_exit_1(self, tmp_path, capsys, values, named):
+        # int() would simulate N = 5 and 7 on rows labelled 5.9 and 7.2
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--parameter", "N"] + values) == 1
+        assert f"{named} is not a whole number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 MALFORMED = {
     "points-not-number": ("analysis", "points", "x"),
@@ -437,6 +454,18 @@ MALFORMED = {
     "nan-coefficient": (
         "dynamics", "mf", {"num": [float("nan"), 1.0], "den": [0, 0, 1, 1 / 3]}),
     "infinite-headway": ("dynamics", "h", float("inf")),
+}
+
+
+# A count or an agent index that is not a JSON integer: (section, key, value)
+# and the field the error names.
+NON_INTEGER = {
+    "points-300.7": (("analysis", "points", 300.7), "analysis.points"),
+    "points-2000.0": (("analysis", "points", 2000.0), "analysis.points"),
+    "samples-2048.9": (("waves", "samples", 2048.9), "waves.samples"),
+    "waves-agent-4.7": (("waves", "agent", 4.7), "waves.agent"),
+    "disturbance-agent-2.9": (("sim", "disturbances", [{"agent": 2.9}]),
+                              "disturbance.agent"),
 }
 
 
@@ -457,6 +486,19 @@ class TestMalformedConfig:
             out = tmp_path / command
             assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
             assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("change, field", NON_INTEGER.values(), ids=list(NON_INTEGER))
+    def test_non_integer_count_exit_1(self, tmp_path, capsys, change, field):
+        # int() would run 300 points, agent 4, ... under a config saying 300.7, 4.7
+        section, key, value = change
+        cfg = all_commands_config()
+        cfg[section][key] = value
+        cfg_path = write_config(tmp_path, cfg)
+        for command in ("analyze", "simulate", "waves"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+            assert f"config error: {field} must be an integer" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "simulate", "waves"])
@@ -481,13 +523,12 @@ class TestUsageErrors:
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path),
                      "--parameter", "bogus", "--values", "1"]) == 1
 
-    @pytest.mark.parametrize("text, flags", [
-        ("{not json", ["--grid-points", "64"]),
-        ("[1, 2]", ["--dt", "0.01"]),
-        (json.dumps(base_config(sim="x")), ["--dt", "0.01"]),
-    ], ids=["not-json", "json-list", "sim-not-object"])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", json.dumps(base_config(sim="x")),
+        '{"analysis": {"points": 1' + "0" * 5000 + "}}",
+    ], ids=["not-json", "json-list", "sim-not-object", "int-of-5001-digits"])
     def test_override_flags_on_malformed_config_exit_1(
-        self, tmp_path, monkeypatch, capsys, text, flags
+        self, tmp_path, monkeypatch, capsys, text
     ):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -495,10 +536,19 @@ class TestUsageErrors:
         scratch.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         out = tmp_path / "out"
-        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]
-                    + flags) == 1
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
         assert list(scratch.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--dt", "0.01"], ["--grid-points", "64"]],
+                             ids=["dt", "grid-points"])
+    def test_removed_override_flags_exit_1(self, tmp_path, capsys, flags):
+        # sim.dt and analysis.points are set in the config, the one input
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)] + flags) == 1
+        assert "config error: unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -556,13 +606,15 @@ class TestUnformablePoles:
     def config(self, tmp_path, dt):
         cfg = all_commands_config(dynamics=copy.deepcopy(UNFORMABLE_POLES))
         del cfg["sim"]["dt"]
-        return write_config(tmp_path, cfg), [] if dt is None else ["--dt", str(dt)]
+        if dt is not None:
+            cfg["sim"]["dt"] = dt
+        return write_config(tmp_path, cfg)
 
     @pytest.mark.parametrize("dt", [None, 0.001])
     def test_analyze_reports_the_violation(self, tmp_path, dt):
-        cfg_path, flags = self.config(tmp_path, dt)
+        cfg_path = self.config(tmp_path, dt)
         out = tmp_path / "out"
-        assert main(["analyze", "--config", cfg_path, "--out", str(out)] + flags) == 2
+        assert main(["analyze", "--config", cfg_path, "--out", str(out)]) == 2
         payload = json.loads((out / "analysis.json").read_text())
         assert payload["assumption"]["passed"] is False
         assert payload["assumption"]["no_crhp_roots"] is False
@@ -578,9 +630,9 @@ class TestUnformablePoles:
         ["sweep", "--parameter", "N", "--values", "5"],
     ], ids=["simulate", "waves", "sweep-mu", "sweep-N"])
     def test_other_commands_exit_2(self, tmp_path, capsys, command, dt):
-        cfg_path, flags = self.config(tmp_path, dt)
+        cfg_path = self.config(tmp_path, dt)
         out = tmp_path / "out"
-        assert main(command + ["--config", cfg_path, "--out", str(out)] + flags) == 2
+        assert main(command + ["--config", cfg_path, "--out", str(out)]) == 2
         assert "assumption violated" in capsys.readouterr().err
         assert not out.exists()
 
@@ -609,6 +661,17 @@ class TestParser:
             gc.set_debug(0)
             gc.garbage.clear()
         assert parsers == []
+
+    def test_readme_names_the_parser_flags(self):
+        # a flag the parser dropped cannot stay advertised, nor a new one go unlisted
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            section = fh.read().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        subparsers = next(a for a in cli._parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {opt for p in subparsers.choices.values() for a in p._actions
+                   for opt in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", section)) == options
 
 
 class TestOverflowingGrid:

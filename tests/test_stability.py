@@ -10,6 +10,7 @@ from wavestring import (
     RationalTF,
     Topology,
     awtf_axis_sweep,
+    awtf_eval,
     awtf_norm_estimates,
     build_network,
     disturbance_gain,
@@ -77,39 +78,81 @@ class TestNyquist:
 P = np.polynomial.polynomial
 
 
+def g_plus_quadratic(d):
+    """a, b, c of g_plus's quadratic a g**2 - b g + c = 0 over common
+    denominators, and s**p Df Dr: ascending coefficients in s, with
+        a = Nr Df,  b = s**p Df Dr + (1 + h s)(Nf Dr + Nr Df),  c = Nf Dr.
+    g_minus's quadratic has the reversed coefficients, so its roots are the
+    reciprocals."""
+    nf, df, nr, dr = (np.array(q.coeffs) for q in (d.Mf.num, d.Mf.den, d.Mr.num, d.Mr.den))
+    base = P.polymul(np.eye(d.p + 1)[d.p], P.polymul(df, dr))
+    b = P.polyadd(base, P.polymul([1.0, d.h],
+                                  P.polyadd(P.polymul(nf, dr), P.polymul(nr, df))))
+    return P.polymul(nr, df), b, P.polymul(nf, dr), base
+
+
+def on_axis(c, scale):
+    """Complex coefficients of c(j scale x) in x."""
+    k = np.arange(len(c))
+    return c * scale ** k * np.array([1, 1j, -1, -1j])[k % 4]
+
+
+def axis_roots(coeffs, scale, grid):
+    """The positive real roots x of a real polynomial, as omega = scale x,
+    inside the grid's range."""
+    x = P.polyroots(coeffs)
+    w = scale * x.real[(x.real > 0) & (np.abs(x.imag) <= 1e-8 * np.abs(x))]
+    return sorted(float(v) for v in w[(w >= grid.omega_min) & (w <= grid.omega_max)])
+
+
 def exact_axis_crossings(d, grid=FrequencyGrid()):
     """The crossings of t_g(j omega) with the non-positive real axis, exactly.
 
-    Clearing denominators gives t_g = Tn/Td with
-        Tn = (s**p Df Dr + (1 + h s)(Nf Dr + Nr Df))**2 - 4 Nf Nr Df Dr,
-        Td = (s**p Df Dr)**2,
-    so t_g(j omega) is real at the real roots of Im[Tn(j omega) conj(Td(j omega))],
-    a real polynomial in omega. Its positive roots inside the grid's range,
-    found in omega / sqrt(omega_min omega_max), count where Re t_g <= TOL_AXIS.
+    Clearing denominators gives t_g = Tn/Td with Tn = b**2 - 4 a c and
+    Td = (s**p Df Dr)**2 (see g_plus_quadratic), so t_g(j omega) is real at
+    the real roots of Im[Tn(j omega) conj(Td(j omega))], a real polynomial
+    in omega. Its positive roots inside the grid's range, found in
+    omega / sqrt(omega_min omega_max), count where Re t_g <= TOL_AXIS.
     None when that polynomial vanishes identically (t_g real on the whole axis).
     """
-    nf, df, nr, dr = (np.array(q.coeffs) for q in (d.Mf.num, d.Mf.den, d.Mr.num, d.Mr.den))
-    base = P.polymul(np.eye(d.p + 1)[d.p], P.polymul(df, dr))
-    shared = P.polyadd(base, P.polymul([1.0, d.h],
-                                       P.polyadd(P.polymul(nf, dr), P.polymul(nr, df))))
-    tn = P.polysub(P.polymul(shared, shared),
-                   4.0 * P.polymul(P.polymul(nf, nr), P.polymul(df, dr)))
+    a, b, c, base = g_plus_quadratic(d)
+    tn = P.polysub(P.polymul(b, b), 4.0 * P.polymul(a, c))
     scale = math.sqrt(grid.omega_min * grid.omega_max)
-
-    def on_axis(c):
-        """Real and imaginary coefficients of c(j scale x) in x."""
-        k = np.arange(len(c))
-        c = c * scale ** k * np.array([1, 1j, -1, -1j])[k % 4]
-        return c.real, c.imag
-
-    (tn_re, tn_im), (td_re, td_im) = on_axis(tn), on_axis(P.polymul(base, base))
-    im = P.polysub(P.polymul(tn_im, td_re), P.polymul(tn_re, td_im))
+    tn, td = on_axis(tn, scale), on_axis(P.polymul(base, base), scale)
+    im = P.polysub(P.polymul(tn.imag, td.real), P.polymul(tn.real, td.imag))
     if not np.any(im):
         return None
-    x = P.polyroots(im)
-    w = scale * x.real[(x.real > 0) & (np.abs(x.imag) <= 1e-8 * np.abs(x))]
-    w = w[(w >= grid.omega_min) & (w <= grid.omega_max)]
-    return sorted(float(v) for v in w if t_g_eval(d, 1j * v).real <= stability.TOL_AXIS)
+    return [w for w in axis_roots(im, scale, grid)
+            if t_g_eval(d, 1j * w).real <= stability.TOL_AXIS]
+
+
+def exact_norms_exceed_one(d, grid=FrequencyGrid()):
+    """Whether |g_plus| and |g_minus| exceed 1 in the grid's range, exactly.
+
+    A root of a g**2 - b g + c lies on the unit circle exactly where
+        Res = (|a|**2 - |c|**2)**2 - |b conj(c) - a conj(b)|**2
+    vanishes, every term at s = j omega: a real polynomial in omega, as
+    conj(a(j omega)) = a(-j omega). Between its positive roots (found in
+    omega / sqrt(omega_min omega_max)) |g_plus| - 1 and |g_minus| - 1 keep
+    their signs, so one awtf_eval at each interval's geometric midpoint
+    decides. None when Res vanishes identically.
+    """
+    scale = math.sqrt(grid.omega_min * grid.omega_max)
+    a, b, c = (on_axis(q, scale) for q in g_plus_quadratic(d)[:3])
+
+    def times_conj(p, q):
+        """p(x) conj(q(x)) for real x."""
+        return P.polymul(p, np.conj(q))
+
+    gap = P.polysub(times_conj(a, a), times_conj(c, c))
+    cross = P.polysub(times_conj(b, c), times_conj(a, b))
+    res = P.polysub(P.polymul(gap, gap), times_conj(cross, cross)).real
+    if not np.any(res):
+        return None
+    edges = [grid.omega_min, *axis_roots(res, scale, grid), grid.omega_max]
+    samples = [awtf_eval(d, 1j * math.sqrt(lo * hi)) for lo, hi in zip(edges, edges[1:])]
+    return (any(abs(ws.g_plus) > 1 for ws in samples),
+            any(abs(ws.g_minus) > 1 for ws in samples))
 
 
 class TestExactAxisCrossings:
@@ -137,6 +180,31 @@ class TestExactAxisCrossings:
     def test_real_curve_has_no_oracle(self):
         # M = 1/s^2: t_g = 1 - 4/w^2 is real on the whole axis
         assert exact_axis_crossings(undamped()) is None
+
+
+class TestExactNorms:
+    """The grid's norm estimates against the unit-modulus polynomial oracle,
+    on whether each of |g_plus| and |g_minus| exceeds 1."""
+
+    @staticmethod
+    def assert_grid_agrees(d):
+        exact = exact_norms_exceed_one(d)
+        assert exact is not None
+        verdict = local_string_verdict(d)
+        assert exact == (verdict.norm_gp.value > 1, verdict.norm_gm.value > 1)
+
+    @pytest.mark.parametrize("name,h", CANONICAL)
+    def test_canonical_dynamics(self, name, h):
+        self.assert_grid_agrees(canonical(name, h))
+
+    @pytest.mark.parametrize("d", bench_pairs(), ids=[f"pair-{k:02d}" for k in range(12)])
+    def test_bench_pi_pairs(self, d):
+        self.assert_grid_agrees(d)
+
+    def test_real_coupling_has_no_oracle(self):
+        # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both
+        # |a|**2 - |c|**2 and b conj(c) - a conj(b) vanish
+        assert exact_norms_exceed_one(undamped()) is None
 
 
 class TestSharedAxisSweep:

@@ -10,7 +10,7 @@ from wavestring import (
     awtf_eval,
     low_order_coeffs,
     quadratic_residuals,
-    reflection_eval,
+    reflection_from_sample,
     t_g_eval,
     tf_eval,
 )
@@ -198,17 +198,17 @@ class TestReflections:
     def test_symmetric_shortcut(self, sym_dyn):
         s = 0.5j
         ws = awtf_eval(sym_dyn, s)
-        refl = reflection_eval(sym_dyn, s)
+        refl = reflection_from_sample(awtf_eval(sym_dyn, s))
         assert refl.t1 == pytest.approx(-ws.g_plus**2, rel=1e-10)
         assert refl.tN == pytest.approx(ws.g_plus, rel=1e-10)
 
     def test_identities(self, gain_asym_dyn):
         s = 0.1j
         ws = awtf_eval(gain_asym_dyn, s)
-        refl = reflection_eval(gain_asym_dyn, s, hint=ws)
+        refl = reflection_from_sample(awtf_eval(gain_asym_dyn, s, hint=ws))
         assert abs(refl.t1 + ws.g_plus * ws.g_minus) <= 1e-9
         assert abs(refl.tN * (ws.g_minus - 1) - ws.g_minus * (ws.g_plus - 1)) <= 1e-9
 
     def test_singular_near_dc(self, sym_dyn):
         with pytest.raises(ReflectionSingular):
-            reflection_eval(sym_dyn, 1e-9j)
+            reflection_from_sample(awtf_eval(sym_dyn, 1e-9j))
