@@ -1,7 +1,7 @@
 """CPython's complex arithmetic on numpy arrays, bit for bit.
 
 The scalar evaluators (waves.awtf_eval and the per-sample spectra) compute
-in Python complex numbers; the array core repeats that arithmetic here on
+in Python complex numbers; the array cores repeat that arithmetic here on
 real and imaginary parts held as float arrays, so that every entry carries
 the scalar result's bits, signed zeros included:
 
@@ -17,8 +17,13 @@ and complex operands as C99 Annex G does (a float is no longer promoted to
 x + 0j), which changes the signs of zeros in the scalar results; the
 package requires Python < 3.14 until this module follows both rule sets.
 
-Operations that the scalar code does on numpy scalars (np.sqrt and what
-follows it) are the same numpy operations on arrays and need no help, and
+Where the scalar code computes on numpy scalars (np.sqrt of t_g and what
+follows it, a quotient by the numpy scalar s), the rules split. A product
+with a numpy scalar is (ac - bd, ad + bc), so cmul again: numpy's array
+product may fuse or vectorise and differs (in 4,432 of 10,000 random
+products). A quotient, a sum and np.sqrt are the same numpy operation on
+arrays as on scalars, so the array core uses numpy's own there; its
+division is not CPython's Smith branch, so cdiv must not stand in for it.
 abs() of either kind of complex is np.hypot of its parts. Build complex
 arrays with join: re + 1j*im turns an imaginary part of -0.0 into +0.0,
 which flips np.sqrt's branch on the negative real axis.

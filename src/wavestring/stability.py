@@ -11,14 +11,16 @@ A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
 WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
 estimates (|g_plus| and |g_minus| as np.hypot of the arrays). Sign changes
 and grid peaks are found on the arrays; only the bisection and golden-section
-probes between grid points evaluate anew, through the scalar awtf_eval.
+probes between grid points evaluate anew, through the scalar awtf_eval. When
+g_plus and g_minus peak at the same grid index, as they mostly do, their
+16-point refinement grid is evaluated once for both.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .errors import AssumptionViolated
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
+    WaveSample,
     WaveSweep,
     awtf_axis_sweep,
     awtf_eval,
@@ -179,17 +182,21 @@ def _grid_peak(omegas: np.ndarray, mags: np.ndarray
 def hinf_estimate(
     evaluator: Callable[[float], complex],
     grid: FrequencyGrid = FrequencyGrid(),
+    grid_values: Optional[Sequence[complex]] = None,
 ) -> NormEstimate:
     """Peak of |evaluator(omega)| over the grid, golden-section refined.
 
     The evaluator receives the frequency in rad/s and returns the complex
-    response on the imaginary axis. The returned value never drops below any
+    response on the imaginary axis; grid_values, when given, are its values
+    at grid.omegas() already. The returned value never drops below any
     grid sample. Assumes the evaluator is analytic in the open right half
     plane so the boundary supremum equals the H-infinity norm; callers check
     that upstream (nyquist_axis_test for the wave couplings).
     """
     omegas = grid.omegas()
-    mags = np.array([abs(evaluator(w)) for w in omegas])
+    if grid_values is None:
+        grid_values = [evaluator(w) for w in omegas]
+    mags = np.array([abs(z) for z in grid_values])
     _, peak, bracket = _grid_peak(omegas, mags)
     if bracket is None:
         return peak
@@ -220,9 +227,16 @@ def hinf_estimate(
 def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
                         ) -> tuple[NormEstimate, NormEstimate]:
     """H-infinity estimates of (g_plus, g_minus) from an ascending
-    awtf_axis_sweep, each peak refined on a hint chain seeded next to it."""
+    awtf_axis_sweep, each peak refined around its grid argmax k.
+
+    The 16-point refinement grid is evaluated on a hint chain seeded at
+    sweep[k + 1]; when g_plus and g_minus peak at the same k they share
+    that one evaluation. Each golden-section search then continues the
+    chain from the grid's last sample.
+    """
     omegas = sweep.s.imag
 
+    grids: dict[int, list[WaveSample]] = {}
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
         g = getattr(sweep, attr)
@@ -230,9 +244,13 @@ def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
         if bracket is None:
             results.append(peak)
             continue
-        chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
-        refined = hinf_estimate(lambda w: getattr(chain(1j * w), attr),
-                                FrequencyGrid(*bracket, 16))
+        grid = FrequencyGrid(*bracket, 16)
+        if k not in grids:
+            chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
+            grids[k] = [chain(1j * w) for w in grid.omegas()]
+        chain = wave_chain(d, seed=grids[k][-1])
+        refined = hinf_estimate(lambda w: getattr(chain(1j * w), attr), grid,
+                                [getattr(ws, attr) for ws in grids[k]])
         best = refined if refined.value >= peak.value else peak
         results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
     return results[0], results[1]

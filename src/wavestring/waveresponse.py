@@ -12,20 +12,25 @@ sigma = 2/T_final.
 Step inputs ride along as an extra 1/s factor in the spectrum; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
 origin pole. The wave spectra take the line's couplings from one hint chain
-through waves.wave_blocks (_line_walk), run from the highest frequency down.
+through waves.wave_blocks, run from the highest frequency down, and are
+formed per block on arrays in the per-sample form's own arithmetic
+(_line_spectra); the entries the arrays cannot vouch for are evaluated per
+sample, so spectra and errors are the per-sample form's, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonDecaying
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
+from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
 from .tf import AgentDynamics
-from .waves import WaveSample, reflection_from_sample, round_trip, wave_blocks
+from .waves import (TOL_SING, WaveSample, WaveSweep, reflection_from_sample,
+                    round_trip, wave_blocks)
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -110,14 +115,6 @@ def inverse_laplace(
     return times, g[keep] * np.exp(cfg.abscissa * times)
 
 
-def _line_walk(d: AgentDynamics, cfg: InverseLaplaceConfig
-               ) -> Iterator[tuple[complex, WaveSample]]:
-    """(s, awtf_eval at s) at each point of bromwich_line(cfg), from the top
-    frequency down: one hint chain, sample by sample, through wave_blocks."""
-    for block in wave_blocks(d, bromwich_line(cfg)[::-1]):
-        yield from zip(block.s, block)
-
-
 @dataclass(frozen=True)
 class WaveComponents:
     """Forward wave a, backward wave b and their sum x for one agent."""
@@ -126,6 +123,36 @@ class WaveComponents:
     a: np.ndarray
     b: np.ndarray
     x: np.ndarray
+
+
+def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig, width: int,
+                  scalar: Callable, arrays: Optional[Callable]) -> np.ndarray:
+    """width spectra on bromwich_line(cfg), one row each, ascending frequency.
+
+    One hint chain walks the line from its top frequency down through
+    wave_blocks. arrays(block), under a local errstate that ignores
+    everything, gives the spectra at every entry of a block (one column
+    each) and the mask of entries it settles; scalar(s, ws) evaluates the
+    others in chain order, so values, warnings and errors are those of
+    scalar applied sample by sample. arrays None leaves every entry to
+    scalar, as does a caller's errstate that reports underflow: the arrays
+    keep no trace of where scalar's numpy operations would underflow.
+    """
+    if np.geterr()["under"] != "ignore":
+        arrays = None
+    line = bromwich_line(cfg)[::-1]
+    out = np.empty((len(line), width), dtype=complex)
+    lo = 0
+    for block in wave_blocks(d, line):
+        rows = out[lo:lo + len(block)]
+        settled = np.zeros(len(block), dtype=bool)
+        if arrays is not None:
+            with np.errstate(all="ignore"):
+                rows[:], settled = arrays(block)
+        for k in np.flatnonzero(~settled):
+            rows[k] = scalar(block.s[k], block[k])
+        lo += len(block)
+    return out[::-1].T
 
 
 def _wave_spectra(
@@ -138,8 +165,13 @@ def _wave_spectra(
     """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
     One walk of the line produces both, so the two inversions see identical
-    branch choices, and results and errors are those of one scalar chain
-    evaluated sample by sample.
+    branch choices. both is the per-sample form; both_arrays repeats its
+    arithmetic on a block (pycomplex for the Python-complex steps, numpy's
+    own operations where both computes on the numpy scalar s) and settles
+    an entry only where every intermediate is finite, |g_minus - 1| >=
+    TOL_SING and the round trip is nonzero, so results and errors are those
+    of both on one scalar chain. An exponent beyond MAX_POWI, where Python's
+    ** leaves binary powering, sends every entry to both.
     """
     def both(s: complex, ws: WaveSample) -> tuple[complex, complex]:
         refl = reflection_from_sample(ws)
@@ -148,10 +180,27 @@ def _wave_spectra(
         x0 = step_amplitude / s
         return gp**n * x0 / denom, gm ** (N - n) * refl.tN * gp**N * x0 / denom
 
-    ab = np.empty((cfg.samples // 2 + 1, 2), dtype=complex)
-    for k, (s, ws) in enumerate(_line_walk(d, cfg)):
-        ab[k] = both(s, ws)
-    a, b = ab[::-1].T
+    def both_arrays(block: WaveSweep) -> tuple[np.ndarray, np.ndarray]:
+        gp = block.g_plus.real, block.g_plus.imag
+        gm = block.g_minus.real, block.g_minus.imag
+        gap = (gm[0] - 1.0, gm[1] - 0.0)
+        t1 = cmul(-gp[0], -gp[1], *gm)
+        tN = cdiv(*cmul(*gm, gp[0] - 1.0, gp[1] - 0.0), *gap)
+        powers = (cpowi(*cmul(*gp, *gm), N - 1), cpowi(*gp, n), cpowi(*gm, N - n),
+                  cpowi(*gp, N))
+        loop = cmul(*cmul(*t1, *tN), *powers[0])
+        trip = (1.0 - loop[0], 0.0 - loop[1])
+        x0 = step_amplitude / block.s
+        x0 = x0.real, x0.imag
+        a = cmul(*powers[1], *x0)
+        b = cmul(*cmul(*cmul(*powers[2], *tN), *powers[3]), *x0)
+        spectra = np.stack([join(*a), join(*b)], axis=1) / join(*trip)[:, None]
+        steps = (gp, gm, t1, tN, *powers, loop, x0, a, b)
+        settled = finite(*(part for z in steps for part in z))
+        settled &= np.isfinite(spectra).all(axis=1) & (np.hypot(*gap) >= TOL_SING)
+        return spectra, settled & ((trip[0] != 0) | (trip[1] != 0))
+
+    a, b = _line_spectra(d, cfg, 2, both, both_arrays if N <= MAX_POWI else None)
     return a, b
 
 
@@ -200,8 +249,8 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    spectrum = [ws.g_plus**n / s for s, ws in _line_walk(d, cfg)]
-    times, wave = inverse_laplace(np.array(spectrum, dtype=complex)[::-1], cfg)
+    (spectrum,) = _line_spectra(d, cfg, 1, lambda s, ws: ws.g_plus**n / s, None)
+    times, wave = inverse_laplace(spectrum, cfg)
 
     net = build_network(Topology.path(N), d)
     sim_cfg = SimConfig(dt=dt or default_dt(d), T_final=horizon)

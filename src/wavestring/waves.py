@@ -28,7 +28,8 @@ samples in Python, in chain order, each hinted by the previous pick.
 wave_blocks hands each block over to the scalar awtf_eval from its first
 sample that is non-finite, singular or an unhinted tie, so the result is the
 scalar chain's, bit for bit, and every exception and message is the scalar
-one. A sweep is a WaveSweep, the WaveSample fields as arrays. Single points
+one. A sweep is a WaveSweep, the WaveSample fields as arrays; the Bromwich
+spectra of waveresponse are formed on the same blocks. Single points
 (bisection and golden-section probes, disturbance_gain) stay scalar.
 
 The square root is taken of the discriminant numerator

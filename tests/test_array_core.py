@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 from wavestring import AgentDynamics, FrequencyGrid, Polynomial, RationalTF
-from wavestring import waves
+from wavestring import stability, waveresponse, waves
 from wavestring.errors import BranchAmbiguous, ReflectionSingular, SingularSample
+from wavestring.pycomplex import MAX_POWI
+from wavestring.stability import NormEstimate, awtf_norm_estimates, hinf_estimate
 from wavestring.tf import tf_eval
-from wavestring.waveresponse import InverseLaplaceConfig, _wave_spectra, bromwich_line
+from wavestring.waveresponse import (InverseLaplaceConfig, _wave_spectra, bromwich_line,
+                                     early_time_check)
 from wavestring.waves import (
     TOL_TIE,
     awtf_axis_sweep,
@@ -27,6 +30,10 @@ FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 DEFAULT_OMEGAS = FrequencyGrid().omegas()
 # the waves call of the bench's spectral workload: vel-asym, 40 s, 16384 samples
 BENCH_LINE = InverseLaplaceConfig(T_final=40.0, samples=16384)
+# the same top frequency (161 rad/s) with a quarter of the samples
+SPECTRA_LINE = InverseLaplaceConfig(T_final=10.0, samples=4096)
+SPECTRA_CASES = {**{f"{name}-{h}": canonical(name, h) for name, h in CANONICAL},
+                 **{f"pair-{k}": d for k, d in enumerate(bench_pairs())}}
 
 
 def scalar_axis(d, omegas):
@@ -154,14 +161,58 @@ class TestBromwichOracle:
         np.testing.assert_array_equal(bits(a), bits(want_a))
         np.testing.assert_array_equal(bits(b), bits(want_b))
 
+    # the bench's waves call (N 20, agent 10) on a line of the same band; the
+    # last agent and a single agent raise to the power 0, where cpowi
+    # returns 0-d arrays that must broadcast against the block
+    @pytest.mark.parametrize("N,n", [(20, 10), (20, 20), (1, 1)])
+    @pytest.mark.parametrize("case", SPECTRA_CASES)
+    def test_spectra_on_the_canonical_dynamics_and_bench_pairs(self, case, N, n):
+        assert assert_same_spectra(SPECTRA_CASES[case], N, n, SPECTRA_LINE, 1.0) == "returned"
 
-def scalar_spectra(d, N, n, cfg, step_amplitude):
-    """_wave_spectra as one scalar hint chain per sample, descending."""
+    @pytest.mark.parametrize("N", [MAX_POWI + 1, MAX_POWI + 2])
+    def test_exponents_beyond_max_powi_take_the_scalar_route(self, vel_asym_dyn, N):
+        # Python's ** leaves binary powering above MAX_POWI; cpowi refuses
+        # such an exponent, so the array form must not run at all
+        assert_same_spectra(vel_asym_dyn, N, N // 2, SPECTRA_LINE, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 10, MAX_POWI + 1])
+    def test_early_time_check_spectrum(self, monkeypatch, vel_asym_dyn, n):
+        class Captured(Exception):
+            pass
+
+        def capture(spectrum, cfg):
+            raise Captured(spectrum)
+
+        monkeypatch.setattr(waveresponse, "inverse_laplace", capture)
+        with pytest.raises(Captured) as caught:
+            early_time_check(vel_asym_dyn, n, SPECTRA_LINE.T_final, N=max(n, 25),
+                             cfg=SPECTRA_LINE)
+        chain = wave_chain(vel_asym_dyn)
+        want = [chain(s).g_plus**n / s for s in bromwich_line(SPECTRA_LINE)[::-1]]
+        np.testing.assert_array_equal(bits(caught.value.args[0]), bits(want[::-1]))
+
+
+def assert_same_spectra(d, N, n, cfg, step_amplitude, samples=None):
+    """_wave_spectra returns the per-sample form's bits or raises its error."""
+    got = outcome(lambda: _wave_spectra(d, N, n, cfg, step_amplitude))
+    want = outcome(lambda: scalar_spectra(d, N, n, cfg, step_amplitude, samples))
+    assert got[0] == want[0]
+    if got[0] == "returned":
+        for spectrum, reference in zip(got[1], want[1]):
+            np.testing.assert_array_equal(bits(spectrum), bits(reference))
+    else:
+        assert got == want
+    return got[0]
+
+
+def scalar_spectra(d, N, n, cfg, step_amplitude, samples=None):
+    """_wave_spectra as one scalar hint chain per sample, descending; samples,
+    when given, stand in for the chain's (one per line point, descending)."""
     chain = wave_chain(d)
     line = bromwich_line(cfg)
     rows = []
-    for s in line[::-1]:
-        ws = chain(s)
+    for k, s in enumerate(line[::-1]):
+        ws = chain(s) if samples is None else samples[k]
         refl = reflection_from_sample(ws)
         gp, gm = ws.g_plus, ws.g_minus
         loop = refl.t1 * refl.tN * (gp * gm) ** (N - 1)
@@ -170,6 +221,113 @@ def scalar_spectra(d, N, n, cfg, step_amplitude):
                      gm ** (N - n) * refl.tN * gp**N * x0 / (1.0 - loop)))
     a, b = np.array(rows, dtype=complex)[::-1].T
     return a, b
+
+
+class TestSpectraErrorParity:
+    """_wave_spectra on made-up couplings: a line of random g_plus, g_minus
+    of modulus below 1 with one entry replaced, through the array form and
+    the per-sample form alike. Each replacement makes the per-sample form
+    raise or warn, or leaves a non-finite intermediate."""
+
+    SPECIAL = {
+        # (g_plus * g_minus)**(N - 1) overflows: Python's ** raises
+        # OverflowError, the array form's power is inf
+        "round-trip-power-overflows": ((40.0, 40.0), OverflowError),
+        "g_minus-within-TOL_SING-of-1": ((0.5, 1.0 + 5e-9), ReflectionSingular),
+        # numpy's scalar division by the zero round trip warns
+        "round-trip-exactly-zero": ((-1.0, -1.0), RuntimeWarning),
+        "g_plus-infinite": ((complex("inf"), 0.5), RuntimeWarning),
+        "g_minus-nan": ((0.5, complex("nan")), RuntimeWarning),
+    }
+
+    @staticmethod
+    def sweep(cfg, g_plus, g_minus):
+        s = bromwich_line(cfg)[::-1]
+        zeros = np.zeros(len(s), dtype=complex)
+        return waves.WaveSweep(s, g_plus, g_minus, zeros, zeros, zeros,
+                               np.zeros(len(s), dtype=bool))
+
+    @pytest.mark.parametrize("kind", SPECIAL)
+    def test_replaced_entry(self, monkeypatch, vel_asym_dyn, kind):
+        cfg = InverseLaplaceConfig(T_final=10.0, samples=1024)
+        rng = np.random.default_rng(3)
+        g = 0.9 * rng.uniform(size=(2, 513)) * np.exp(2j * np.pi * rng.uniform(size=(2, 513)))
+        values, raised = self.SPECIAL[kind]
+        g[:, 100] = values
+        sweep = self.sweep(cfg, *g)
+        # blocks as wave_blocks yields them around a hand-over: an empty
+        # core block, then single entries
+        cuts = [0, 99, 99, 100, 101, 102, 300, 513]
+        monkeypatch.setattr(waveresponse, "wave_blocks", lambda d, s: (
+            sweep.take(slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:])))
+        assert assert_same_spectra(vel_asym_dyn, 100, 50, cfg, 1.0, list(sweep)) is raised
+
+    def test_step_amplitude_overflows(self, vel_asym_dyn):
+        # amplitude / s overflows at the low end of the line only
+        cfg = InverseLaplaceConfig(T_final=10.0, samples=1024)
+        assert assert_same_spectra(vel_asym_dyn, 20, 10, cfg, 1e308) is RuntimeWarning
+
+
+def two_chain_norms(d, sweep):
+    """awtf_norm_estimates with one hint chain per coupling, each evaluating
+    its own 16-point refinement grid."""
+    omegas = sweep.s.imag
+    results = []
+    for attr in ("g_plus", "g_minus"):
+        g = getattr(sweep, attr)
+        k, peak, bracket = stability._grid_peak(omegas, np.hypot(g.real, g.imag))
+        if bracket is None:
+            results.append(peak)
+            continue
+        chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
+        refined = hinf_estimate(lambda w: getattr(chain(1j * w), attr),
+                                FrequencyGrid(*bracket, 16))
+        best = refined if refined.value >= peak.value else peak
+        results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
+    return tuple(results)
+
+
+def norm_bits(est):
+    return est.value.hex(), est.argmax_omega.hex(), est.refined
+
+
+class TestSharedRefinementGrid:
+    """awtf_norm_estimates against the two-chain form, bit for bit, and the
+    16 awtf_eval calls a shared peak saves."""
+
+    @staticmethod
+    def counted(monkeypatch, fn, *args):
+        calls, evaluate = [], waves.awtf_eval
+        with monkeypatch.context() as m:
+            m.setattr(waves, "awtf_eval", lambda *a: calls.append(a) or evaluate(*a))
+            result = fn(*args)
+        return result, len(calls)
+
+    # grid peaks (g_plus, g_minus) on the default grid: 992/992, 0/0,
+    # 1137/1137, 1281/1086 and the neighbours 1019/1018
+    @pytest.mark.parametrize("case, shared", [
+        ("gain-asym-0.0", True), ("vel-asym-0.0", True), ("pair-0", True),
+        ("pair-1", False), ("pair-4", False)])
+    def test_against_two_chains(self, monkeypatch, case, shared):
+        d = SPECTRA_CASES[case]
+        sweep = awtf_axis_sweep(d, DEFAULT_OMEGAS)
+        peaks = {int(np.argmax(np.hypot(g.real, g.imag)))
+                 for g in (sweep.g_plus, sweep.g_minus)}
+        assert (len(peaks) == 1) == shared
+        got, calls = self.counted(monkeypatch, awtf_norm_estimates, d, sweep)
+        want, want_calls = self.counted(monkeypatch, two_chain_norms, d, sweep)
+        assert all(est.refined for est in got)
+        assert list(map(norm_bits, got)) == list(map(norm_bits, want))
+        assert want_calls - calls == (16 if shared else 0)
+
+    def test_bracket_narrower_than_tol_omega(self, monkeypatch, vel_asym_dyn):
+        # neighbours 3.2e-7 apart: no bracket, no refinement, no probe
+        omegas = FrequencyGrid(1.0, 1.0 + 1e-5, 32).omegas()
+        sweep = awtf_axis_sweep(vel_asym_dyn, omegas)
+        got, calls = self.counted(monkeypatch, awtf_norm_estimates, vel_asym_dyn, sweep)
+        assert calls == 0 and not any(est.refined for est in got)
+        assert list(map(norm_bits, got)) == list(map(norm_bits, two_chain_norms(
+            vel_asym_dyn, sweep)))
 
 
 class TestErrorParity:
@@ -226,6 +384,17 @@ class TestNoFloatingPointNoise:
                 assert got[0] == want[0]
                 if got[0] == "returned":
                     assert_identical(got[1], want[1])
+
+    @pytest.mark.parametrize("state", ["raise", "raise-but-underflow", "default"])
+    def test_wave_spectra(self, state):
+        # all="raise" reports underflow, which the per-sample form meets in
+        # numpy's scalar division, so every entry takes the scalar route;
+        # the CLI's state reports the rest and keeps the array route
+        errstate = {"raise": {"all": "raise"}, "default": {},
+                    "raise-but-underflow": {"all": "raise", "under": "ignore"}}[state]
+        for d in self.CASES:
+            with np.errstate(**errstate):
+                assert_same_spectra(d, 20, 10, SPECTRA_LINE, 1.0)
 
     def test_real_sample_at_the_start_of_the_line(self, vel_asym_dyn):
         s = bromwich_line(BENCH_LINE)[:1]

@@ -9,16 +9,22 @@ src/. Every run is seed 1, 40 s. Every workload runs once per side,
 untraced, the side that goes first alternating between workloads. Then
 PAIRS more alternating pairs of the --paired workload (the one whose gain
 is claimed) are summarised as per-side median and quartiles of `run_s` and
-the count of pairs the change wins, and one traced (`--trace 1`) pair of
+the count of pairs the change wins (each run's `cpu_s` and `peak_rss_mb`
+are kept beside it), and one traced (`--trace 1`) pair of
 the same workload follows. The file keeps
 each run's final JSON line ('result'), its median reference-loop time
 ('host.ref_loop_s') and its median untraced pass wall in raw seconds
-('pass_wall_s'), the unscaled time beside the s_ref metrics.
+('pass_wall_s'), the unscaled time beside the s_ref metrics. Each run also
+keeps the sha256 of every output file its last pass wrote ('output_sha256'),
+and 'outputs_identical' counts, per workload, the parent's files whose
+digest the change's first run reproduces: a check of the outputs against
+each other that does not lean on bench/reference.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -57,6 +63,19 @@ def worktree_src_tree() -> str:
                               check=True, text=True, capture_output=True).stdout.strip()
 
 
+def output_digests(root: str, workload: str) -> dict:
+    """sha256 of every file the last pass wrote under .bench_run/<workload>/,
+    keyed by call and file name (the scenario configs beside them are inputs)."""
+    base = os.path.join(root, ".bench_run", workload)
+    out = {}
+    for call in sorted(os.listdir(base)):
+        if os.path.isdir(os.path.join(base, call)):
+            for name in sorted(os.listdir(os.path.join(base, call))):
+                with open(os.path.join(base, call, name), "rb") as fh:
+                    out[f"{call}/{name}"] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
 def run(root: str, workload: str, trace: int) -> dict:
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
@@ -68,6 +87,7 @@ def run(root: str, workload: str, trace: int) -> dict:
     print(f"  {workload} trace={trace} {root}: {lines[-1][:120]}", file=sys.stderr)
     return {"host.ref_loop_s": loop_ms / 1e3, "pass_wall_s": wall_s,
             "result": json.loads(lines[-1]),
+            "output_sha256": output_digests(root, workload),
             "_host": {k: v for k, v in record.items() if k != "git_rev"}}
 
 
@@ -101,10 +121,18 @@ def main() -> int:
 
         for side in sides.values():
             side["workloads"] = {}
+        outputs = {}
         for k, workload in enumerate(WORKLOADS):
             for side, res in pair(workload, k).items():
                 sides[side]["host"] = res.pop("_host")
                 sides[side]["workloads"][workload] = res
+            parent, change = (sides[side]["workloads"][workload]["output_sha256"]
+                              for side in ("parent", "change"))
+            outputs[workload] = {
+                "parent_files": len(parent), "change_files": len(change),
+                "identical": sum(change.get(name) == digest
+                                 for name, digest in parent.items()),
+            }
         doc = {
             "description": (
                 f"Untraced bench/run.py results, seed {SEED}, --seconds {SECONDS}, "
@@ -115,6 +143,7 @@ def main() -> int:
                 "harness printed for that run. Written by tools/bench_pair.py."),
             "command": COMMAND + "0",
             **sides,
+            "outputs_identical": outputs,
         }
         runs = [pair(args.paired, k) for k in range(PAIRS)]
         run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
@@ -123,8 +152,9 @@ def main() -> int:
             "workload": args.paired,
             "metric": "run_s (s_ref)",
             "run_s": run_s,
-            "peak_rss_mb": {side: [r[side]["result"]["metrics"]["peak_rss_mb"]["value"]
-                                   for r in runs] for side in ("parent", "change")},
+            **{metric: {side: [r[side]["result"]["metrics"][metric]["value"] for r in runs]
+                        for side in ("parent", "change")}
+               for metric in ("cpu_s", "peak_rss_mb")},
             "pass_wall_s": {side: [r[side]["pass_wall_s"] for r in runs]
                             for side in ("parent", "change")},
             "host.ref_loop_s": {side: [r[side]["host.ref_loop_s"] for r in runs]
