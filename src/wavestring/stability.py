@@ -2,10 +2,14 @@
 
 The wave couplings are irrational, so norms are estimated by a log-spaced
 frequency sweep plus golden-section refinement around the grid argmax; there
-is no state-space bisection path. The Nyquist-style axis test that guards
-analyticity reads t_g at the grid frequencies only: a phase jump above pi/2
-between neighbours is refined as a passage through the origin, and a curve
-that winds between samples can hide crossings, so it needs a finer grid.
+is no state-space bisection path. Where the smaller-modulus pick switches
+root (see waves), that argmax sits on a corner of min(|r1|, |r2|), so the
+search's error there is first order in TOL_OMEGA: on the bench's random
+pair 0 it reports 1.7028776, where |g_plus| reaches 1.7028796 at
+omega = 0.9585391. The Nyquist-style axis test that guards analyticity
+reads t_g at the grid frequencies only: a phase jump above pi/2 between
+neighbours is refined as a passage through the origin, and a curve that
+winds between samples can hide crossings, so it needs a finer grid.
 
 A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
 WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
@@ -184,7 +188,10 @@ def hinf_estimate(
     grid: FrequencyGrid = FrequencyGrid(),
     grid_values: Optional[Sequence[complex]] = None,
 ) -> NormEstimate:
-    """Peak of |evaluator(omega)| over the grid, golden-section refined.
+    """Peak of |evaluator(omega)| over the grid, golden-section refined
+    around the grid argmax. Where that argmax is a corner (a wave coupling
+    whose smaller-modulus pick switches root), the refinement's error is
+    first order in TOL_OMEGA, not second.
 
     The evaluator receives the frequency in rad/s and returns the complex
     response on the imaginary axis; grid_values, when given, are its values

@@ -12,23 +12,30 @@ up a factor (1 + h*s) on the own-position feedback, so alpha and beta become
 (1 + (1+h*s)(Mf+Mr))/Mf and .../Mr and everything else goes through
 unchanged.
 
-Branch selection: the proper root is the smaller-modulus candidate (it is the
-one that tends to min(1, kappa) at DC and to 0 at infinity). When the two
+Branch selection: the wave couplings are the smaller-modulus roots (the
+proper root tends to min(1, kappa) at DC and to 0 at infinity). When the two
 moduli tie within TOL_TIE relative, a continuity hint from a neighbouring
 sample decides; with no hint and materially different candidates the
 evaluation refuses to guess and raises BranchAmbiguous. Frequency sweeps
 therefore chain hints (wave_chain), seeded at the largest |s| where the
-split is always unambiguous.
+split is always unambiguous. Where g_plus's two roots tie in modulus m away
+from t_g = 0, the pick may switch root, and g_plus jumps there. g_minus's
+quadratic has g_plus's coefficients in reverse order, so its roots are the
+reciprocals of g_plus's: at the tie |g_plus| = m and |g_minus| = 1/m, and
+one of them is at least 1. So a switch cannot hide instability.
 
 Sweeps (awtf_axis_sweep on the imaginary axis, wave_sweep on any array of
 s) run on an array core: it evaluates Mf, Mr, t_g, alpha, beta, both root
 pairs and the smaller-modulus pick for a block of samples at once, in
 CPython's own complex arithmetic (pycomplex), and walks only the tie-window
-samples in Python, in chain order, each hinted by the previous pick.
-wave_blocks hands each block over to the scalar awtf_eval from its first
-sample that is non-finite, singular or an unhinted tie, so the result is the
-scalar chain's, bit for bit, and every exception and message is the scalar
-one. A sweep is a WaveSweep, the WaveSample fields as arrays; the Bromwich
+samples in Python, in chain order, each hinted by the previous pick. Each
+front/rear pair (Mf and Mr, beta and alpha, the two root pairs, g_plus and
+g_minus) is held as the two rows of one array, so one numpy call serves
+both, and a block of BLOCK = 2048 samples holds a default 2,000-point grid
+whole. wave_blocks hands each block over to the scalar awtf_eval from its
+first sample that is non-finite, singular or an unhinted tie, so the result
+is the scalar chain's, bit for bit, and every exception and message is the
+scalar one. A sweep is a WaveSweep, the WaveSample fields as arrays; the Bromwich
 spectra of waveresponse are formed on the same blocks. Single points
 (bisection and golden-section probes, disturbance_gain) stay scalar.
 
@@ -58,7 +65,7 @@ from .errors import (
 )
 from .poly import Polynomial
 from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
-from .tf import AgentDynamics, RationalTF, low_order_coeffs, tf_eval
+from .tf import AgentDynamics, low_order_coeffs, tf_eval
 
 TOL_TIE = 1e-6    # relative modulus tie window for branch selection
 TOL_SING = 1e-8   # |g_minus - 1| below this means the rear reflection blows up
@@ -239,29 +246,39 @@ class WaveSweep:
 
 _COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 _FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
-BLOCK = 1024  # samples per wave_blocks block
+BLOCK = 2048  # samples per wave_blocks block: a default FrequencyGrid is one
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _tf_arrays(tf: RationalTF, sr: np.ndarray, si: np.ndarray):
-    """tf_eval at every s: (re, im) and the mask of samples where the scalar
-    evaluation raises or overflows (a pole, a non-finite power)."""
-    def horner(p: Polynomial):
+def _tf_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray):
+    """tf_eval of Mf and Mr at every s as the rows of (re, im), each (2, n),
+    and the mask of samples where either scalar evaluation raises or
+    overflows (a pole, a non-finite power)."""
+    def horner(front: Polynomial, rear: Polynomial):
+        # The shorter polynomial is padded with leading zeros, which keep its
+        # accumulator at +0.0 + 0.0j: exact wherever s is finite.
+        rows = np.zeros((2, max(len(front.coeffs), len(rear.coeffs))))
+        for row, p in zip(rows, (front, rear)):
+            row[:len(p.coeffs)] = p.coeffs
         acc = (0.0, 0.0)
-        for c in reversed(p.coeffs):
+        for c in rows.T[::-1, :, None]:  # (2, 1) columns, highest power first
             acc = cmul(*acc, sr, si)
             acc = (acc[0] + c, acc[1] + 0.0)
         return acc
 
-    if tf.p > MAX_POWI:
-        return (sr, si), np.ones(len(sr), dtype=bool)
-    power = cpowi(sr, si, tf.p)
-    dr, di = cmul(*power, *horner(tf.den))
+    if max(d.Mf.p, d.Mr.p) > MAX_POWI:
+        zeros = np.zeros((2, len(sr)))
+        return (zeros, zeros), np.ones(len(sr), dtype=bool)
+    front = cpowi(sr, si, d.Mf.p)
+    rear = front if d.Mr.p == d.Mf.p else cpowi(sr, si, d.Mr.p)
+    # (2, n) rows; s**0 is a 0-d 1 + 0j, broadcast along s.
+    power = tuple(np.array(np.broadcast_arrays(f, r, sr)[:2]) for f, r in zip(front, rear))
+    dr, di = cmul(*power, *horner(d.Mf.den, d.Mr.den))
     bad = ((dr == 0) & (di == 0)) | ~finite(*power)
-    return cdiv(*horner(tf.num), dr, di), bad
+    return cdiv(*horner(d.Mf.num, d.Mr.num), dr, di), bad.any(axis=0)
 
 
 def _root_arrays(coeff, half: np.ndarray, product):
@@ -304,53 +321,66 @@ def _resolve_ties(lo, hi, pick_hi, tie, hint):
     return picks, tie & (picks != pick_hi)
 
 
+def _shared_arrays(d: AgentDynamics, sr, si, mf, mr):
+    """_eval_terms' shared = 1 + (1 + h*s)(Mf + Mr) and t_g = shared**2 -
+    4*Mf*Mr at every s, each as (re, im)."""
+    hs = cmul(d.h, 0.0, sr, si)
+    y = cmul(1.0 + hs[0], 0.0 + hs[1], mf[0] + mr[0], mf[1] + mr[1])
+    shared = (1.0 + y[0], 0.0 + y[1])
+    ss = cmul(*shared, *shared)
+    fm = cmul(*cmul(4.0, 0.0, *mf), *mr)
+    return shared, (ss[0] - fm[0], ss[1] - fm[1])
+
+
+def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray):
+    """_eval_terms and the quadratics at every s, each front/rear pair held
+    as the two rows of one array: (ok, coeff, t_g, half_root, ratio), where
+    ok marks the samples at which the scalar _eval_terms neither raises nor
+    overflows, coeff = (beta, alpha), half_root = sqrt(t_g)/2 over (Mr, Mf)
+    and ratio = (Mf/Mr, Mr/Mf), all but ok as (re, im) or complex. Its
+    intermediates die on return, before the root arrays are formed: a
+    block's temporaries set a sweep's peak memory."""
+    m, bad = _tf_arrays(d, sr, si)  # rows (Mf, Mr)
+    swap = (m[0][::-1], m[1][::-1])  # rows (Mr, Mf)
+    shared, t_g = _shared_arrays(d, sr, si, (m[0][0], m[1][0]), (m[0][1], m[1][1]))
+    coeff = cdiv(*shared, *swap)
+    ok = ~bad & ~((m[0] == 0) & (m[1] == 0)).any(axis=0)
+    ok &= finite(sr, si, *m, *shared, *t_g, *coeff).all(axis=0)
+    w = np.sqrt(join(*t_g))
+    half = join(*cmul(0.5, 0.0, w.real, w.imag))
+    return ok, coeff, t_g, half / join(*swap), cdiv(*m, *swap)
+
+
 def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
                  ) -> tuple[WaveSweep, int]:
     """awtf_eval at every s, hint-chained from seed: the block and the count
-    of its leading entries that equal the scalar chain's (see wave_blocks)."""
-    sr, si = s.real, s.imag
+    of its leading entries that equal the scalar chain's (see wave_blocks).
+    The root pairs and picks are the rows (g_plus, g_minus)."""
     with np.errstate(all="ignore"):
-        mf, bad_f = _tf_arrays(d.Mf, sr, si)
-        mr, bad_r = _tf_arrays(d.Mr, sr, si)
-        hs = cmul(d.h, 0.0, sr, si)
-        y = cmul(1.0 + hs[0], 0.0 + hs[1], mf[0] + mr[0], mf[1] + mr[1])
-        shared = (1.0 + y[0], 0.0 + y[1])
-        ss = cmul(*shared, *shared)
-        fm = cmul(*cmul(4.0, 0.0, *mf), *mr)
-        t_g = (ss[0] - fm[0], ss[1] - fm[1])
-        alpha, beta = cdiv(*shared, *mf), cdiv(*shared, *mr)
-        w = np.sqrt(join(*t_g))
-        half = join(*cmul(0.5, 0.0, w.real, w.imag))
-        lo_p, hi_p = _root_arrays(beta, half / join(*mr), cdiv(*mf, *mr))
-        lo_m, hi_m = _root_arrays(alpha, half / join(*mf), cdiv(*mr, *mf))
-        pick_p, tie_p, fin_p = _pick_arrays(lo_p, hi_p)
-        pick_m, tie_m, fin_m = _pick_arrays(lo_m, hi_m)
+        ok, coeff, t_g, *operands = _quadratic_arrays(d, s.real, s.imag)
+        lo, hi = _root_arrays(coeff, *operands)
+        pick, tie, fin = _pick_arrays(lo, hi)
 
-    ok = ~(bad_f | bad_r) & fin_p & fin_m
-    ok &= ~((mf[0] == 0) & (mf[1] == 0)) & ~((mr[0] == 0) & (mr[1] == 0))
-    ok &= finite(sr, si, *mf, *mr, *shared, *t_g, *alpha, *beta)
+    ok &= fin.all(axis=0)
     if seed is None:
-        ok[:1] &= ~(tie_p[:1] | tie_m[:1])
+        ok[:1] &= ~tie[:, :1].any(axis=0)
     exact = len(s) if ok.all() else int(np.argmin(ok))
-    tie_p[exact:] = tie_m[exact:] = False
+    tie[:, exact:] = False
 
-    pick_p, flip_p = _resolve_ties(lo_p, hi_p, pick_p, tie_p, seed and seed.g_plus)
-    pick_m, flip_m = _resolve_ties(lo_m, hi_m, pick_m, tie_m, seed and seed.g_minus)
-    block = WaveSweep(
-        s=s,
-        g_plus=np.where(pick_p, hi_p, lo_p),
-        g_minus=np.where(pick_m, hi_m, lo_m),
-        alpha=join(*alpha),
-        beta=join(*beta),
-        t_g=join(*t_g),
-        branch_flipped=flip_p | flip_m,
-    )
+    hints = (None, None) if seed is None else (seed.g_plus, seed.g_minus)
+    pick, flip = zip(*map(_resolve_ties, lo, hi, pick, tie, hints))
+    g_plus, g_minus = np.where(pick, hi, lo)
+    beta, alpha = join(*coeff)
+    block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=alpha, beta=beta,
+                      t_g=join(*t_g), branch_flipped=flip[0] | flip[1])
     return block, exact
 
 
 def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
     """[wave_chain(d)(x) for x in s], bit for bit, as WaveSweep blocks in
-    order, at most BLOCK entries each, which bounds the temporaries.
+    order, at most BLOCK entries each, which bounds the temporaries (each a
+    (2, BLOCK) array whose rows are front and rear). A default 2,000-point
+    FrequencyGrid is one block; the Bromwich line is cut into plain slices.
 
     The core settles a block up to its first entry that is non-finite,
     singular or an unhinted tie at s[0]; the scalar awtf_eval fills the rest,

@@ -6,6 +6,9 @@ couplings give the canonical comparison set: identical (symmetric), scaled by
 (symmetric position, asymmetric velocity).
 """
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -56,6 +59,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+def record_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name under every wavestring module bound to it, as the
+    bench does; returns the list of each call's positional arguments."""
+    import wavestring
+
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(wavestring.__path__):
+        bound = importlib.import_module(f"wavestring.{info.name}")
+        if getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, wrapper)
+    return calls
 
 
 def realization_matches(block, tf: RationalTF, samples, rtol: float = 1e-8) -> bool:

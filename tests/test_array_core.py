@@ -11,7 +11,8 @@ import pytest
 
 from wavestring import AgentDynamics, FrequencyGrid, Polynomial, RationalTF
 from wavestring import stability, waveresponse, waves
-from wavestring.errors import BranchAmbiguous, ReflectionSingular, SingularSample
+from wavestring.errors import (BranchAmbiguous, NumericalError, ReflectionSingular,
+                               SingularSample)
 from wavestring.pycomplex import MAX_POWI
 from wavestring.stability import NormEstimate, awtf_norm_estimates, hinf_estimate
 from wavestring.tf import tf_eval
@@ -24,7 +25,8 @@ from wavestring.waves import (
     wave_chain,
     wave_sweep,
 )
-from conftest import CANONICAL, bench_pairs, canonical, front_coupling, undamped
+from conftest import (CANONICAL, bench_pairs, canonical, front_coupling, record_calls,
+                      undamped)
 
 FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 DEFAULT_OMEGAS = FrequencyGrid().omegas()
@@ -34,6 +36,23 @@ BENCH_LINE = InverseLaplaceConfig(T_final=40.0, samples=16384)
 SPECTRA_LINE = InverseLaplaceConfig(T_final=10.0, samples=4096)
 SPECTRA_CASES = {**{f"{name}-{h}": canonical(name, h) for name, h in CANONICAL},
                  **{f"pair-{k}": d for k, d in enumerate(bench_pairs())}}
+ONE_INTEGRATOR = RationalTF(Polynomial([1.0, 0.5]), Polynomial([1.0, 1 / 3]), p=1)
+NO_INTEGRATOR = RationalTF(Polynomial([2.0]), Polynomial([1.0, 0.8, 0.2]), p=0)
+# front and rear rows of unequal shape: (Mf, Mr) of each case
+ROW_CASES = {
+    # Mf's numerator and Mr's denominator are the shorter of their pair, so
+    # the core pads each with leading zeros
+    "unequal-lengths": (RationalTF(Polynomial([2.0]), Polynomial([1.0, 0.8, 0.2]), p=2),
+                        RationalTF(Polynomial([1.5, 1.2]), Polynomial([1.0]), p=2)),
+    # integrator counts differ (assumption 1 fails), so each row has its own
+    # power of s
+    "front-p2-rear-p1": (front_coupling(), ONE_INTEGRATOR),
+    "front-p1-rear-p2": (ONE_INTEGRATOR, front_coupling()),
+    # no integrators: s**0 is a 0-d array on one row or on both
+    "front-p0-rear-p1": (NO_INTEGRATOR, ONE_INTEGRATOR),
+    "front-p0-rear-p0": (NO_INTEGRATOR,
+                         RationalTF(Polynomial([1.5]), Polynomial([1.0, 1.0]), p=0)),
+}
 
 
 def scalar_axis(d, omegas):
@@ -113,6 +132,81 @@ class TestAxisOracle:
         omegas = np.random.default_rng(5).permutation(
             np.concatenate([DEFAULT_OMEGAS[::7], -DEFAULT_OMEGAS[::11]]))
         assert_identical(awtf_axis_sweep(d, omegas), scalar_axis(d, omegas))
+
+
+class TestOneBlockPerGrid:
+    """A default FrequencyGrid is one core block: one _array_block call and
+    no scalar awtf_eval on the canonical dynamics and the bench pairs."""
+
+    @pytest.mark.parametrize("case", SPECTRA_CASES)
+    def test_default_grid(self, monkeypatch, case):
+        blocks = record_calls(monkeypatch, waves, "_array_block")
+        scalar = record_calls(monkeypatch, waves, "awtf_eval")
+        awtf_axis_sweep(SPECTRA_CASES[case], DEFAULT_OMEGAS)
+        assert [len(args[1]) for args in blocks] == [len(DEFAULT_OMEGAS)]
+        assert scalar == []
+
+
+def row_case(case: str, h: float) -> AgentDynamics:
+    return AgentDynamics(*ROW_CASES[case], h=h)
+
+
+class TestRowsOfUnequalShape:
+    """Front and rear rows whose polynomials differ in length or whose
+    integrator counts differ, settled by the core alone, bit for bit."""
+
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_axis(self, monkeypatch, case, h):
+        d = row_case(case, h)
+        scalar = record_calls(monkeypatch, waves, "awtf_eval")
+        sweep = awtf_axis_sweep(d, DEFAULT_OMEGAS)
+        assert scalar == []
+        assert_identical(sweep, scalar_axis(d, DEFAULT_OMEGAS))
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_unsorted_and_negative_frequencies(self, case):
+        d = row_case(case, 0.5)
+        omegas = np.random.default_rng(7).permutation(
+            np.concatenate([DEFAULT_OMEGAS[::5], -DEFAULT_OMEGAS[::9]]))
+        assert_identical(awtf_axis_sweep(d, omegas), scalar_axis(d, omegas))
+
+    @pytest.mark.parametrize("N,n", [(20, 10), (20, 20), (1, 1)])
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_spectra(self, case, h, N, n):
+        d = row_case(case, h)
+        assert assert_same_spectra(d, N, n, SPECTRA_LINE, 1.0) == "returned"
+
+    @pytest.mark.parametrize("value", [complex("inf"), complex(0.0, float("inf")),
+                                       complex("nan"), complex(1.0, float("nan"))])
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_non_finite_s_is_handed_over(self, monkeypatch, case, value):
+        # the core settles the entries before it; the scalar awtf_eval meets
+        # the non-finite one and raises what the scalar chain raises (an
+        # overflowing power of s or a non-finite Mf or Mr)
+        d = row_case(case, 0.5)
+        s = 1j * DEFAULT_OMEGAS[::-1]
+        s[700] = value
+        chain = wave_chain(d)
+        want = outcome(lambda: [chain(x) for x in s])
+        settled, scalar = [], record_calls(monkeypatch, waves, "awtf_eval")
+        got = outcome(lambda: settled.extend(waves.wave_blocks(d, s)))
+        assert got[0] in (NumericalError, SingularSample) and got == want
+        np.testing.assert_array_equal(bits([args[1] for args in scalar]), bits(s[700:701]))
+        chain = wave_chain(d)
+        assert_identical(waves.WaveSweep(*(np.concatenate([getattr(b, f) for b in settled])
+                                           for f in waves._FIELDS)),
+                         [chain(x) for x in s[:700]])
+
+    def test_integrators_beyond_max_powi_take_the_scalar_route(self, monkeypatch):
+        m = RationalTF(Polynomial([1.0]), Polynomial([1.0]), p=MAX_POWI + 1)
+        d = AgentDynamics(m, front_coupling())
+        omegas = np.geomspace(2.0, 0.5, 64)
+        scalar = record_calls(monkeypatch, waves, "awtf_eval")
+        sweep = awtf_axis_sweep(d, omegas)
+        assert len(scalar) == len(omegas)
+        assert_identical(sweep, scalar_axis(d, omegas))
 
 
 class TestHandOver:

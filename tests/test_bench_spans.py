@@ -11,10 +11,11 @@ refinement's hinf_estimate.
 import ast
 import importlib
 import json
-import pkgutil
 from pathlib import Path
 
 import pytest
+
+from conftest import record_calls
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -40,24 +41,6 @@ def test_both_lists_are_read():
 def test_traced_name_is_a_callable(name):
     module, attr = name.split(".")
     assert callable(getattr(importlib.import_module(f"wavestring.{module}"), attr, None))
-
-
-def record_calls(monkeypatch, module, name) -> list:
-    """Wrap module.name under every wavestring module bound to it, as the
-    bench does; returns the list of each call's positional arguments."""
-    import wavestring
-
-    original, calls = getattr(module, name), []
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for info in pkgutil.iter_modules(wavestring.__path__):
-        bound = importlib.import_module(f"wavestring.{info.name}")
-        if getattr(bound, name, None) is original:
-            monkeypatch.setattr(bound, name, wrapper)
-    return calls
 
 
 DEN = [0, 0, 1, 1 / 3]

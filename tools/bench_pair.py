@@ -3,15 +3,18 @@
     python3 tools/bench_pair.py --parent REV --paired WORKLOAD --out BENCH_9.json
 
 The parent's committed files are exported with `git archive` into a
-temporary directory; the change is this checkout's working tree. Each side
-runs `bench/run.py` from its own directory, so each benchmarks its own
-src/. Every run is seed 1, 40 s. Every workload runs once per side,
-untraced, the side that goes first alternating between workloads. Then
-PAIRS more alternating pairs of the --paired workload (the one whose gain
-is claimed) are summarised as per-side median and quartiles of `run_s` and
-the count of pairs the change wins (each run's `cpu_s` and `peak_rss_mb`
-are kept beside it), and one traced (`--trace 1`) pair of
-the same workload follows. The file keeps
+temporary directory, and the change's working tree (tracked files and the
+untracked ones git does not ignore) is copied into another. Both sides thus
+run from the same kind of directory: the reference loop behind s_ref has
+read about 14% apart for the same code checked out under a temporary
+directory and elsewhere. Each side runs `bench/run.py` from its own
+directory, so each benchmarks its own src/. Every run is seed 1, 40 s.
+Every workload runs once per side, untraced, the side that goes first
+alternating between workloads. Then PAIRS more alternating pairs of the
+--paired workload (the one whose gain is claimed) are summarised as
+per-side median and quartiles of `run_s` and the count of pairs the change
+wins (each run's `cpu_s` and `peak_rss_mb` are kept beside it), and one
+traced (`--trace 1`) pair of the same workload follows. The file keeps
 each run's final JSON line ('result'), its median reference-loop time
 ('host.ref_loop_s') and its median untraced pass wall in raw seconds
 ('pass_wall_s'), the unscaled time beside the s_ref metrics. Each run also
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,6 +56,16 @@ def export(rev: str, dest: str) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     os.remove(archive)
+
+
+def copy_worktree(dest: str) -> None:
+    """Copy the working tree's tracked files and its untracked files that git
+    does not ignore into dest (a tracked file deleted in the tree is left out)."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        if os.path.isfile(os.path.join(ROOT, name)):
+            os.makedirs(os.path.join(dest, os.path.dirname(name)), exist_ok=True)
+            shutil.copy2(os.path.join(ROOT, name), os.path.join(dest, name))
 
 
 def worktree_src_tree() -> str:
@@ -110,9 +124,11 @@ def main() -> int:
         "change": {"rev": f"uncommitted change on {git('rev-parse', 'HEAD')}",
                    "src_tree": worktree_src_tree()},
     }
-    with tempfile.TemporaryDirectory() as parent_root:
+    with tempfile.TemporaryDirectory() as parent_root, \
+            tempfile.TemporaryDirectory() as change_root:
         export(parent_rev, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        copy_worktree(change_root)
+        roots = {"parent": parent_root, "change": change_root}
 
         def pair(workload: str, k: int, trace: int = 0) -> dict:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -140,7 +156,10 @@ def main() -> int:
                 "alternating which ran first. 'result' is the harness's final JSON "
                 "line; 'host.ref_loop_s' is the median reference-loop time and "
                 "'pass_wall_s' the median untraced pass wall (raw seconds) the "
-                "harness printed for that run. Written by tools/bench_pair.py."),
+                "harness printed for that run. The parent ran from a `git archive` "
+                "export of its revision, the change from a copy of the working tree "
+                "(tracked files and untracked files git does not ignore), each in its "
+                "own temporary directory. Written by tools/bench_pair.py."),
             "command": COMMAND + "0",
             **sides,
             "outputs_identical": outputs,
