@@ -23,7 +23,7 @@ steps per matvec with Phi**K, and one matrix product per chunk of blocks
 fills the positions in between, so the Python loop runs once per block,
 not per step. Only the agents a caller asks for are reported; the fewer
 there are, the longer the block (block_steps): a one-agent run of the N
-sweep takes 16 steps per matvec.
+sweep takes 32 or 64 steps per matvec, a full run 4.
 """
 
 from __future__ import annotations
@@ -410,14 +410,17 @@ MAX_DOUBLINGS = 40  # more doublings than this lose the positions' digits
 def block_steps(nz: int, inputs: int, agents: int) -> int:
     """Steps per block: one Phi**K matvec advances the state K steps.
 
-    inputs counts the input columns of one step. The largest K in (16, 8)
-    whose output map GL, (nz + K inputs) rows by K agents columns, fits in
-    the nz**2 square the build holds anyway, else 4. So a longer block
-    never raises the peak memory, and a full run of a chain of low-order
-    agents, where G's build cost of about K nz**2 agents would dominate,
-    keeps K = 4.
+    inputs counts the input columns of one step. The largest K in
+    (64, 32, 16, 8) whose output map GL, (nz + K inputs) rows by K agents
+    columns, fits in the nz**2 square the build holds anyway, else 4. So a
+    longer block never raises the peak memory, and a full run of a chain of
+    low-order agents, where G's build cost of about K nz**2 agents would
+    dominate, keeps K = 4. One agent of the N sweep gets 32 at N = 10 and
+    64 from N = 20 on. The build's cost grows with log2 K (_block_maps), so
+    beyond 64 the extra squarings of an nz**3 each outweigh the matvecs a
+    longer block saves.
     """
-    for K in (16, 8):
+    for K in (64, 32, 16, 8):
         if (nz + K * inputs) * K * agents <= nz * nz:
             return K
     return 4
@@ -471,8 +474,14 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     exp(h A) - I, Gamma over h, and an edge column's Gamma over tau mod h.
     s doublings of the step then give Phi and Gamma, and an edge column
     takes the step of each set bit of tau // h. The squarings go on to
-    Phi**K, and each of the last log2 K, by Phi**(2**j), doubles the lists
-    Phi**i W and C Phi**i.
+    Phi**K, and each of the last log2 K, by Phi**m with m = 2**j, doubles
+    two stacks, the C Phi**i and the Phi**i W, from i < m to i < 2m: item m
+    from C or W, items m+1..2m-1 as one GEMM on items 1..m-1. GL and drive
+    are laid out from the stacks by copies: G by reshaping the C Phi**i,
+    and L, block-Toeplitz, by one indexed copy of the C Phi**k W. The build
+    costs about (terms + s + log2 K) nz**3 multiply-adds for the powers of
+    the step, plus K (agents + inputs) nz**2 in the log2 K GEMMs of the
+    stacks.
     """
     nz, na, ni = A.shape[0], C.shape[0], B_in.shape[1]
     src = np.concatenate([np.arange(ni), edge_inputs])
@@ -509,27 +518,39 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
         spare += cur
         cur, spare = spare, cur
     cur.flat[::nz + 1] += 1.0                  # Phi
-    PW, CP = [W], [C]                          # Phi**i W, C Phi**i
-    for _ in range(K.bit_length() - 1):
-        PW += [cur @ pw for pw in PW]
-        CP += [cp @ cur for cp in CP]
+    # The last log2 K doublings, by Phi**m, extend two stacks from items
+    # i < m to i < 2m: CP, whose slot i-1 holds C Phi**i (item 0, C itself,
+    # stays outside), and D = drive.T, whose column block K-1-i holds
+    # Phi**i W. Item m is C Phi**m or Phi**m W, items m+1..2m-1 one GEMM on
+    # items 1..m-1. So a block of K = 4 takes one product per item, which
+    # fixes the full runs' digits: a stacked GEMM rounds differently.
+    CP = np.empty((K - 1, na, nz))
+    D = np.empty((nz, K * ns))
+    D[:, (K - 1) * ns:] = W
+    m = 1
+    while m < K:
+        np.matmul(C, cur, out=CP[m - 1])
+        np.matmul(CP[:m - 1].reshape(-1, nz), cur, out=CP[m:2 * m - 1].reshape(-1, nz))
+        np.matmul(cur, W, out=D[:, (K - 1 - m) * ns:(K - m) * ns])
+        np.matmul(cur, D[:, (K - m) * ns:(K - 1) * ns],
+                  out=D[:, (K - 2 * m) * ns:(K - 1 - m) * ns])
         np.matmul(cur, cur, out=spare)
         cur, spare = spare, cur
+        m *= 2
     if cur is not PK:
         PK[...] = cur
-    drive = np.concatenate(PW[::-1], axis=1).T
-    # GL is filled only now, as the squares used its memory.
-    GL[nz:] = 0.0
-    CPW = [(C @ pw).T for pw in PW]            # C Phi**k W, each formed once
-    del PW
-    for i in range(1, K + 1):
-        for j in range(i):
-            GL[nz + j * ns:nz + (j + 1) * ns, (i - 1) * na:i * na] = CPW[i - 1 - j]
-    for i in range(1, K):
-        GL[:nz, (i - 1) * na:i * na] = CP[i].T
-    del CP
-    GL[:nz, (K - 1) * na:] = (C @ PK).T
-    return PK, drive, GL
+    # GL is filled only now, as the squares used its memory. L's block
+    # (j, i) is C Phi**(i-j) W: T stacks the C Phi**k W, k = 0..K-1, one
+    # product each, then K-1 zero blocks that the negative offsets i - j
+    # of the blocks below the diagonal wrap to.
+    T = np.zeros((2 * K - 1, na, ns))
+    np.matmul(C, D.reshape(nz, K, ns).transpose(1, 0, 2)[::-1], out=T[:K])
+    offsets = np.arange(K) - np.arange(K)[:, None]
+    GL[nz:].reshape(K, ns, K, na)[...] = T[offsets].transpose(0, 3, 1, 2)
+    GL[:nz, :(K - 1) * na] = CP.reshape(-1, nz).T
+    np.matmul(C, PK, out=CP[0])
+    GL[:nz, (K - 1) * na:] = CP[0].T
+    return PK, D.T, GL
 
 
 def simulate(
@@ -554,8 +575,8 @@ def simulate(
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output
     map, and block_steps picks K from its size: 4 for a full run of an
-    ordinary chain, 16 for one agent of the N sweep. The positions differ
-    only in rounding whatever K is.
+    ordinary chain, 32 or 64 for one agent of the N sweep. The positions
+    differ only in rounding whatever K is.
 
     The leader position is imposed, not integrated, so positions[0] equals
     the input signal exactly on the grid. Raises ValueError for an agents

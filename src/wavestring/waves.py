@@ -32,12 +32,13 @@ samples in Python, in chain order, each hinted by the previous pick. Each
 front/rear pair (Mf and Mr, beta and alpha, the two root pairs, g_plus and
 g_minus) is held as the two rows of one array, so one numpy call serves
 both, and a block of BLOCK = 2048 samples holds a default 2,000-point grid
-whole. wave_blocks hands each block over to the scalar awtf_eval from its
-first sample that is non-finite, singular or an unhinted tie, so the result
-is the scalar chain's, bit for bit, and every exception and message is the
-scalar one. A sweep is a WaveSweep, the WaveSample fields as arrays; the Bromwich
-spectra of waveresponse are formed on the same blocks. Single points
-(bisection and golden-section probes, disturbance_gain) stay scalar.
+whole. wave_blocks hands a block over to the scalar awtf_eval at its first
+sample that is non-finite, singular or an unhinted tie, for 64 samples or
+through the run the core cannot settle, then resumes the core, so the
+result is the scalar chain's, bit for bit, and every exception and message
+is the scalar one. A sweep is a WaveSweep, the WaveSample fields as arrays;
+the Bromwich spectra of waveresponse are formed on the same blocks. Single
+points (bisection and golden-section probes, disturbance_gain) stay scalar.
 
 The square root is taken of the discriminant numerator
 
@@ -247,6 +248,7 @@ class WaveSweep:
 _COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
 _FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
 BLOCK = 2048  # samples per wave_blocks block: a default FrequencyGrid is one
+_SCALAR_RUN = 64  # entries the scalar chain fills at least before the core resumes
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -352,10 +354,12 @@ def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray):
 
 
 def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
-                 ) -> tuple[WaveSweep, int]:
-    """awtf_eval at every s, hint-chained from seed: the block and the count
-    of its leading entries that equal the scalar chain's (see wave_blocks).
-    The root pairs and picks are the rows (g_plus, g_minus)."""
+                 ) -> tuple[WaveSweep, int, np.ndarray]:
+    """awtf_eval at every s, hint-chained from seed: the block, the count of
+    its leading entries that equal the scalar chain's (see wave_blocks) and
+    the mask of the entries the core can settle, which past the first does
+    not depend on the hint. The root pairs and picks are the rows (g_plus,
+    g_minus)."""
     with np.errstate(all="ignore"):
         ok, coeff, t_g, *operands = _quadratic_arrays(d, s.real, s.imag)
         lo, hi = _root_arrays(coeff, *operands)
@@ -373,28 +377,45 @@ def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
     beta, alpha = join(*coeff)
     block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=alpha, beta=beta,
                       t_g=join(*t_g), branch_flipped=flip[0] | flip[1])
-    return block, exact
+    return block, exact, ok
 
 
 def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
     """[wave_chain(d)(x) for x in s], bit for bit, as WaveSweep blocks in
     order, at most BLOCK entries each, which bounds the temporaries (each a
     (2, BLOCK) array whose rows are front and rear). A default 2,000-point
-    FrequencyGrid is one block; the Bromwich line is cut into plain slices.
+    FrequencyGrid is one block; the Bromwich line is cut into slices.
 
     The core settles a block up to its first entry that is non-finite,
-    singular or an unhinted tie at s[0]; the scalar awtf_eval fills the rest,
-    each entry hinted by the one before and yielded alone, so what it raises
-    comes after every earlier entry. The next block is the core's again.
+    singular or an unhinted tie at s[0]. The scalar awtf_eval fills the next
+    _SCALAR_RUN entries, and on through those the core's mask marks as
+    unsettled, never past the block's end; each entry is hinted by the one
+    before, and the run is yielded as one block, cut short before an entry
+    that raises, so what it raises comes after every earlier entry. The
+    core then resumes on a new block, seeded by the last scalar sample, at
+    an entry it settles, so a hand-over costs at most _SCALAR_RUN scalar
+    calls beyond the entries only the scalar code can settle.
     """
-    seed = None
-    for lo in range(0, len(s), BLOCK):
-        block, exact = _array_block(d, s[lo:lo + BLOCK], seed)
+    seed, lo = None, 0
+    while lo < len(s):
+        block, exact, ok = _array_block(d, s[lo:lo + BLOCK], seed)
         yield block.take(slice(0, exact))
         seed = block[exact - 1] if exact else seed
-        for x in block.s[exact:]:
-            seed = awtf_eval(d, x, seed)
-            yield WaveSweep(*(np.array([getattr(seed, f)]) for f in _FIELDS))
+        settled = np.flatnonzero(ok[exact + _SCALAR_RUN:])
+        stop = exact + _SCALAR_RUN + settled[0] if settled.size else len(block)
+        run, error = [], None
+        for x in block.s[exact:stop]:
+            try:
+                seed = awtf_eval(d, x, seed)
+            except Exception as exc:
+                error = exc
+                break
+            run.append(seed)
+        if run:
+            yield WaveSweep(*(np.array([getattr(x, f) for x in run]) for f in _FIELDS))
+        if error is not None:
+            raise error
+        lo += stop
 
 
 def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:

@@ -211,7 +211,8 @@ class TestRowsOfUnequalShape:
 
 class TestHandOver:
     """Entries the core cannot settle go to the scalar awtf_eval, hinted by
-    the entry before; the next block is the core's again."""
+    the entry before, for 64 entries or to the end of the run the core
+    cannot settle; then the core resumes."""
 
     @staticmethod
     def tiny_rear() -> AgentDynamics:
@@ -221,22 +222,67 @@ class TestHandOver:
         mr = RationalTF(Polynomial([1e-305, 1e-305]), Polynomial([1.0, 1 / 3]), p=2)
         return AgentDynamics(front_coupling(), mr)
 
-    @pytest.mark.parametrize("block, scalar", [(7, 151), (64, 170), (1024, 300)])
-    def test_scalar_fill_then_the_core_resumes(self, monkeypatch, block, scalar):
-        d = self.tiny_rear()
-        low, high = np.geomspace(1e-2, 1e-3, 150), np.geomspace(1e4, 1e2, 150)
-        s = 1j * np.concatenate([low, high, low[::-1]])
+    @staticmethod
+    def scalar_calls(monkeypatch, d, s, block=None, overflow=slice(150, 300)):
+        """wave_sweep(d, s), checked against the scalar chain, and the
+        number of scalar awtf_eval calls it made; beta overflows at the
+        entries overflow, and only there the core cannot settle."""
         with np.errstate(all="ignore"):
             chain = wave_chain(d)
             reference = [chain(x) for x in s]
             calls, evaluate = [], waves.awtf_eval
-            monkeypatch.setattr(waves, "BLOCK", block)
+            if block is not None:
+                monkeypatch.setattr(waves, "BLOCK", block)
             monkeypatch.setattr(waves, "awtf_eval",
                                 lambda *a: calls.append(a) or evaluate(*a))
             sweep = wave_sweep(d, s)
-        assert not np.isfinite(sweep.beta[150:300]).any()
-        assert len(calls) == scalar
+        assert not np.isfinite(sweep.beta[overflow]).any()
         assert_identical(sweep, reference)
+        return len(calls)
+
+    # Entries 150-299 need the scalar chain. It fills 64 entries or on to
+    # the end of the run the core cannot settle, never past the end of a
+    # block: 150 calls in a block that holds the run, more where blocks
+    # shorter than 64 entries cut it.
+    @pytest.mark.parametrize("block, scalar", [(7, 151), (64, 170), (1024, 150)])
+    def test_scalar_fill_then_the_core_resumes(self, monkeypatch, block, scalar):
+        low, high = np.geomspace(1e-2, 1e-3, 150), np.geomspace(1e4, 1e2, 150)
+        s = 1j * np.concatenate([low, high, low[::-1]])
+        assert self.scalar_calls(monkeypatch, self.tiny_rear(), s, block) == scalar
+
+    def test_scalar_runs_are_short_in_a_whole_block(self, monkeypatch):
+        # 1,800 entries in one default block: the scalar chain takes the 150
+        # that overflow, not the 1,650 from entry 150 to the block's end
+        low, high = np.geomspace(1e-2, 1e-3, 150), np.geomspace(1e4, 1e2, 150)
+        s = 1j * np.concatenate([low, high, np.geomspace(1e-3, 1e-2, 1500)])
+        assert len(s) <= waves.BLOCK
+        assert self.scalar_calls(monkeypatch, self.tiny_rear(), s) == 150
+
+
+    def test_one_unsettled_entry_starts_a_run_of_64(self, monkeypatch):
+        # a single overflowing entry: the scalar chain takes it and the 63
+        # after it, then the core settles the rest
+        low = np.geomspace(1e-2, 1e-3, 400)
+        s = 1j * np.concatenate([low[:150], [1e4], low[150:]])
+        assert self.scalar_calls(monkeypatch, self.tiny_rear(), s,
+                                 overflow=slice(150, 151)) == 64
+
+    def test_an_error_inside_a_run_comes_after_the_entries_before_it(self, monkeypatch):
+        d = self.tiny_rear()
+        low, high = np.geomspace(1e-2, 1e-3, 150), np.geomspace(1e4, 1e2, 150)
+        s = 1j * np.concatenate([low, high])
+        s[200] = complex("nan")
+        with np.errstate(all="ignore"):
+            chain = wave_chain(d)
+            want = outcome(lambda: [chain(x) for x in s])
+            settled, scalar = [], record_calls(monkeypatch, waves, "awtf_eval")
+            got = outcome(lambda: settled.extend(waves.wave_blocks(d, s)))
+            assert got[0] != "returned" and got == want
+            assert len(scalar) == 51
+            chain = wave_chain(d)
+            reference = [chain(x) for x in s[:200]]
+        assert_identical(waves.WaveSweep(*(np.concatenate([getattr(b, f) for b in settled])
+                                           for f in waves._FIELDS)), reference)
 
 
 class TestBromwichOracle:

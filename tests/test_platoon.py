@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wavestring import (
     AgentDynamics,
@@ -31,7 +32,8 @@ from wavestring.errors import (
     NumericalError,
     SingularSolve,
 )
-from wavestring.platoon import CHUNK_BLOCKS, MAX_DOUBLINGS, THETA, block_steps
+from wavestring import platoon
+from wavestring.platoon import CHUNK_BLOCKS, MAX_DOUBLINGS, THETA, _block_maps, block_steps
 from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
 
 
@@ -383,13 +385,40 @@ class TestSimulate:
         assert np.array_equal(traj.positions[0], want[0])
         assert np.max(np.abs(traj.positions - want)) <= 1e-10 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("case", STAGEWISE_CASES)
+    def test_one_agent_path_at_64_step_blocks_matches_expm_oracle(
+            self, case, gain_asym_dyn, monkeypatch):
+        # The longest block, whatever the case's output map allows: the
+        # cases' edges fall inside 64-step blocks, and the block-edges run
+        # ends in a partial one
+        net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
+        full = simulate(net, cfg).positions[[0, *agents]]
+        monkeypatch.setattr(platoon, "block_steps", lambda nz, inputs, agents: 64)
+        want = expm_reference(net, cfg)[[0, *agents]]
+        got = simulate(net, cfg, agents=agents).positions
+        for ref in (want, full):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_one_agent_of_the_n_sweep_runs_64_step_blocks(self, gain_asym_dyn):
+        # path-20, as the N sweep runs it: 2,579 steps span two chunks of
+        # 32 blocks and end in a partial block
+        net = build_network(Topology.path(20), gain_asym_dyn)
+        cfg = SimConfig(dt=1 / 64, T_final=40.3)
+        assert block_steps(net.state_dim, 1, 1) == 64
+        full = simulate(net, cfg).positions[[0, 20]]
+        want = expm_reference(net, cfg)[[0, 20]]
+        got = simulate(net, cfg, agents=(20,)).positions
+        for ref in (want, full):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
     def test_block_length_follows_the_output_map(self, gain_asym_dyn):
         # full runs of ordinary chains keep K = 4, one agent of the N sweep
-        # gets 16, and the high-order full run fits K = 8
+        # gets 32 at N = 10 (nz = 57) and 64 from N = 20 on, and the
+        # high-order full run fits K = 8
         for n in (10, 20, 30, 40, 50):
             nz = build_network(Topology.path(n), gain_asym_dyn).state_dim
             assert block_steps(nz, 1, n) == 4
-            assert block_steps(nz, 1, 1) == 16
+            assert block_steps(nz, 1, 1) == (32 if n == 10 else 64)
         net, cfg, _ = self.stagewise_case("high-order", gain_asym_dyn, one_agent=False)
         assert block_steps(net.state_dim, 1, net.num_agents) == 8
 
@@ -431,7 +460,7 @@ class TestSimulate:
     def test_one_agent_divergence_no_earlier_than_full(self):
         mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
         net = build_network(Topology.path(10), AgentDynamics(mf, mf))
-        assert block_steps(net.state_dim, 1, 1) == 16
+        assert block_steps(net.state_dim, 1, 1) == 32
         times = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -451,7 +480,7 @@ class TestSimulate:
         # (0.36 MB for the full run), the drive rows and the chunk buffers.
         # Holding Phi or a second square beside them would add nz**2
         # doubles, 0.7 MB. Both the full run (K = 4) and
-        # the last agent alone (K = 16) are held to this.
+        # the last agent alone (K = 64) are held to this.
         net = build_network(Topology.path(50), gain_asym_dyn)
         nz = net.state_dim
         for agents in (None, (50,)):
@@ -549,3 +578,78 @@ class TestFrequencyResponse:
         net = build_network(Topology.path(3), sym_dyn)
         with pytest.raises(ValueError):
             frequency_response(net, ("delta", 9), 1, 1j)
+
+
+def loop_block_maps(C, PK, CP, PW):
+    """drive and GL laid out block by block from the power lists, as the
+    list-built step map did: CP[i] = C Phi**i (i = 1..K-1; CP[0] unused),
+    PW[k] = Phi**k W (k = 0..K-1). The reference for _block_maps' stacked
+    layout."""
+    K, (nz, ns), na = len(PW), PW[0].shape, C.shape[0]
+    drive = np.concatenate(PW[::-1], axis=1).T
+    GL = np.zeros((nz + K * ns, K * na))
+    CPW = [(C @ pw).T for pw in PW]
+    for i in range(1, K + 1):
+        for j in range(i):
+            GL[nz + j * ns:nz + (j + 1) * ns, (i - 1) * na:i * na] = CPW[i - 1 - j]
+    for i in range(1, K):
+        GL[:nz, (i - 1) * na:i * na] = CP[i].T
+    GL[:nz, (K - 1) * na:] = (C @ PK).T
+    return drive, GL
+
+
+class TestBlockMaps:
+    DT = 1 / 64
+
+    @staticmethod
+    def maps_input(dyn, edges):
+        """(A, B_in, edge_inputs, tau) on path-10: the leader alone, or the
+        leader and two disturbances with an edge of each inside a step."""
+        net = build_network(Topology.path(10), dyn)
+        if not edges:
+            return net, net.B[:, [0]], np.array([], dtype=int), np.array([])
+        B_in = net.B[:, [0, 3, 8]]
+        return net, B_in, np.array([0, 2, 1]), np.array([0.3, 0.7, 0.05]) * TestBlockMaps.DT
+
+    @staticmethod
+    def oracle_W(A, B_in, edge_inputs, tau, dt):
+        """Gamma b_j for every input, then Gamma(tau) b_j for every edge,
+        from the top right block of exp(t [[A, b], [0, 0]])."""
+        def gamma(t, b):
+            M = np.zeros((len(A) + 1, len(A) + 1))
+            M[:-1, :-1], M[:-1, -1] = A, b
+            return scipy.linalg.expm(t * M)[:-1, -1]
+        cols = [gamma(dt, b) for b in B_in.T]
+        cols += [gamma(t, B_in[:, j]) for j, t in zip(edge_inputs, tau)]
+        return np.stack(cols, axis=1)
+
+    @pytest.mark.parametrize("K", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("agents", [(10,), (2, 5, 10)], ids=["one-agent", "three-agents"])
+    @pytest.mark.parametrize("edges", [False, True], ids=["leader", "edge-inputs"])
+    def test_stacked_build_is_the_loop_layout(self, K, agents, edges, gain_asym_dyn):
+        net, B_in, edge_inputs, tau = self.maps_input(gain_asym_dyn, edges)
+        C = net.C[[a - 1 for a in agents]]
+        nz, na, ns = net.state_dim, len(agents), B_in.shape[1] + len(tau)
+        PK, drive, GL = _block_maps(net.A, B_in, edge_inputs, tau, C, self.DT, K)
+        assert drive.shape == (K * ns, nz) and GL.shape == (nz + K * ns, K * na)
+        # The lists the stacks hold, read back from the maps, laid out by
+        # the double loops: bit for bit the same maps.
+        PW = [drive[(K - 1 - k) * ns:(K - k) * ns].T for k in range(K)]
+        CP = [C] + [GL[:nz, (i - 1) * na:i * na].T for i in range(1, K)]
+        want_drive, want_GL = loop_block_maps(C, PK, CP, PW)
+        assert np.array_equal(drive, want_drive)
+        assert np.array_equal(GL, want_GL)
+        # PK is the square of the half block's, as the squaring chain is
+        # unchanged by the stacks
+        half = _block_maps(net.A, B_in, edge_inputs, tau, C, self.DT, K // 2)[0]
+        assert np.array_equal(PK, half @ half)
+        # and the lists are the powers they stand for
+        Phi = scipy.linalg.expm(self.DT * net.A)
+        W = self.oracle_W(net.A, B_in, edge_inputs, tau, self.DT)
+        power = np.eye(nz)
+        for i in range(K):
+            scale = np.max(np.abs(power))
+            assert np.max(np.abs(CP[i] - C @ power)) <= 1e-12 * scale, i
+            assert np.max(np.abs(PW[i] - power @ W)) <= 1e-12 * scale * np.max(np.abs(W)), i
+            power = power @ Phi
+        assert np.max(np.abs(PK - power)) <= 1e-12 * np.max(np.abs(power))

@@ -1,7 +1,8 @@
 """Randomized invariant checks over low-order dynamics (degree <= 4).
 
-One seeded pass of 100 random agent-dynamics draws feeds every per-dynamics
-invariant; trajectory-level invariants (step-size independence, linearity)
+One seeded pass of 100 random agent-dynamics draws (property_cases) feeds
+every per-dynamics invariant, and test_stability runs its exact axis and norm
+oracles over the same dynamics; trajectory-level invariants (step-size independence, linearity)
 run on fixed cases in test_platoon.
 """
 
@@ -40,12 +41,18 @@ def random_sample_point(rng: np.random.Generator) -> complex:
     return complex(rng.uniform(-0.5, 1.5), rng.uniform(0.2, 4.0))
 
 
-def test_randomized_invariants_100_cases():
+def property_cases(count: int = 100):
+    """The randomized suite's seeded draws, one (dynamics, sample point,
+    20 realization sample points) per case."""
     rng = np.random.default_rng(20240817)
-    for case in range(100):
+    for _ in range(count):
         d = random_dynamics(rng)
         s = random_sample_point(rng)
+        yield d, s, [random_sample_point(rng) for _ in range(20)]
 
+
+def test_randomized_invariants_100_cases():
+    for case, (d, s, samples) in enumerate(property_cases()):
         ws = awtf_eval(d, s)
         mf = tf_eval(d.Mf, s)
         mr = tf_eval(d.Mr, s)
@@ -65,7 +72,6 @@ def test_randomized_invariants_100_cases():
         assert ws_c.g_minus == pytest.approx(ws.g_minus.conjugate(), rel=1e-9)
 
         # realization matches the transfer function
-        samples = [random_sample_point(rng) for _ in range(20)]
         assert realization_matches(realize(d.Mf), d.Mf, samples), case
         assert realization_matches(realize(d.Mr), d.Mr, samples), case
 

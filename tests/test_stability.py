@@ -27,8 +27,10 @@ from wavestring.errors import AssumptionViolated, WavestringError
 from wavestring.waves import t_g_eval
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
                       random_pi_pair, undamped)
+from test_properties import property_cases
 
 SHORT_GRID = FrequencyGrid(1e-4, 1e3, 600)
+PROPERTY_DYNAMICS = [d for d, *_ in property_cases()]
 
 
 def sweep(d, grid=SHORT_GRID):
@@ -177,6 +179,10 @@ class TestExactAxisCrossings:
     def test_bench_pi_pairs(self, d):
         self.assert_grid_finds_exact(d)
 
+    @pytest.mark.parametrize("case", range(len(PROPERTY_DYNAMICS)))
+    def test_randomized_property_dynamics(self, case):
+        self.assert_grid_finds_exact(PROPERTY_DYNAMICS[case])
+
     def test_real_curve_has_no_oracle(self):
         # M = 1/s^2: t_g = 1 - 4/w^2 is real on the whole axis
         assert exact_axis_crossings(undamped()) is None
@@ -200,6 +206,10 @@ class TestExactNorms:
     @pytest.mark.parametrize("d", bench_pairs(), ids=[f"pair-{k:02d}" for k in range(12)])
     def test_bench_pi_pairs(self, d):
         self.assert_grid_agrees(d)
+
+    @pytest.mark.parametrize("case", range(len(PROPERTY_DYNAMICS)))
+    def test_randomized_property_dynamics(self, case):
+        self.assert_grid_agrees(PROPERTY_DYNAMICS[case])
 
     def test_real_coupling_has_no_oracle(self):
         # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both

@@ -14,7 +14,11 @@ alternating between workloads. Then PAIRS more alternating pairs of the
 --paired workload (the one whose gain is claimed) are summarised as
 per-side median and quartiles of `run_s` and the count of pairs the change
 wins (each run's `cpu_s` and `peak_rss_mb` are kept beside it), and one
-traced (`--trace 1`) pair of the same workload follows. The file keeps
+traced (`--trace 1`) pair of the same workload follows. 's_ref_against_raw'
+sets the pairs won and the median change/parent ratio of `run_s` beside
+those of the raw pass wall, and the script prints both: s_ref divides by a
+reference loop timed in each side's own process, so a gain or loss in
+`run_s` that the raw walls do not show is the loop's, not the code's. The file keeps
 each run's final JSON line ('result'), its median reference-loop time
 ('host.ref_loop_s') and its median untraced pass wall in raw seconds
 ('pass_wall_s'), the unscaled time beside the s_ref metrics. Each run also
@@ -110,6 +114,24 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": q2, "q3": q3}
 
 
+def scaled_against_raw(pairs: dict) -> dict:
+    """Per metric, run_s (s_ref) and pass_wall_s (raw seconds): the pairs the
+    change wins and the median change/parent ratio. Where the two disagree,
+    the reference loop moved between the sides, not only the code."""
+    out = {}
+    for metric in ("run_s", "pass_wall_s"):
+        parent, change = pairs[metric]["parent"], pairs[metric]["change"]
+        out[metric] = {
+            "change_wins": sum(c < p for p, c in zip(parent, change)),
+            "median_ratio": statistics.median(c / p for p, c in zip(parent, change)),
+        }
+    print(f"  {pairs['workload']}: change lower in "
+          + ", ".join(f"{m} {v['change_wins']}/{len(pairs[m]['parent'])} pairs "
+                      f"(median ratio {v['median_ratio']:.4f})" for m, v in out.items()),
+          file=sys.stderr)
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
@@ -182,6 +204,7 @@ def main() -> int:
             "parent": quartiles(run_s["parent"]),
             "change": quartiles(run_s["change"]),
         }
+        doc["pairs"]["s_ref_against_raw"] = scaled_against_raw(doc["pairs"])
         traced = pair(args.paired, 0, trace=1)
         doc["traced"] = {
             "command": (COMMAND + "1").replace("<workload>", args.paired),
