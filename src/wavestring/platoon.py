@@ -405,6 +405,9 @@ class Trajectory:
 CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
 THETA = 0.5        # largest h * ||A||_1 one Taylor series covers
 MAX_DOUBLINGS = 40  # more doublings than this lose the positions' digits
+PANEL_ROWS = 32     # rows of a banded A per product of the Taylor series
+TILE_COLS = 8       # columns of Y per tile of those products
+_WHOLE = ((slice(None),) * 3,)  # the product by A as one product (_series)
 
 
 def block_steps(nz: int, inputs: int, agents: int) -> int:
@@ -426,10 +429,45 @@ def block_steps(nz: int, inputs: int, agents: int) -> int:
     return 4
 
 
-def _series(A, X, h, terms: int, Y, Z):
+def _panels(A: np.ndarray) -> tuple[tuple[slice, slice, slice], ...]:
+    """The products (rows, span, cols) whose sum is a product by A:
+    A[rows, span] @ Y[span, cols] fills Z[rows, cols] of Z = A @ Y.
+
+    A banded A takes one product per panel of PANEL_ROWS rows (the last
+    takes the rows left over too), over span, the columns the panel's
+    nonzeros span (none for an all-zero panel): the columns left out only
+    multiply exact zeros. Where these panels would cover more than half of
+    A, one product over all of A instead, as one product beats many that
+    span most of it. A panel's columns of Y are taken as whole tiles of
+    TILE_COLS, the first nz - nz % TILE_COLS and then the last TILE_COLS
+    over again: OpenBLAS's small-matrix kernel, which takes the panels'
+    products, rounds a last partial tile of columns differently from the
+    kernel of the one product.
+    """
+    nz = A.shape[0]
+    # Panels start every PANEL_ROWS rows; the last ends at nz.
+    starts = np.arange(0, max(nz - PANEL_ROWS, 0) + 1, PANEL_ROWS)
+    ends = np.append(starts[1:], nz)
+    hit = np.logical_or.reduceat(A != 0, starts, axis=0)
+    used = hit.any(axis=1)
+    c0 = np.where(used, hit.argmax(axis=1), 0)
+    c1 = np.where(used, nz - hit[:, ::-1].argmax(axis=1), 0)
+    if 2 * np.dot(ends - starts, c1 - c0) > nz * nz:
+        return _WHOLE
+    tail = nz % TILE_COLS
+    cols = [slice(0, nz - tail)] + ([slice(nz - TILE_COLS, nz)] if tail else [])
+    return tuple((slice(r0, r1), slice(a, b), j)
+                 for r0, r1, a, b in zip(starts.tolist(), ends.tolist(),
+                                         c0.tolist(), c1.tolist())
+                 for j in cols)
+
+
+def _series(A, products, X, h, terms: int, Y, Z):
     """sum_{k=1..terms} h**k A**(k-1) X / k! by Horner's rule,
     h (X + h A / 2 (X + h A / 3 (...))), in the buffers Y and Z, shaped
-    like X; returns the one that holds the sum.
+    like X; returns the one that holds the sum. Each product by A is the
+    sum of the given products (_panels), c nz**2 multiply-adds per column
+    of X where they cover a share c of A.
 
     For X = A V + B U this is the Taylor series of the state rows of
     (exp(h M) - I) [V; U], M = [[A, B], [0, 0]]. h is a scalar or a row
@@ -437,7 +475,8 @@ def _series(A, X, h, terms: int, Y, Z):
     """
     Y[...] = X
     for k in range(terms, 1, -1):
-        np.matmul(A, Y, out=Z)
+        for rows, span, cols in products:
+            np.matmul(A[rows, span], Y[span, cols], out=Z[rows, cols])
         Z *= h / k
         Z += X
         Y, Z = Z, Y
@@ -478,10 +517,12 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     two stacks, the C Phi**i and the Phi**i W, from i < m to i < 2m: item m
     from C or W, items m+1..2m-1 as one GEMM on items 1..m-1. GL and drive
     are laid out from the stacks by copies: G by reshaping the C Phi**i,
-    and L, block-Toeplitz, by one indexed copy of the C Phi**k W. The build
-    costs about (terms + s + log2 K) nz**3 multiply-adds for the powers of
-    the step, plus K (agents + inputs) nz**2 in the log2 K GEMMs of the
-    stacks.
+    and L, block-Toeplitz, by one indexed copy of the C Phi**k W. The
+    series' products by A run over A's row panels (_panels), so the build
+    costs about (c terms + s + log2 K) nz**3 multiply-adds for the powers
+    of the step, c the share of A the panels cover (0.14 on the path of
+    50, 1 where A is dense), plus K (agents + inputs) nz**2 in the log2 K
+    GEMMs of the stacks.
     """
     nz, na, ni = A.shape[0], C.shape[0], B_in.shape[1]
     src = np.concatenate([np.arange(ni), edge_inputs])
@@ -498,7 +539,11 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     x = h * norm                     # at most THETA
     terms = next((k for k in range(1, 30) if x**k <= 2.0**-53 * math.factorial(k + 1)), 30)
     steps = np.concatenate([np.full(ni, h), tau - whole * h])
-    W = _series(A, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
+    # W's few columns take the one product, which measured faster than
+    # the panels' (221 against 335 us for one column at nz = 297, 2-core
+    # Xeon).
+    W = _series(A, _WHOLE, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
+    products = _panels(A)
     # Phi and its squares alternate between PK and a spare square that
     # shares GL's memory, so the build holds little beyond PK and GL. E
     # keeps the digits that I + E would round away. A doubling takes E to
@@ -507,7 +552,7 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     memory = np.empty(max(nz * nz, (nz + K * ns) * K * na))
     GL = memory[:(nz + K * ns) * K * na].reshape(nz + K * ns, K * na)
     PK, square = np.empty((nz, nz)), memory[:nz * nz].reshape(nz, nz)
-    cur = _series(A, A, h, terms, PK, square)
+    cur = _series(A, products, A, h, terms, PK, square)
     spare = square if cur is PK else PK
     for level in range(s):
         bit = np.floor(np.ldexp(whole, -level)) % 2 == 1
@@ -523,7 +568,11 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     # stays outside), and D = drive.T, whose column block K-1-i holds
     # Phi**i W. Item m is C Phi**m or Phi**m W, items m+1..2m-1 one GEMM on
     # items 1..m-1. So a block of K = 4 takes one product per item, which
-    # fixes the full runs' digits: a stacked GEMM rounds differently.
+    # fixes the full runs' digits: a stacked GEMM rounds differently. The
+    # Phi**i W GEMM writes to the spare square, dead until the squaring,
+    # where its (m-1) ns columns fit (else to a buffer of its own), and is
+    # copied into D from there: with its input and output in D's memory
+    # extents, numpy would first copy the input out of D.
     CP = np.empty((K - 1, na, nz))
     D = np.empty((nz, K * ns))
     D[:, (K - 1) * ns:] = W
@@ -532,8 +581,10 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
         np.matmul(C, cur, out=CP[m - 1])
         np.matmul(CP[:m - 1].reshape(-1, nz), cur, out=CP[m:2 * m - 1].reshape(-1, nz))
         np.matmul(cur, W, out=D[:, (K - 1 - m) * ns:(K - m) * ns])
-        np.matmul(cur, D[:, (K - m) * ns:(K - 1) * ns],
-                  out=D[:, (K - 2 * m) * ns:(K - 1 - m) * ns])
+        w = (m - 1) * ns
+        stack = (spare.reshape(-1) if w <= nz else np.empty(nz * w))[:nz * w].reshape(nz, w)
+        np.matmul(cur, D[:, (K - m) * ns:(K - 1) * ns], out=stack)
+        D[:, (K - 2 * m) * ns:(K - 1 - m) * ns] = stack
         np.matmul(cur, cur, out=spare)
         cur, spare = spare, cur
         m *= 2

@@ -33,7 +33,16 @@ from wavestring.errors import (
     SingularSolve,
 )
 from wavestring import platoon
-from wavestring.platoon import CHUNK_BLOCKS, MAX_DOUBLINGS, THETA, _block_maps, block_steps
+from wavestring.platoon import (
+    CHUNK_BLOCKS,
+    MAX_DOUBLINGS,
+    PANEL_ROWS,
+    THETA,
+    _block_maps,
+    _panels,
+    _series,
+    block_steps,
+)
 from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
 
 
@@ -598,6 +607,20 @@ def loop_block_maps(C, PK, CP, PW):
     return drive, GL
 
 
+def one_product_series(A, X, h, terms, Y, Z):
+    """_series with each product by A as one product over all of A, as
+    the step map's build took it before the panels. The reference for
+    the panel series."""
+    Y[...] = X
+    for k in range(terms, 1, -1):
+        np.matmul(A, Y, out=Z)
+        Z *= h / k
+        Z += X
+        Y, Z = Z, Y
+    Y *= h
+    return Y
+
+
 class TestBlockMaps:
     DT = 1 / 64
 
@@ -653,3 +676,95 @@ class TestBlockMaps:
             assert np.max(np.abs(PW[i] - power @ W)) <= 1e-12 * scale * np.max(np.abs(W)), i
             power = power @ Phi
         assert np.max(np.abs(PK - power)) <= 1e-12 * np.max(np.abs(power))
+
+    @staticmethod
+    def series_matrix(case, dyn):
+        """A of one network of the panel cases, and whether its series
+        takes the panels (True) or the one product (False)."""
+        kind, n, h = case
+        d = AgentDynamics(dyn.Mf, dyn.Mr, h=h)
+        if kind == "tree":
+            # a spine of 30 and three tail branches: nz = 297 again, but
+            # the branches' states sit past the spine's in the band
+            return build_network(Topology.with_tail_branches(30, (9, 7, 4)), d).A, True
+        A = build_network(Topology.path(n), d).A
+        if kind == "zero-panel":
+            # the rows of the third panel cleared: an all-zero panel, whose
+            # product spans no column
+            A = A.copy()
+            A[2 * PANEL_ROWS:3 * PANEL_ROWS] = 0.0
+        return A, n >= 20
+
+    PANEL_CASES = [("path", n, h) for n in (3, 10, 50) for h in (0.0, 0.5)] + [
+        ("tree", 0, 0.0), ("zero-panel", 50, 0.0)]
+
+    @pytest.mark.parametrize("case", PANEL_CASES, ids=lambda c: f"{c[0]}-{c[1]}-h{c[2]}")
+    def test_panel_series_is_the_one_product(self, case, gain_asym_dyn):
+        # Bit for bit: each entry is the same sum of nonzero products, and
+        # the panels' tiles of TILE_COLS columns round like the one product
+        A, panelled = self.series_matrix(case, gain_asym_dyn)
+        nz = A.shape[0]
+        products = _panels(A)
+        assert (products != platoon._WHOLE) == panelled
+        if panelled:
+            # path-50's and the tree's nz = 297 is no multiple of the panel
+            # height: the last panel takes the 9 rows left over too
+            assert nz % PANEL_ROWS and products[-1][0] == slice(nz - PANEL_ROWS - nz % PANEL_ROWS, nz)
+        if case[0] == "zero-panel":
+            assert [c for r, c, j in products if r.start == 2 * PANEL_ROWS] == [slice(0, 0)] * 2
+        h = THETA / np.linalg.norm(A, 1)
+        got = _series(A, products, A, h, 12, np.empty((nz, nz)), np.empty((nz, nz)))
+        want = one_product_series(A, A, h, 12, np.empty((nz, nz)), np.empty((nz, nz)))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("agents", [None, (50,)], ids=["full", "one-agent"])
+    def test_panel_build_is_the_one_product_build(self, agents, gain_asym_dyn, monkeypatch):
+        # path-50 with two inputs and an edge of each inside a step, so the
+        # W series integrates over parts of a step too: the maps match the
+        # build whose every product by A is one product, bit for bit
+        net = build_network(Topology.path(50), gain_asym_dyn)
+        C = net.C if agents is None else net.C[[49]]
+        K = block_steps(net.state_dim, 4, C.shape[0])
+        args = (net.A, net.B[:, [0, 7]], np.array([0, 1]), np.array([0.3, 0.7]) * self.DT,
+                C, self.DT, K)
+        got = _block_maps(*args)
+        monkeypatch.setattr(platoon, "_panels", lambda A: platoon._WHOLE)
+        for got_map, want_map in zip(got, _block_maps(*args)):
+            assert np.array_equal(got_map, want_map)
+
+    def test_dense_matrix_takes_the_one_product(self):
+        # 32-row panels over every column of a dense A were 25% slower
+        # than one product at nz = 297
+        A = np.random.default_rng(7).standard_normal((297, 297))
+        assert _panels(A) == platoon._WHOLE
+
+    def test_build_of_the_longest_path_does_a_seventh_of_the_series_work(
+            self, gain_asym_dyn, monkeypatch):
+        # path-50 (nz = 297, bandwidth 8), one agent at K = 64: the Phi
+        # series' products by A do 14.1% of the multiply-adds of one
+        # product per Horner step (the panels cover 13.8% of A, and the last
+        # tile of columns is taken twice). W's one-column series takes the
+        # one product, one call per Horner step.
+        net = build_network(Topology.path(50), gain_asym_dyn)
+        A, nz = net.A, net.state_dim
+        phi_work, w_calls = [], []
+
+        def matmul(a, b, **kwargs):
+            if np.shares_memory(a, A):
+                if b.shape[1] == 1:
+                    w_calls.append(a.shape)
+                else:
+                    phi_work.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return np.matmul(a, b, **kwargs)
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        spy = Numpy()
+        spy.matmul = matmul
+        monkeypatch.setattr(platoon, "np", spy)
+        _block_maps(A, net.B[:, [0]], np.array([], dtype=int), np.array([]),
+                    net.C[[49]], 0.01, 64)
+        assert w_calls and set(w_calls) == {(nz, nz)}
+        assert sum(phi_work) <= 0.15 * len(w_calls) * nz**3

@@ -1,6 +1,8 @@
 """Record a BENCH_<n>.json: bench/run.py at a parent revision and at the tree.
 
     python3 tools/bench_pair.py --parent REV --paired WORKLOAD --out BENCH_9.json
+    python3 tools/bench_pair.py --parent REV --paired sweep_chain --paired spectral \
+        --out BENCH_18.json
 
 The parent's committed files are exported with `git archive` into a
 temporary directory, and the change's working tree (tracked files and the
@@ -26,6 +28,13 @@ keeps the sha256 of every output file its last pass wrote ('output_sha256'),
 and 'outputs_identical' counts, per workload, the parent's files whose
 digest the change's first run reproduces: a check of the outputs against
 each other that does not lean on bench/reference.json.
+
+--paired may be given more than once. The single runs are still made once
+per workload and side; then each named workload, in the order given, has
+its PAIRS pairs and its traced pair. With one --paired workload, 'pairs'
+and 'traced' hold that workload's summary and traced pair. With several,
+each of 'pairs' and 'traced' maps every named workload to that same
+summary and traced pair.
 """
 
 from __future__ import annotations
@@ -132,11 +141,40 @@ def scaled_against_raw(pairs: dict) -> dict:
     return out
 
 
+def paired(pair, workload: str) -> tuple[dict, dict]:
+    """PAIRS alternating pairs of workload, summarised, and one traced pair."""
+    runs = [pair(workload, k) for k in range(PAIRS)]
+    run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
+             for side in ("parent", "change")}
+    summary = {
+        "workload": workload,
+        "metric": "run_s (s_ref)",
+        "run_s": run_s,
+        **{metric: {side: [r[side]["result"]["metrics"][metric]["value"] for r in runs]
+                    for side in ("parent", "change")}
+           for metric in ("cpu_s", "peak_rss_mb")},
+        "pass_wall_s": {side: [r[side]["pass_wall_s"] for r in runs]
+                        for side in ("parent", "change")},
+        "host.ref_loop_s": {side: [r[side]["host.ref_loop_s"] for r in runs]
+                            for side in ("parent", "change")},
+        "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
+        "parent": quartiles(run_s["parent"]),
+        "change": quartiles(run_s["change"]),
+    }
+    summary["s_ref_against_raw"] = scaled_against_raw(summary)
+    traced = {
+        "command": (COMMAND + "1").replace("<workload>", workload),
+        **{side: {k: v for k, v in res.items() if k != "_host"}
+           for side, res in pair(workload, 0, trace=1).items()},
+    }
+    return summary, traced
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True)
-    ap.add_argument("--paired", required=True, choices=WORKLOADS,
-                    help="workload of the ten pairs and of the traced pair")
+    ap.add_argument("--paired", required=True, choices=WORKLOADS, action="append",
+                    help="workload of ten pairs and a traced pair (repeatable)")
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
 
@@ -186,31 +224,12 @@ def main() -> int:
             **sides,
             "outputs_identical": outputs,
         }
-        runs = [pair(args.paired, k) for k in range(PAIRS)]
-        run_s = {side: [r[side]["result"]["metrics"]["run_s"]["value"] for r in runs]
-                 for side in ("parent", "change")}
-        doc["pairs"] = {
-            "workload": args.paired,
-            "metric": "run_s (s_ref)",
-            "run_s": run_s,
-            **{metric: {side: [r[side]["result"]["metrics"][metric]["value"] for r in runs]
-                        for side in ("parent", "change")}
-               for metric in ("cpu_s", "peak_rss_mb")},
-            "pass_wall_s": {side: [r[side]["pass_wall_s"] for r in runs]
-                            for side in ("parent", "change")},
-            "host.ref_loop_s": {side: [r[side]["host.ref_loop_s"] for r in runs]
-                                for side in ("parent", "change")},
-            "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
-            "parent": quartiles(run_s["parent"]),
-            "change": quartiles(run_s["change"]),
-        }
-        doc["pairs"]["s_ref_against_raw"] = scaled_against_raw(doc["pairs"])
-        traced = pair(args.paired, 0, trace=1)
-        doc["traced"] = {
-            "command": (COMMAND + "1").replace("<workload>", args.paired),
-            **{side: {k: v for k, v in res.items() if k != "_host"}
-               for side, res in traced.items()},
-        }
+        pairs, traced = {}, {}
+        for workload in dict.fromkeys(args.paired):
+            pairs[workload], traced[workload] = paired(pair, workload)
+        if len(pairs) == 1:
+            (pairs,), (traced,) = pairs.values(), traced.values()
+        doc["pairs"], doc["traced"] = pairs, traced
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
