@@ -1,20 +1,22 @@
 """State-space realization and time-domain simulation of agent chains.
 
-Agents are identical single-input blocks wired on a tree rooted at the
-externally driven leader (node 0). Orientation comes from a breadth-first
-search from the leader: the front coupling block of every agent faces its
-parent, one rear coupling block faces each child, and leaf agents carry no
-rear block. Each agent's position is the sum of its block outputs; a
-disturbance enters the front block input of its agent, next to the relative
-position. The leader is kinematic: its position is an exogenous input, never
-integrated.
+Agents are identical two-input systems wired on a tree rooted at the
+externally driven leader (node 0): an agent's position is
+Mf (front input) + Mr (rear input). Orientation comes from a breadth-first
+search from the leader: the front input of every agent is its parent's
+position minus its own, and the rear input sums its children's positions
+minus its own (zero for a leaf). A disturbance adds to its agent's front
+input. Each agent is one minimal block (realize): [Mf Mr] over their common
+denominator, so the network state has p + deg D entries per agent. The
+leader is kinematic: its position is an exogenous input, never integrated.
 
-With a headway time h > 0 each block input gains a -h * (own velocity) term.
-Velocities are recovered from the block states by solving a small linear
-system once at assembly, which keeps the network an ordinary (non-descriptor)
-linear ODE. That requires strictly proper couplings; a biproper coupling
-would make positions depend algebraically on input derivatives and is
-rejected at assembly.
+With a headway time h > 0 each relative-position term gains a
+-h * (own velocity) term, so the rear input's weight on the own velocity is
+the child count. Velocities are recovered from the block states by solving a
+small linear system once at assembly, which keeps the network an ordinary
+(non-descriptor) linear ODE. That requires strictly proper couplings; a
+biproper coupling would make positions depend algebraically on input
+derivatives and is rejected at assembly.
 
 simulate solves the network exactly on its output grid: the inputs are
 piecewise constant, so one step is z -> Phi z + W u with Phi = exp(dt A),
@@ -23,7 +25,7 @@ steps per matvec with Phi**K, and one matrix product per chunk of blocks
 fills the positions in between, so the Python loop runs once per block,
 not per step. Only the agents a caller asks for are reported; the fewer
 there are, the longer the block (block_steps): a one-agent run of the N
-sweep takes 32 or 64 steps per matvec, a full run 4.
+sweep takes 16, 32 or 64 steps per matvec, a full run 4.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     SingularSolve,
 )
 from .poly import poly_roots
-from .tf import AgentDynamics, RationalTF, check_assumption1
+from .tf import AgentDynamics, check_assumption1
 
 
 @dataclass(frozen=True)
@@ -148,58 +150,55 @@ class Topology:
 
 @dataclass(frozen=True)
 class StateSpaceBlock:
-    """Controllable-canonical realization of one rational transfer function."""
+    """Observable-canonical realization of one agent: the two-input system
+    [Mf Mr], whose output, the agent's position, is the last state. B's
+    columns are the front and the rear input."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray
-    D: float
 
     @property
     def order(self) -> int:
         return self.A.shape[0]
 
-    def response(self, s: complex) -> complex:
-        n = self.order
-        if n == 0:
-            return complex(self.D)
-        sol = np.linalg.solve(s * np.eye(n) - self.A, self.B)
-        return complex(self.C @ sol + self.D)
+    def response(self, s: complex) -> np.ndarray:
+        """[Mf(s), Mr(s)]: the position's response to each input at s."""
+        return np.linalg.solve(s * np.eye(self.order) - self.A, self.B)[-1]
 
 
-def realize(tf: RationalTF) -> StateSpaceBlock:
-    """Controllable-canonical state-space block including the origin poles.
+def realize(d: AgentDynamics) -> StateSpaceBlock:
+    """One agent's minimal block: [Mf Mr] over their common denominator
+    s**p D, in observable-canonical form.
 
-    Raises ImproperTF when the numerator degree exceeds p + denominator
-    degree. The feedthrough D is nonzero exactly for biproper functions.
+    D is the couplings' normalized denominator where they share it, else
+    the product of the two, so the block has order p + deg D. Raises
+    ImproperTF unless both couplings are strictly proper: a biproper one
+    feeds its input straight through to the position, which closes an
+    algebraic loop in the network.
     """
-    n = tf.p + tf.den.degree()
-    if tf.num.degree() > n:
+    mf, mr = d.Mf, d.Mr
+    if not (mf.is_strictly_proper() and mr.is_strictly_proper()):
         raise ImproperTF(
-            f"numerator degree {tf.num.degree()} exceeds pole count {n}"
+            "network assembly needs strictly proper couplings "
+            "(biproper blocks would create an algebraic position loop)"
         )
-    # Full denominator s**p * den(s), made monic.
-    full = np.zeros(n + 1)
-    for k in range(tf.den.degree() + 1):
-        full[k + tf.p] = tf.den.coeff(k)
-    lead = full[n]
-    a = full[:n] / lead
-    b = np.zeros(n + 1)
-    for k in range(tf.num.degree() + 1):
-        b[k] = tf.num.coeff(k) / lead
-
+    if mf.den.trimmed() == mr.den.trimmed():
+        den, nums = mf.den, (mf.num, mr.num)
+    else:
+        den, nums = mf.den * mr.den, (mf.num * mr.den, mr.num * mf.den)
+    p = max(mf.p, mr.p)              # equal under Assumption 1
+    full = np.concatenate([np.zeros(p), den.trimmed().coeffs])   # s**p D
+    n = len(full) - 1
     A = np.zeros((n, n))
-    if n > 1:
-        A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -a
-    B = np.zeros(n)
-    if n > 0:
-        B[-1] = 1.0
-    D = float(b[n])
-    C = b[:n] - D * a
-    for arr in (A, B, C):
+    A[1:, :-1] = np.eye(n - 1)
+    A[:, -1] = -full[:n] / full[n]
+    B = np.zeros((n, 2))
+    for j, (num, tf) in enumerate(zip(nums, (mf, mr))):
+        b = np.concatenate([np.zeros(p - tf.p), num.trimmed().coeffs])
+        B[:len(b), j] = b / full[n]
+    for arr in (A, B):
         arr.flags.writeable = False
-    return StateSpaceBlock(A=A, B=B, C=C, D=D)
+    return StateSpaceBlock(A=A, B=B)
 
 
 @dataclass(frozen=True)
@@ -207,7 +206,7 @@ class NetworkSystem:
     """Assembled linear network: z' = A z + B w, positions x = C z.
 
     The exogenous input vector is w = [leader position, delta_1, ...,
-    delta_V] where delta_n is the disturbance entering agent n's front block.
+    delta_V] where delta_n is the disturbance added to agent n's front input.
     Positions cover agents 1..V; the leader is prepended by the simulator.
     """
 
@@ -235,53 +234,44 @@ class NetworkSystem:
 
 
 def build_network(topology: Topology, d: AgentDynamics) -> NetworkSystem:
-    """Wire one front block per agent and one rear block per child edge."""
+    """Wire one agent block (realize) per follower.
+
+    Agent n's front input is x_parent - x_n (the leader's position for the
+    leader's child) plus delta_n, its rear input the sum of x_c - x_n over
+    its children c. With headway each of those terms carries -h v_n, so the
+    rear input weighs v_n by the child count. The state stacks the agents'
+    blocks in id order; agent n's position is the last state of its block.
+    """
     report = check_assumption1(d)
     if not report.passed:
         raise AssumptionViolated("; ".join(report.violations))
-    if not (d.Mf.is_strictly_proper() and d.Mr.is_strictly_proper()):
-        raise ImproperTF(
-            "network assembly needs strictly proper couplings "
-            "(biproper blocks would create an algebraic position loop)"
-        )
-
-    blk_f = realize(d.Mf)
-    blk_r = realize(d.Mr)
-    parents = topology.parents
-    children = topology.children()
+    blk = realize(d)
     n_agents = topology.num_nodes - 1
-
-    # Block table: (realization, owner agent, referenced neighbour, is_front).
-    blocks: list[tuple[StateSpaceBlock, int, int, bool]] = []
-    for agent in range(1, topology.num_nodes):
-        blocks.append((blk_f, agent, parents[agent], True))
-        for child in children[agent]:
-            blocks.append((blk_r, agent, child, False))
-
-    nz = sum(blk.order for blk, *_ in blocks)
-    nu = len(blocks)
-    A_blk = np.zeros((nz, nz))
-    B_blk = np.zeros((nz, nu))
-    C_out = np.zeros((n_agents, nz))      # positions from states
+    out = np.zeros(blk.order)
+    out[-1] = 1.0
+    eye = np.eye(n_agents)
+    A_blk = np.kron(eye, blk.A)
+    B_blk = np.kron(eye, blk.B)           # agent n's inputs: 2n - 2 front, 2n - 1 rear
+    C_out = np.kron(eye, out)             # positions from states
+    nu = 2 * n_agents
     S = np.zeros((nu, n_agents))          # relative-position structure
-    R = np.zeros((nu, n_agents))          # own-velocity pick for headway
+    R = np.zeros((nu, n_agents))          # own-velocity weights for headway
     T = np.zeros((nu, 1 + n_agents))      # leader and disturbance injection
 
-    offset = 0
-    for k, (blk, agent, other, is_front) in enumerate(blocks):
-        m = blk.order
-        A_blk[offset:offset + m, offset:offset + m] = blk.A
-        B_blk[offset:offset + m, k] = blk.B
-        C_out[agent - 1, offset:offset + m] += blk.C
-        S[k, agent - 1] -= 1.0
-        if other == 0:
-            T[k, 0] = 1.0
-        else:
-            S[k, other - 1] += 1.0
-        if is_front:
-            T[k, agent] = 1.0
-        R[k, agent - 1] = 1.0
-        offset += m
+    # Each edge feeds the child's front input and the parent's rear input.
+    for agent, parent in enumerate(topology.parents[1:], 1):
+        front = 2 * agent - 2
+        S[front, agent - 1] -= 1.0
+        R[front, agent - 1] = 1.0
+        T[front, agent] = 1.0
+        if parent == 0:
+            T[front, 0] = 1.0
+            continue
+        S[front, parent - 1] += 1.0
+        rear = 2 * parent - 1
+        S[rear, agent - 1] += 1.0
+        S[rear, parent - 1] -= 1.0
+        R[rear, parent - 1] += 1.0
 
     CA = C_out @ A_blk
     CB = C_out @ B_blk
@@ -325,7 +315,7 @@ class LeaderStep:
 
 @dataclass(frozen=True)
 class Disturbance:
-    """Additive signal on one agent's front block input."""
+    """Additive signal on one agent's front input."""
 
     agent: int
     signal: str = "step"  # "step" or "pulse"
@@ -418,10 +408,10 @@ def block_steps(nz: int, inputs: int, agents: int) -> int:
     columns, fits in the nz**2 square the build holds anyway, else 4. So a
     longer block never raises the peak memory, and a full run of a chain of
     low-order agents, where G's build cost of about K nz**2 agents would
-    dominate, keeps K = 4. One agent of the N sweep gets 32 at N = 10 and
-    64 from N = 20 on. The build's cost grows with log2 K (_block_maps), so
-    beyond 64 the extra squarings of an nz**3 each outweigh the matvecs a
-    longer block saves.
+    dominate, keeps K = 4. One agent of the N sweep gets 16 at N = 10, 32
+    at N = 20 and 30 and 64 from N = 40 on. The build's cost grows with
+    log2 K (_block_maps), so beyond 64 the extra squarings of an nz**3
+    each outweigh the matvecs a longer block saves.
     """
     for K in (64, 32, 16, 8):
         if (nz + K * inputs) * K * agents <= nz * nz:
@@ -520,7 +510,7 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     and L, block-Toeplitz, by one indexed copy of the C Phi**k W. The
     series' products by A run over A's row panels (_panels), so the build
     costs about (c terms + s + log2 K) nz**3 multiply-adds for the powers
-    of the step, c the share of A the panels cover (0.14 on the path of
+    of the step, c the share of A the panels cover (0.29 on the path of
     50, 1 where A is dense), plus K (agents + inputs) nz**2 in the log2 K
     GEMMs of the stacks.
     """
@@ -540,7 +530,7 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     terms = next((k for k in range(1, 30) if x**k <= 2.0**-53 * math.factorial(k + 1)), 30)
     steps = np.concatenate([np.full(ni, h), tau - whole * h])
     # W's few columns take the one product, which measured faster than
-    # the panels' (221 against 335 us for one column at nz = 297, 2-core
+    # the panels' (65 against 197 us for one column at nz = 150, 2-core
     # Xeon).
     W = _series(A, _WHOLE, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
     products = _panels(A)
@@ -626,7 +616,7 @@ def simulate(
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output
     map, and block_steps picks K from its size: 4 for a full run of an
-    ordinary chain, 32 or 64 for one agent of the N sweep. The positions
+    ordinary chain, 16 to 64 for one agent of the N sweep. The positions
     differ only in rounding whatever K is.
 
     The leader position is imposed, not integrated, so positions[0] equals

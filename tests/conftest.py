@@ -79,13 +79,14 @@ def record_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-def realization_matches(block, tf: RationalTF, samples, rtol: float = 1e-8) -> bool:
-    """Frequency-response agreement between a state-space block and its
-    transfer function."""
+def realization_matches(block, d: AgentDynamics, samples, rtol: float = 1e-8) -> bool:
+    """Frequency-response agreement between an agent block and its two
+    couplings: the front input column realizes Mf, the rear one Mr."""
     for s in samples:
-        want = tf_eval(tf, s)
-        if abs(block.response(s) - want) > rtol * max(1.0, abs(want)):
-            return False
+        for got, tf in zip(block.response(s), (d.Mf, d.Mr)):
+            want = tf_eval(tf, s)
+            if abs(got - want) > rtol * max(1.0, abs(want)):
+                return False
     return True
 
 

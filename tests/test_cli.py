@@ -300,8 +300,8 @@ class TestSimulate:
         assert np.max(np.abs(rows[:, 1:].T - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_absurd_step_exit_3(self, tmp_path, capsys):
-        # dt ||A||_1 = 1.7e17 on the symmetric path-3 needs 59 doublings of
-        # the step map, which would leave x_1 at -6.9e8 where it is 1.0
+        # dt ||A||_1 = 3.5e17 on the symmetric path-3 needs 60 doublings of
+        # the step map, more than the 40 that simulate accepts
         cfg = base_config(mr=MF)
         cfg["topology"]["n"] = 3
         cfg["sim"].update(t_final=1e17, dt=1e16)
@@ -309,7 +309,7 @@ class TestSimulate:
         out = tmp_path / "out"
         argv = ["simulate", "--config", cfg_path, "--out", str(out)]
         assert main(argv) == 3
-        assert "dt*||A||_1 = 1.7e+17 needs s = 59 doublings" in capsys.readouterr().err
+        assert "dt*||A||_1 = 3.5e+17 needs s = 60 doublings" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -72,8 +72,7 @@ def test_randomized_invariants_100_cases():
         assert ws_c.g_minus == pytest.approx(ws.g_minus.conjugate(), rel=1e-9)
 
         # realization matches the transfer function
-        assert realization_matches(realize(d.Mf), d.Mf, samples), case
-        assert realization_matches(realize(d.Mr), d.Mr, samples), case
+        assert realization_matches(realize(d), d, samples), case
 
 
 def test_normalization_idempotent_random():
