@@ -23,9 +23,10 @@ piecewise constant, so one step is z -> Phi z + W u with Phi = exp(dt A),
 and an input edge inside a step adds one column to W. The state advances K
 steps per matvec with Phi**K, and one matrix product per chunk of blocks
 fills the positions in between, so the Python loop runs once per block,
-not per step. Only the agents a caller asks for are reported; the fewer
-there are, the longer the block (block_steps): a one-agent run of the N
-sweep takes 16, 32 or 64 steps per matvec, a full run 4.
+not per step. Only the agents a caller asks for are reported. block_steps
+picks K from what a block costs against what the build costs, so longer
+runs and fewer agents take longer blocks: a one-agent run of the N sweep
+takes 128 steps per matvec, a full run of the path of 20 32.
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ class Topology:
                 prev = next_node
                 next_node += 1
         return Topology(next_node, tuple(edges), n)
-
-    def children(self) -> list[list[int]]:
-        kids: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for node, par in enumerate(self.parents[1:], 1):
-            kids[par].append(node)
-        return kids
 
 
 @dataclass(frozen=True)
@@ -398,25 +393,43 @@ MAX_DOUBLINGS = 40  # more doublings than this lose the positions' digits
 PANEL_ROWS = 32     # rows of a banded A per product of the Taylor series
 TILE_COLS = 8       # columns of Y per tile of those products
 _WHOLE = ((slice(None),) * 3,)  # the product by A as one product (_series)
+MAX_BLOCK = 128     # longest block; 256 measured slower on every N sweep call
+GL_BUDGET = 2**16   # doubles GL may take where it outgrows the nz**2 square
+BLOCK_MADDS = 10_000  # a block's Python overhead (about 2 us) in matvec multiply-adds
+GEMM_SPEEDUP = 2    # GEMM multiply-adds per matvec multiply-add, in equal time
 
 
-def block_steps(nz: int, inputs: int, agents: int) -> int:
+def block_steps(nz: int, inputs: int, agents: int, steps: int) -> int:
     """Steps per block: one Phi**K matvec advances the state K steps.
 
-    inputs counts the input columns of one step. The largest K in
-    (64, 32, 16, 8) whose output map GL, (nz + K inputs) rows by K agents
-    columns, fits in the nz**2 square the build holds anyway, else 4. So a
-    longer block never raises the peak memory, and a full run of a chain of
-    low-order agents, where G's build cost of about K nz**2 agents would
-    dominate, keeps K = 4. One agent of the N sweep gets 16 at N = 10, 32
-    at N = 20 and 30 and 64 from N = 40 on. The build's cost grows with
-    log2 K (_block_maps), so beyond 64 the extra squarings of an nz**3
-    each outweigh the matvecs a longer block saves.
+    inputs counts the input columns of one step and steps the run's steps.
+    K is the power of two from 4 to MAX_BLOCK whose run costs least, among
+    those whose output map GL, (nz + K inputs) rows by K agents columns,
+    fits in max(nz**2, GL_BUDGET) doubles. The cost, in matvec
+    multiply-adds, is the block loop's ceil(steps / K) matvecs of nz**2,
+    each with BLOCK_MADDS of Python overhead, plus three GEMM terms that
+    count 1 / GEMM_SPEEDUP per multiply-add: the chunk GEMMs by GL,
+    (nz + K inputs) agents per step, and the build's (_block_maps) log2 K
+    squarings of nz**3 and K (agents + inputs) nz**2 for the stacks of the
+    C Phi**i and the Phi**i W. Measured with one BLAS thread on a 2-core
+    Xeon, one block of the loop took 1.9 us + 0.18 ns nz**2, and the
+    build's GEMMs about 0.08 ns per multiply-add (nz = 60 to 150).
+
+    So longer runs and fewer agents take longer blocks: one agent of the N
+    sweep (15,000 steps) gets 128 at every N = 10..50, the one agent of the
+    waves command (nz = 60, 4,000 steps) 64, and a full run of the path of
+    20 (20,000 steps) 32. GL_BUDGET holds a full run of the path of 30 or
+    longer to 16 or less.
     """
-    for K in (64, 32, 16, 8):
-        if (nz + K * inputs) * K * agents <= nz * nz:
-            return K
-    return 4
+    def cost(K: int) -> float:
+        blocks = -(-steps // K)
+        gemms = ((K.bit_length() - 1) * nz**3 + K * (agents + inputs) * nz * nz
+                 + blocks * K * (nz + K * inputs) * agents)
+        return blocks * (nz * nz + BLOCK_MADDS) + gemms / GEMM_SPEEDUP
+
+    budget = max(nz * nz, GL_BUDGET)
+    longer = (1 << e for e in range(3, MAX_BLOCK.bit_length()))
+    return min([4, *(K for K in longer if (nz + K * inputs) * K * agents <= budget)], key=cost)
 
 
 def _panels(A: np.ndarray) -> tuple[tuple[slice, slice, slice], ...]:
@@ -507,12 +520,12 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     two stacks, the C Phi**i and the Phi**i W, from i < m to i < 2m: item m
     from C or W, items m+1..2m-1 as one GEMM on items 1..m-1. GL and drive
     are laid out from the stacks by copies: G by reshaping the C Phi**i,
-    and L, block-Toeplitz, by one indexed copy of the C Phi**k W. The
-    series' products by A run over A's row panels (_panels), so the build
-    costs about (c terms + s + log2 K) nz**3 multiply-adds for the powers
-    of the step, c the share of A the panels cover (0.29 on the path of
-    50, 1 where A is dense), plus K (agents + inputs) nz**2 in the log2 K
-    GEMMs of the stacks.
+    and L, block-Toeplitz, by one copy from a strided view of the
+    C Phi**k W. The series' products by A run over A's row panels
+    (_panels), so the build costs about (c terms + s + log2 K) nz**3
+    multiply-adds for the powers of the step, c the share of A the panels
+    cover (0.29 on the path of 50, 1 where A is dense), plus
+    K (agents + inputs) nz**2 in the log2 K GEMMs of the stacks.
     """
     nz, na, ni = A.shape[0], C.shape[0], B_in.shape[1]
     src = np.concatenate([np.arange(ni), edge_inputs])
@@ -557,8 +570,8 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     # i < m to i < 2m: CP, whose slot i-1 holds C Phi**i (item 0, C itself,
     # stays outside), and D = drive.T, whose column block K-1-i holds
     # Phi**i W. Item m is C Phi**m or Phi**m W, items m+1..2m-1 one GEMM on
-    # items 1..m-1. So a block of K = 4 takes one product per item, which
-    # fixes the full runs' digits: a stacked GEMM rounds differently. The
+    # items 1..m-1, so from K = 8 on a GEMM stacks products that K = 4
+    # takes one at a time, and the positions move by rounding with K. The
     # Phi**i W GEMM writes to the spare square, dead until the squaring,
     # where its (m-1) ns columns fit (else to a buffer of its own), and is
     # copied into D from there: with its input and output in D's memory
@@ -581,13 +594,15 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     if cur is not PK:
         PK[...] = cur
     # GL is filled only now, as the squares used its memory. L's block
-    # (j, i) is C Phi**(i-j) W: T stacks the C Phi**k W, k = 0..K-1, one
-    # product each, then K-1 zero blocks that the negative offsets i - j
-    # of the blocks below the diagonal wrap to.
+    # (j, i) is C Phi**(i-j) W: T holds K-1 zero blocks, for the blocks
+    # below the diagonal, then the C Phi**k W, k = 0..K-1, one product
+    # each. Window a of T's K-long windows starts at block a, so window
+    # K-1-j holds row j of L's blocks: the reversed windows, a strided view
+    # of T, are L, copied into GL with no K by K temporary.
     T = np.zeros((2 * K - 1, na, ns))
-    np.matmul(C, D.reshape(nz, K, ns).transpose(1, 0, 2)[::-1], out=T[:K])
-    offsets = np.arange(K) - np.arange(K)[:, None]
-    GL[nz:].reshape(K, ns, K, na)[...] = T[offsets].transpose(0, 3, 1, 2)
+    np.matmul(C, D.reshape(nz, K, ns).transpose(1, 0, 2)[::-1], out=T[K - 1:])
+    windows = np.lib.stride_tricks.sliding_window_view(T, K, axis=0)[::-1]
+    GL[nz:].reshape(K, ns, K, na)[...] = windows.transpose(0, 2, 3, 1)
     GL[:nz, :(K - 1) * na] = CP.reshape(-1, nz).T
     np.matmul(C, PK, out=CP[0])
     GL[:nz, (K - 1) * na:] = CP[0].T
@@ -615,9 +630,10 @@ def simulate(
 
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output
-    map, and block_steps picks K from its size: 4 for a full run of an
-    ordinary chain, 16 to 64 for one agent of the N sweep. The positions
-    differ only in rounding whatever K is.
+    map, and block_steps picks K from its size and the run's length: 128
+    for one agent of the N sweep, 32 for a full run of the path of 20, 8
+    for one of the path of 50. The positions differ only in rounding
+    whatever K is.
 
     The leader position is imposed, not integrated, so positions[0] equals
     the input signal exactly on the grid. Raises ValueError for an agents
@@ -657,7 +673,7 @@ def simulate(
     edge_steps, edge_inputs, jumps, tau = np.array(edges).reshape(-1, 4).T
     edge_steps, edge_inputs = edge_steps.astype(int), edge_inputs.astype(int)
     ni, ns = len(cols), len(cols) + len(edges)
-    na, K = len(agents), block_steps(nz, ns, len(agents))
+    na, K = len(agents), block_steps(nz, ns, len(agents), n_steps)
     positions = np.empty((na + 1, n_steps + 1))
     positions[0] = cfg.leader.value(times)
     positions[1:, 0] = 0.0

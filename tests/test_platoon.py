@@ -36,6 +36,7 @@ from wavestring.errors import (
 from wavestring import platoon
 from wavestring.platoon import (
     CHUNK_BLOCKS,
+    MAX_BLOCK,
     MAX_DOUBLINGS,
     PANEL_ROWS,
     THETA,
@@ -52,7 +53,7 @@ class TestTopology:
         t = Topology.path(5)
         assert t.num_nodes == 6
         assert t.parents == (-1, 0, 1, 2, 3, 4)
-        assert t.children()[5] == []
+        assert 5 not in t.parents        # the last agent is a leaf
 
     def test_short_path_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +115,7 @@ class TestTopology:
         # node below a parent with a larger id
         t = Topology(7, ((0, 1), (1, 2), (2, 3), (3, 6), (6, 5), (5, 4)), 3)
         assert t.parents == (-1, 0, 1, 2, 5, 6, 3)
-        assert t.children() == [[1], [2], [3], [6], [], [4], [5]]
+        assert 4 not in t.parents        # the tail's far end is a leaf
 
     def test_parents_stay_out_of_equality_and_repr(self):
         t = Topology.path(3)
@@ -124,9 +125,8 @@ class TestTopology:
     def test_tail_branches(self):
         t = Topology.with_tail_branches(3, [2, 1])
         assert t.num_nodes == 7
-        kids = t.children()
-        assert sorted(kids[3]) == [4, 6]
-        assert kids[4] == [5]
+        # the chains 3 - 4 - 5 and 3 - 6
+        assert t.parents[4:] == (3, 4, 3)
 
 
 class TestRealize:
@@ -272,7 +272,7 @@ class TestSimulate:
         mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
         mr = RationalTF(mf.num.scaled(1e-3), mf.den, mf.p)
         net = build_network(Topology.path(10), AgentDynamics(mf, mr))
-        K = block_steps(net.state_dim, 1, 1)
+        K = block_steps(net.state_dim, 1, 1, 10_000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState) as err:
@@ -359,7 +359,7 @@ class TestSimulate:
             # block is partial.
             # nine inputs and eight falls inside a step: 17 input columns
             net = build_network(Topology.path(20), dyn)
-            K = block_steps(net.state_dim, 17, 1 if one_agent else net.num_agents)
+            K = block_steps(net.state_dim, 17, 1 if one_agent else net.num_agents, 16 * 120 + 5)
             first = K * CHUNK_BLOCKS - 16
             cfg = SimConfig(
                 dt=dt, T_final=(16 * 120 + 5) * dt,
@@ -378,15 +378,16 @@ class TestSimulate:
             assert rises[0] < K * CHUNK_BLOCKS < rises[-1]
             assert round(cfg.T_final / dt) % K == 5 % K
         elif case == "high-order":
-            # ninth-order blocks: the state outgrows the positions map, whose
-            # memory the squares of P share in simulate
+            # ninth-order blocks on the path of 10 (nz = 90): the state
+            # outgrows the positions map, whose memory the squares of P
+            # share in simulate
             lag = Polynomial([1.0, 0.05]) * Polynomial([1.0, 0.05])
             lag = lag * lag * lag
             mf, mr = dyn.Mf, dyn.Mr
             d = AgentDynamics(RationalTF(mf.num, mf.den * lag, mf.p),
                               RationalTF(mr.num, mr.den * lag, mr.p))
-            net = build_network(Topology.path(3), d)
-            K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents)
+            net = build_network(Topology.path(10), d)
+            K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents, 640)
             assert net.state_dim ** 2 > (net.state_dim + K) * (
                 K * (1 if one_agent else net.num_agents))
             cfg = SimConfig(dt=dt, T_final=10.0)
@@ -417,10 +418,12 @@ class TestSimulate:
     @pytest.mark.parametrize("case", STAGEWISE_CASES)
     def test_one_agent_path_matches_expm_oracle(self, case, gain_asym_dyn):
         net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
-        # even at the most columns a step can take, three per input, every
-        # case but the three-agent headway chain runs 8-step blocks
-        K = block_steps(net.state_dim, 3 * (1 + len(cfg.disturbances)), 1)
-        assert K == {"headway": 4}.get(case, 8)
+        # even at the most columns a step can take, three per input, the
+        # cases run blocks of 16 to 64 steps
+        steps = round(cfg.T_final / cfg.dt)
+        K = block_steps(net.state_dim, 3 * (1 + len(cfg.disturbances)), 1, steps)
+        assert K == {"off-grid-step": 64, "pulse-edges": 32, "headway": 64,
+                     "block-edges": 16, "high-order": 16}[case]
         want = expm_reference(net, cfg)[[0, *agents]]
         traj = simulate(net, cfg, agents=agents)
         assert traj.agents == agents
@@ -428,42 +431,73 @@ class TestSimulate:
         assert np.max(np.abs(traj.positions - want)) <= 1e-10 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", STAGEWISE_CASES)
-    def test_one_agent_path_at_64_step_blocks_matches_expm_oracle(
+    def test_one_agent_path_at_the_longest_blocks_matches_expm_oracle(
             self, case, gain_asym_dyn, monkeypatch):
-        # The longest block, whatever the case's output map allows: the
-        # cases' edges fall inside 64-step blocks, and the block-edges run
-        # ends in a partial one
+        # The longest block, whatever the case's output map and run length
+        # allow: the cases' edges fall inside 128-step blocks, and the
+        # block-edges run ends in a partial one
         net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
         full = simulate(net, cfg).positions[[0, *agents]]
-        monkeypatch.setattr(platoon, "block_steps", lambda nz, inputs, agents: 64)
+        monkeypatch.setattr(platoon, "block_steps", lambda *shape: MAX_BLOCK)
         want = expm_reference(net, cfg)[[0, *agents]]
         got = simulate(net, cfg, agents=agents).positions
         for ref in (want, full):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_one_agent_of_the_n_sweep_runs_64_step_blocks(self, gain_asym_dyn):
-        # path-40, as the N sweep runs it: 2,579 steps span two chunks of
-        # 32 blocks and end in a partial block
-        net = build_network(Topology.path(40), gain_asym_dyn)
-        cfg = SimConfig(dt=1 / 64, T_final=40.3)
-        assert block_steps(net.state_dim, 1, 1) == 64
-        full = simulate(net, cfg).positions[[0, 40]]
-        want = expm_reference(net, cfg)[[0, 40]]
-        got = simulate(net, cfg, agents=(40,)).positions
+    @pytest.mark.parametrize("n", [40, 50])
+    def test_one_agent_of_the_n_sweep_runs_128_step_blocks(self, n, gain_asym_dyn):
+        # the last agent of the paths of 40 and 50, as the N sweep runs
+        # them: 15,000 steps of the longest block span four chunks of 32
+        # blocks and end in a partial block
+        net = build_network(Topology.path(n), gain_asym_dyn)
+        cfg = SimConfig(dt=0.01, T_final=150.0)
+        K = block_steps(net.state_dim, 1, 1, 15_000)
+        assert K == MAX_BLOCK
+        assert 15_000 > K * CHUNK_BLOCKS and 15_000 % K
+        full = simulate(net, cfg).positions[[0, n]]
+        want = expm_reference(net, cfg)[[0, n]]
+        got = simulate(net, cfg, agents=(n,)).positions
         for ref in (want, full):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_block_length_follows_the_output_map(self, gain_asym_dyn):
-        # full runs of ordinary chains keep K = 4, one agent of the N sweep
-        # gets 16 at N = 10 (nz = 30), 32 at N = 20 and 30 and 64 from
-        # N = 40 on, and the high-order full run (nz = 27) keeps K = 4 too
+        # Over the N sweep's 15,000 steps, a full run's output map, N
+        # columns per step, shortens the block from 32 at N = 10 and 20 to
+        # 8 at N = 40 and 50 (one agent gets the longest block at every N,
+        # test_block_length_of_the_bench_calls). A shorter run takes
+        # shorter blocks: one agent of the path of 50 gets 8 over 640 steps
+        # and 64 over 5,000. The high-order full run (nz = 90, 640 steps)
+        # gets 8.
         for n in (10, 20, 30, 40, 50):
             nz = build_network(Topology.path(n), gain_asym_dyn).state_dim
             assert nz == 3 * n
-            assert block_steps(nz, 1, n) == 4
-            assert block_steps(nz, 1, 1) == {10: 16, 20: 32, 30: 32}.get(n, 64)
+            assert block_steps(nz, 1, n, 15_000) == {10: 32, 20: 32, 30: 16}.get(n, 8)
+        assert [block_steps(150, 1, 1, steps) for steps in (640, 5_000)] == [8, 64]
         net, cfg, _ = self.stagewise_case("high-order", gain_asym_dyn, one_agent=False)
-        assert block_steps(net.state_dim, 1, net.num_agents) == 4
+        assert block_steps(net.state_dim, 1, net.num_agents, 640) == 8
+
+    def test_block_length_of_the_bench_calls(self, gain_asym_dyn, vel_asym_dyn, monkeypatch):
+        # The K that simulate takes for each call shape of the bench: one
+        # agent of the N sweep (15,000 steps), the full run of the path of
+        # 20 (20,000 steps) and the waves call's one agent (4,000 steps)
+        taken = []
+
+        def recorded(*shape):
+            taken.append(block_steps(*shape))
+            return taken[-1]
+
+        monkeypatch.setattr(platoon, "block_steps", recorded)
+        for n in (10, 20, 30, 40, 50):
+            simulate(build_network(Topology.path(n), gain_asym_dyn),
+                     SimConfig(dt=0.01, T_final=150.0), agents=(n,))
+        assert taken == [MAX_BLOCK] * 5
+        simulate(build_network(Topology.path(20), gain_asym_dyn),
+                 SimConfig(dt=0.005, T_final=100.0))
+        assert taken[-1] == 32
+        waves = build_network(Topology.path(20), vel_asym_dyn)
+        assert waves.state_dim == 60
+        simulate(waves, SimConfig(dt=0.01, T_final=40.0), agents=(10,))
+        assert taken[-1] == 64
 
     def test_subset_rows_match_the_full_run(self, gain_asym_dyn):
         net = build_network(Topology.path(12), gain_asym_dyn)
@@ -503,7 +537,7 @@ class TestSimulate:
     def test_one_agent_divergence_no_earlier_than_full(self):
         mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
         net = build_network(Topology.path(10), AgentDynamics(mf, mf))
-        assert block_steps(net.state_dim, 1, 1) == 16
+        assert block_steps(net.state_dim, 1, 1, 10_000) == MAX_BLOCK
         times = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -518,26 +552,29 @@ class TestSimulate:
         # Beyond the trajectory it returns, simulate holds Phi**K and one more
         # block of memory: the square that Phi**K is squared from, which GL
         # (the K stacked C Phi**j and L) then reuses, or GL where that is
-        # larger. The rest stays inside the 0.5 MB slack at path-50
-        # (nz = 150): the K - 1 rows C Phi**j that the last squarings build
-        # (0.18 MB for the full run), the drive rows and the chunk buffers.
-        # Both the full run (K = 4) and the last agent alone (K = 64) are
-        # held to this. A second square, nz**2 doubles, is 0.18 MB here and
-        # would still fit the slack.
+        # larger. The rest stays inside a slack of 2.75 squares of nz**2
+        # doubles (0.495 MB at path-50, nz = 150): the K - 1 rows C Phi**j
+        # that the last squarings build (2.3 squares for the full run at
+        # K = 8, 0.85 for the last agent alone at K = 128), the drive rows
+        # (0.85 squares at K = 128) and the chunk buffers. Both runs are the
+        # N sweep's 15,000 steps and use 2.47 and 2.64 squares of the slack.
+        # The last agent's peak is in the block loop, so a copy of Phi**K
+        # held there fails it (3.6 squares); the full run's is in the build.
         net = build_network(Topology.path(50), gain_asym_dyn)
         nz = net.state_dim
         for agents in (None, (50,)):
             na = net.num_agents if agents is None else len(agents)
-            K = block_steps(nz, 1, na)
+            K = block_steps(nz, 1, na, 15_000)
+            assert K == (8 if agents is None else MAX_BLOCK)
             tracemalloc.start()
             try:
-                traj = simulate(net, SimConfig(dt=0.01, T_final=20.0), agents=agents)
+                traj = simulate(net, SimConfig(dt=0.01, T_final=150.0), agents=agents)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             beyond = peak - traj.positions.nbytes - traj.times.nbytes
             shared = max(nz * nz, (nz + K) * K * na)
-            assert beyond <= 8 * (nz * nz + shared) + 0.5e6, agents
+            assert beyond <= 8 * (nz * nz + shared) + 2.75 * 8 * nz * nz, agents
 
     def test_signal_edges_sum_to_its_value(self):
         # simulate samples value() at the grid and adds an edge's jump
@@ -727,7 +764,7 @@ class TestBlockMaps:
         cols += [gamma(t, B_in[:, j]) for j, t in zip(edge_inputs, tau)]
         return np.stack(cols, axis=1)
 
-    @pytest.mark.parametrize("K", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("K", [4, 8, 16, 32, 64, 128])
     @pytest.mark.parametrize("agents", [(10,), (2, 5, 10)], ids=["one-agent", "three-agents"])
     @pytest.mark.parametrize("edges", [False, True], ids=["leader", "edge-inputs"])
     def test_stacked_build_is_the_loop_layout(self, K, agents, edges, gain_asym_dyn):
@@ -805,7 +842,7 @@ class TestBlockMaps:
         # build whose every product by A is one product, bit for bit
         net = build_network(Topology.path(50), gain_asym_dyn)
         C = net.C if agents is None else net.C[[49]]
-        K = block_steps(net.state_dim, 4, C.shape[0])
+        K = block_steps(net.state_dim, 4, C.shape[0], 15_000)
         args = (net.A, net.B[:, [0, 7]], np.array([0, 1]), np.array([0.3, 0.7]) * self.DT,
                 C, self.DT, K)
         got = _block_maps(*args)
@@ -821,7 +858,7 @@ class TestBlockMaps:
 
     def test_build_of_the_longest_path_does_under_a_third_of_the_series_work(
             self, gain_asym_dyn, monkeypatch):
-        # path-50 (nz = 150, bandwidth 5), one agent at K = 64: the Phi
+        # path-50 (nz = 150, bandwidth 5), one agent at K = 128: the Phi
         # series' products by A do 29.4% of the multiply-adds of one
         # product per Horner step (the panels cover 29.0% of A, and the last
         # tile of columns is taken twice). W's one-column series takes the
@@ -846,6 +883,6 @@ class TestBlockMaps:
         spy.matmul = matmul
         monkeypatch.setattr(platoon, "np", spy)
         _block_maps(A, net.B[:, [0]], np.array([], dtype=int), np.array([]),
-                    net.C[[49]], 0.01, 64)
+                    net.C[[49]], 0.01, MAX_BLOCK)
         assert w_calls and set(w_calls) == {(nz, nz)}
         assert sum(phi_work) <= 0.30 * len(w_calls) * nz**3
