@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -408,7 +408,8 @@ def cmd_waves(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def _sweep_row(cfg: dict, d0: AgentDynamics, parameter: str, value: float) -> dict:
+def _sweep_row(cfg: dict, d0: AgentDynamics, parameter: str, value: float,
+               grid: Callable[[], FrequencyGrid]) -> dict:
     row = {"parameter": parameter, "value": float(value)}
     if parameter == "N":
         topo = build_topology({"topology": {"kind": "path", "n": int(value)}})
@@ -426,7 +427,7 @@ def _sweep_row(cfg: dict, d0: AgentDynamics, parameter: str, value: float) -> di
         mr = RationalTF(d0.Mr.num.scaled(float(value)), d0.Mr.den, d0.Mr.p)
         d = dataclasses.replace(d0, Mr=mr)
     tols = cfg["analysis"]["tolerances"]
-    verdict = local_string_verdict(d, build_grid(cfg), tol_norm=tols["tol_norm"],
+    verdict = local_string_verdict(d, grid(), tol_norm=tols["tol_norm"],
                                    tol_dc=tols["tol_dc"], tol_crhp=tols["tol_crhp"])
     return {
         **row,
@@ -448,7 +449,12 @@ def cmd_sweep(cfg: dict, out_dir: str, parameter: str, values: list[float]) -> i
         _require(float(v).is_integer(), f"N = {float(v)!r} is not a whole number")
 
     d0 = build_dynamics(cfg)
-    rows = [_sweep_row(cfg, d0, parameter, v) for v in values]
+    # One grid for the call, whose rows share its omegas and axis and the Mf
+    # or Mr they keep from d0. It is built when the first h or mu row needs
+    # it, after that row's dynamics, so an N sweep never reads the grid
+    # config and a bad sweep value is reported before a bad grid.
+    grid = functools.cache(lambda: build_grid(cfg))
+    rows = [_sweep_row(cfg, d0, parameter, v, grid) for v in values]
     columns = list(rows[0])
     csv_path = os.path.join(out_dir, "sweep.csv")
     _write_csv(csv_path, columns, ([row[c] for c in columns] for row in rows))

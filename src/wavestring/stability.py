@@ -14,16 +14,21 @@ winds between samples can hide crossings, so it needs a finer grid.
 A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
 WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
 estimates (|g_plus| and |g_minus| as np.hypot of the arrays). Sign changes
-and grid peaks are found on the arrays; only the bisection and golden-section
-probes between grid points evaluate anew, through the scalar awtf_eval. When
-g_plus and g_minus peak at the same grid index, as they mostly do, their
-16-point refinement grid is evaluated once for both.
+and grid peaks are found on the arrays; only the probes between grid points
+evaluate anew. A bisection probe reads t_g_eval. A peak's 16-point
+refinement grid is one FrequencyGrid and one awtf_eval chain, shared by
+g_plus and g_minus when they peak at the same grid index, as they mostly
+do; each golden-section probe then evaluates only the coupling it refines
+(waves.coupling_chain). A FrequencyGrid computes its omegas and its axis
+(s in chain order, with the Mf and Mr values last evaluated there) once,
+so the rows of a sweep that share one grid, as the CLI's do, share them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,10 +37,12 @@ from .errors import AssumptionViolated
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
+    Axis,
     WaveSample,
     WaveSweep,
     awtf_axis_sweep,
     awtf_eval,
+    coupling_chain,
     reflection_from_sample,
     round_trip,
     t_g_eval,
@@ -50,7 +57,11 @@ PHASE_JUMP_LIMIT = math.pi / 2  # adjacent-sample phase jump taken as an origin 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Logarithmic frequency grid on [omega_min, omega_max] rad/s."""
+    """Logarithmic frequency grid on [omega_min, omega_max] rad/s.
+
+    A grid object computes its omegas and its Axis (waves.Axis) once, on
+    first use; nothing is shared between grid objects.
+    """
 
     omega_min: float = 1e-4
     omega_max: float = 1e3
@@ -65,7 +76,19 @@ class FrequencyGrid:
             raise ValueError("grid needs at least 16 points")
 
     def omegas(self) -> np.ndarray:
-        return np.geomspace(self.omega_min, self.omega_max, self.points)
+        """The grid's frequencies, ascending; read-only."""
+        return self._omegas
+
+    @cached_property
+    def _omegas(self) -> np.ndarray:
+        omegas = np.geomspace(self.omega_min, self.omega_max, self.points)
+        omegas.flags.writeable = False
+        return omegas
+
+    @cached_property
+    def axis(self) -> Axis:
+        """The grid as awtf_axis_sweep walks it."""
+        return Axis(self.omegas())
 
 
 @dataclass(frozen=True)
@@ -238,12 +261,13 @@ def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
 
     The 16-point refinement grid is evaluated on a hint chain seeded at
     sweep[k + 1]; when g_plus and g_minus peak at the same k they share
-    that one evaluation. Each golden-section search then continues the
-    chain from the grid's last sample.
+    that one grid and its evaluation. Each golden-section search then
+    continues the chain from the grid's last sample through a
+    coupling_chain, which evaluates only the coupling it refines.
     """
     omegas = sweep.s.imag
 
-    grids: dict[int, list[WaveSample]] = {}
+    grids: dict[int, tuple[FrequencyGrid, list[WaveSample]]] = {}
     results: list[NormEstimate] = []
     for attr in ("g_plus", "g_minus"):
         g = getattr(sweep, attr)
@@ -251,13 +275,14 @@ def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
         if bracket is None:
             results.append(peak)
             continue
-        grid = FrequencyGrid(*bracket, 16)
         if k not in grids:
+            grid = FrequencyGrid(*bracket, 16)
             chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
-            grids[k] = [chain(1j * w) for w in grid.omegas()]
-        chain = wave_chain(d, seed=grids[k][-1])
-        refined = hinf_estimate(lambda w: getattr(chain(1j * w), attr), grid,
-                                [getattr(ws, attr) for ws in grids[k]])
+            grids[k] = grid, [chain(1j * w) for w in grid.omegas()]
+        grid, samples = grids[k]
+        values = [getattr(ws, attr) for ws in samples]
+        probe = coupling_chain(d, attr, seed=values[-1])
+        refined = hinf_estimate(lambda w: probe(1j * w), grid, values)
         best = refined if refined.value >= peak.value else peak
         results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
     return results[0], results[1]
@@ -265,7 +290,7 @@ def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
 
 def local_string_verdict(
     d: AgentDynamics,
-    grid: FrequencyGrid = FrequencyGrid(),
+    grid: Optional[FrequencyGrid] = None,
     tol_norm: float = TOL_NORM,
     tol_dc: float = TOL_DC,
     tol_crhp: float = TOL_CRHP,
@@ -285,12 +310,16 @@ def local_string_verdict(
     design (the DC gains touch 1 exactly), so they only downgrade the verdict
     to "marginal" when they occur at an interior frequency rather than at the
     DC end of the grid.
+
+    grid defaults to a fresh FrequencyGrid(); verdicts that pass one grid
+    object share its omegas, its Axis and the Mf and Mr values it holds.
     """
     report = check_assumption1(d, tol_crhp=tol_crhp)
     if not report.passed:
         raise AssumptionViolated("; ".join(report.violations))
 
-    sweep = awtf_axis_sweep(d, grid.omegas())
+    grid = FrequencyGrid() if grid is None else grid
+    sweep = awtf_axis_sweep(d, grid.axis)
     notes: list[str] = []
     stable, crossings = nyquist_axis_test(d, sweep)
     if not stable:

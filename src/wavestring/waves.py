@@ -37,8 +37,15 @@ sample that is non-finite, singular or an unhinted tie, for 64 samples or
 through the run the core cannot settle, then resumes the core, so the
 result is the scalar chain's, bit for bit, and every exception and message
 is the scalar one. A sweep is a WaveSweep, the WaveSample fields as arrays;
-the Bromwich spectra of waveresponse are formed on the same blocks. Single
-points (bisection and golden-section probes, disturbance_gain) stay scalar.
+the Bromwich spectra of waveresponse are formed on the same blocks. An
+axis sweep walks an Axis: s = 1j*omega in chain order and the Mf and Mr
+values on it, which a FrequencyGrid builds once and keeps, one per side,
+for the next dynamics that shares that side's transfer function object.
+
+Single points stay scalar. awtf_eval builds each coupling through one
+helper (_coupling_roots, then _pick_root), so coupling_chain, which the
+golden-section probes of the norm estimates walk, evaluates only the
+coupling it refines and equals that field of wave_chain bit for bit.
 
 The square root is taken of the discriminant numerator
 
@@ -53,7 +60,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,7 +73,7 @@ from .errors import (
 )
 from .poly import Polynomial
 from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
-from .tf import AgentDynamics, low_order_coeffs, tf_eval
+from .tf import AgentDynamics, RationalTF, low_order_coeffs, tf_eval
 
 TOL_TIE = 1e-6    # relative modulus tie window for branch selection
 TOL_SING = 1e-8   # |g_minus - 1| below this means the rear reflection blows up
@@ -167,6 +174,16 @@ def _pick_root(
     return chosen, chosen is not default
 
 
+def _coupling_roots(own: complex, other: complex, shared: complex, half_w
+                   ) -> tuple[complex, tuple[complex, complex]]:
+    """The coefficient shared/own of one wave quadratic,
+    g**2 - (shared/own)*g + other/own, and its two roots; half_w is
+    sqrt(t_g)/2. own = Mr gives (beta, g_plus's roots), own = Mf
+    (alpha, g_minus's)."""
+    coeff = shared / own
+    return coeff, _root_candidates(coeff, half_w / own, other / own)
+
+
 def awtf_eval(
     d: AgentDynamics,
     s: complex,
@@ -180,12 +197,9 @@ def awtf_eval(
     """
     s = complex(s)
     mf, mr, shared, t_g = _eval_terms(d, s)
-    alpha = shared / mf
-    beta = shared / mr
-    w = np.sqrt(t_g)
-
-    cands_p = _root_candidates(beta, 0.5 * w / mr, mf / mr)
-    cands_m = _root_candidates(alpha, 0.5 * w / mf, mr / mf)
+    half_w = 0.5 * np.sqrt(t_g)
+    beta, cands_p = _coupling_roots(mr, mf, shared, half_w)
+    alpha, cands_m = _coupling_roots(mf, mr, shared, half_w)
     g_plus, flip_p = _pick_root(*cands_p, hint.g_plus if hint else None)
     g_minus, flip_m = _pick_root(*cands_m, hint.g_minus if hint else None)
     return WaveSample(
@@ -208,6 +222,28 @@ def wave_chain(d: AgentDynamics, seed: Optional[WaveSample] = None
     def sample(s: complex) -> WaveSample:
         nonlocal hint
         hint = awtf_eval(d, s, hint)
+        return hint
+
+    return sample
+
+
+def coupling_chain(d: AgentDynamics, attr: str, seed: Optional[complex] = None
+                   ) -> Callable[[complex], complex]:
+    """s -> getattr(wave_chain(d, seed_sample)(s), attr) for attr "g_plus" or
+    "g_minus", where seed_sample's attr is seed, bit for bit: a pick needs
+    only its own coupling's hint, so this chain evaluates _eval_terms and
+    that one coupling's roots and pick, and builds no WaveSample. It skips
+    the other coupling's arithmetic, so a floating-point error that an
+    np.errstate would raise there alone is not raised here."""
+    plus = attr == "g_plus"
+    hint = seed
+
+    def sample(s: complex) -> complex:
+        nonlocal hint
+        mf, mr, shared, t_g = _eval_terms(d, complex(s))
+        _, cands = _coupling_roots(*((mr, mf) if plus else (mf, mr)), shared,
+                                   0.5 * np.sqrt(t_g))
+        hint = complex(_pick_root(*cands, hint)[0])
         return hint
 
     return sample
@@ -255,32 +291,33 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _tf_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray):
-    """tf_eval of Mf and Mr at every s as the rows of (re, im), each (2, n),
-    and the mask of samples where either scalar evaluation raises or
-    overflows (a pole, a non-finite power)."""
-    def horner(front: Polynomial, rear: Polynomial):
-        # The shorter polynomial is padded with leading zeros, which keep its
-        # accumulator at +0.0 + 0.0j: exact wherever s is finite.
-        rows = np.zeros((2, max(len(front.coeffs), len(rear.coeffs))))
-        for row, p in zip(rows, (front, rear)):
+def _tf_arrays(tfs: Sequence[RationalTF], sr: np.ndarray, si: np.ndarray):
+    """tf_eval of each transfer function in tfs at every s as the rows of
+    (re, im, bad), each (len(tfs), n), bad marking the samples where the
+    scalar evaluation raises or overflows (a pole, a non-finite power)."""
+    def horner(polys: Sequence[Polynomial]):
+        # A shorter polynomial is padded with leading zeros, which keep its
+        # accumulator at +0.0 + 0.0j: exact wherever s is finite, so a row
+        # takes the same values alone as beside a longer one.
+        rows = np.zeros((len(polys), max(len(p.coeffs) for p in polys)))
+        for row, p in zip(rows, polys):
             row[:len(p.coeffs)] = p.coeffs
         acc = (0.0, 0.0)
-        for c in rows.T[::-1, :, None]:  # (2, 1) columns, highest power first
+        for c in rows.T[::-1, :, None]:  # (rows, 1) columns, highest power first
             acc = cmul(*acc, sr, si)
             acc = (acc[0] + c, acc[1] + 0.0)
         return acc
 
-    if max(d.Mf.p, d.Mr.p) > MAX_POWI:
-        zeros = np.zeros((2, len(sr)))
-        return (zeros, zeros), np.ones(len(sr), dtype=bool)
-    front = cpowi(sr, si, d.Mf.p)
-    rear = front if d.Mr.p == d.Mf.p else cpowi(sr, si, d.Mr.p)
-    # (2, n) rows; s**0 is a 0-d 1 + 0j, broadcast along s.
-    power = tuple(np.array(np.broadcast_arrays(f, r, sr)[:2]) for f, r in zip(front, rear))
-    dr, di = cmul(*power, *horner(d.Mf.den, d.Mr.den))
+    if max(tf.p for tf in tfs) > MAX_POWI:
+        zeros = np.zeros((len(tfs), len(sr)))
+        return zeros, zeros, np.ones((len(tfs), len(sr)), dtype=bool)
+    powers = {p: cpowi(sr, si, p) for p in {tf.p for tf in tfs}}
+    # s**0 is a 0-d 1 + 0j, broadcast along s.
+    power = tuple(np.array([np.broadcast_to(powers[tf.p][k], sr.shape) for tf in tfs])
+                  for k in (0, 1))
+    dr, di = cmul(*power, *horner([tf.den for tf in tfs]))
     bad = ((dr == 0) & (di == 0)) | ~finite(*power)
-    return cdiv(*horner(d.Mf.num, d.Mr.num), dr, di), bad.any(axis=0)
+    return (*cdiv(*horner([tf.num for tf in tfs]), dr, di), bad)
 
 
 def _root_arrays(coeff, half: np.ndarray, product):
@@ -334,34 +371,35 @@ def _shared_arrays(d: AgentDynamics, sr, si, mf, mr):
     return shared, (ss[0] - fm[0], ss[1] - fm[1])
 
 
-def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray):
+def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray, rows=None):
     """_eval_terms and the quadratics at every s, each front/rear pair held
     as the two rows of one array: (ok, coeff, t_g, half_root, ratio), where
     ok marks the samples at which the scalar _eval_terms neither raises nor
     overflows, coeff = (beta, alpha), half_root = sqrt(t_g)/2 over (Mr, Mf)
-    and ratio = (Mf/Mr, Mr/Mf), all but ok as (re, im) or complex. Its
-    intermediates die on return, before the root arrays are formed: a
-    block's temporaries set a sweep's peak memory."""
-    m, bad = _tf_arrays(d, sr, si)  # rows (Mf, Mr)
+    and ratio = (Mf/Mr, Mr/Mf), all but ok as (re, im) or complex. rows,
+    when given, are _tf_arrays' (Mf, Mr) rows at s. Its intermediates die
+    on return, before the root arrays are formed: a block's temporaries set
+    a sweep's peak memory."""
+    *m, bad = _tf_arrays((d.Mf, d.Mr), sr, si) if rows is None else rows
     swap = (m[0][::-1], m[1][::-1])  # rows (Mr, Mf)
     shared, t_g = _shared_arrays(d, sr, si, (m[0][0], m[1][0]), (m[0][1], m[1][1]))
     coeff = cdiv(*shared, *swap)
-    ok = ~bad & ~((m[0] == 0) & (m[1] == 0)).any(axis=0)
+    ok = ~(bad | ((m[0] == 0) & (m[1] == 0))).any(axis=0)
     ok &= finite(sr, si, *m, *shared, *t_g, *coeff).all(axis=0)
     w = np.sqrt(join(*t_g))
     half = join(*cmul(0.5, 0.0, w.real, w.imag))
     return ok, coeff, t_g, half / join(*swap), cdiv(*m, *swap)
 
 
-def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
-                 ) -> tuple[WaveSweep, int, np.ndarray]:
+def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample],
+                 rows=None) -> tuple[WaveSweep, int, np.ndarray]:
     """awtf_eval at every s, hint-chained from seed: the block, the count of
     its leading entries that equal the scalar chain's (see wave_blocks) and
     the mask of the entries the core can settle, which past the first does
     not depend on the hint. The root pairs and picks are the rows (g_plus,
     g_minus)."""
     with np.errstate(all="ignore"):
-        ok, coeff, t_g, *operands = _quadratic_arrays(d, s.real, s.imag)
+        ok, coeff, t_g, *operands = _quadratic_arrays(d, s.real, s.imag, rows)
         lo, hi = _root_arrays(coeff, *operands)
         pick, tie, fin = _pick_arrays(lo, hi)
 
@@ -380,11 +418,13 @@ def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample]
     return block, exact, ok
 
 
-def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
+def wave_blocks(d: AgentDynamics, s: np.ndarray, rows=None) -> Iterator[WaveSweep]:
     """[wave_chain(d)(x) for x in s], bit for bit, as WaveSweep blocks in
     order, at most BLOCK entries each, which bounds the temporaries (each a
     (2, BLOCK) array whose rows are front and rear). A default 2,000-point
     FrequencyGrid is one block; the Bromwich line is cut into slices.
+    rows, when given, are the (Mf, Mr) rows of _tf_arrays at every s
+    (Axis.tf_rows), which each block slices instead of evaluating its own.
 
     The core settles a block up to its first entry that is non-finite,
     singular or an unhinted tie at s[0]. The scalar awtf_eval fills the next
@@ -398,7 +438,9 @@ def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
     """
     seed, lo = None, 0
     while lo < len(s):
-        block, exact, ok = _array_block(d, s[lo:lo + BLOCK], seed)
+        part = slice(lo, lo + BLOCK)
+        block, exact, ok = _array_block(d, s[part], seed,
+                                        None if rows is None else [x[:, part] for x in rows])
         yield block.take(slice(0, exact))
         seed = block[exact - 1] if exact else seed
         settled = np.flatnonzero(ok[exact + _SCALAR_RUN:])
@@ -418,32 +460,71 @@ def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
         lo += stop
 
 
-def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:
+def wave_sweep(d: AgentDynamics, s: np.ndarray, rows=None) -> WaveSweep:
     """[wave_chain(d)(x) for x in s] as one WaveSweep: the wave_blocks."""
     s = np.asarray(s, dtype=complex)
     out = WaveSweep(*(np.empty(len(s), dtype=complex) for _ in _COMPLEX_FIELDS),
                     branch_flipped=np.empty(len(s), dtype=bool))
     lo = 0
-    for block in wave_blocks(d, s):
+    for block in wave_blocks(d, s, rows):
         for f in _FIELDS:
             getattr(out, f)[lo:lo + len(block)] = getattr(block, f)
         lo += len(block)
     return out
 
 
-def awtf_axis_sweep(d: AgentDynamics, omegas: np.ndarray) -> WaveSweep:
-    """Samples at s = 1j*omega for each omega (array-like), in the caller's
-    order.
+class Axis:
+    """The imaginary-axis samples of one array of frequencies, as
+    awtf_axis_sweep walks them: s = 1j*omega in chain order (highest |omega|
+    first), the permutation back to the caller's order, and the Mf and Mr
+    last evaluated at s with their values, one per side. A sweep reuses a
+    side whose transfer function is the very object held, as the rows of an
+    h or mu sweep share theirs, so the values never outlive their Axis nor
+    depend on anything but that object and s."""
+
+    def __init__(self, omegas):
+        omegas = np.asarray(omegas, dtype=float)
+        order = np.argsort(-np.abs(omegas), kind="stable")
+        w = omegas[order]
+        self.s = join(0.0 * w - 0.0, 0.0 + w)  # 1j * w, as Python does
+        self.back = np.argsort(order)
+        # (Mf, Mr) and their _tf_arrays rows, swapped whole, never written
+        self._held: tuple = ((None, None), None)
+
+    def tf_rows(self, d: AgentDynamics) -> tuple[np.ndarray, ...]:
+        """_tf_arrays of (Mf, Mr) at every s, in BLOCK slices, evaluating
+        only a side whose transfer function is not the one held."""
+        tfs = (d.Mf, d.Mr)
+        held, rows = self._held
+        new = [i for i in (0, 1) if tfs[i] is not held[i]]
+        if not new:
+            return rows
+        with np.errstate(all="ignore"):
+            parts = [_tf_arrays([tfs[i] for i in new], self.s.real[lo:lo + BLOCK],
+                                self.s.imag[lo:lo + BLOCK])
+                     for lo in range(0, max(len(self.s), 1), BLOCK)]
+        fresh = [x[0] if len(x) == 1 else np.concatenate(x, axis=1) for x in zip(*parts)]
+        if len(new) == 1:
+            fresh, side = [x.copy() for x in rows], fresh
+            for x, y in zip(fresh, side):
+                x[new[0]] = y[0]
+        for x in fresh:
+            x.flags.writeable = False
+        rows = tuple(fresh)
+        self._held = tfs, rows
+        return rows
+
+
+def awtf_axis_sweep(d: AgentDynamics, omegas: Union[np.ndarray, Axis]) -> WaveSweep:
+    """Samples at s = 1j*omega for each omega (array-like, or the Axis of a
+    FrequencyGrid, whose Mf and Mr values it reuses), in the caller's order.
 
     The hint chain runs from the highest frequency downward, so it starts
     where root selection is unambiguous (|g| -> 0 vs |beta| -> infinity) and
     continuity carries it through any modulus ties near DC.
     """
-    omegas = np.asarray(omegas, dtype=float)
-    order = np.argsort(-np.abs(omegas), kind="stable")
-    w = omegas[order]
-    sweep = wave_sweep(d, join(0.0 * w - 0.0, 0.0 + w))  # 1j * w, as Python does
-    return sweep.take(np.argsort(order))
+    axis = omegas if isinstance(omegas, Axis) else Axis(omegas)
+    return wave_sweep(d, axis.s, axis.tf_rows(d)).take(axis.back)
 
 
 def awtf_dc(d: AgentDynamics) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from wavestring.waveresponse import (InverseLaplaceConfig, _wave_spectra, bromwi
 from wavestring.waves import (
     TOL_TIE,
     awtf_axis_sweep,
+    coupling_chain,
     reflection_from_sample,
     wave_chain,
     wave_sweep,
@@ -432,8 +433,10 @@ def norm_bits(est):
 
 
 class TestSharedRefinementGrid:
-    """awtf_norm_estimates against the two-chain form, bit for bit, and the
-    16 awtf_eval calls a shared peak saves."""
+    """awtf_norm_estimates against the two-chain form, bit for bit, and its
+    awtf_eval calls: 16 per distinct peak, as a shared peak's refinement
+    grid serves both couplings and every golden-section probe evaluates its
+    own coupling only (waves.coupling_chain)."""
 
     @staticmethod
     def counted(monkeypatch, fn, *args):
@@ -458,7 +461,8 @@ class TestSharedRefinementGrid:
         want, want_calls = self.counted(monkeypatch, two_chain_norms, d, sweep)
         assert all(est.refined for est in got)
         assert list(map(norm_bits, got)) == list(map(norm_bits, want))
-        assert want_calls - calls == (16 if shared else 0)
+        # only the refinement grids call awtf_eval, once per distinct peak
+        assert calls == 16 * len(peaks)
 
     def test_bracket_narrower_than_tol_omega(self, monkeypatch, vel_asym_dyn):
         # neighbours 3.2e-7 apart: no bracket, no refinement, no probe
@@ -468,6 +472,78 @@ class TestSharedRefinementGrid:
         assert calls == 0 and not any(est.refined for est in got)
         assert list(map(norm_bits, got)) == list(map(norm_bits, two_chain_norms(
             vel_asym_dyn, sweep)))
+
+
+def coupling_walks(d, s, seed, attr):
+    """Each s in order through coupling_chain and through the attr of the
+    full wave_chain, both seeded with seed: what each returns (as the bits
+    of its parts) or raises, and the full chain's branch_flipped flags."""
+    probe = coupling_chain(d, attr, None if seed is None else getattr(seed, attr))
+    chain, flips = wave_chain(d, seed), []
+
+    def full(x):
+        ws = chain(x)
+        flips.append(ws.branch_flipped)
+        return getattr(ws, attr)
+
+    def walk(fn):
+        out = [outcome(lambda: fn(x)) for x in s]
+        return [(kind, (value.real.hex(), value.imag.hex())) if kind == "returned"
+                else (kind, value) for kind, value in out]
+    return walk(probe), walk(full), flips
+
+
+# Mf = (1 + s^2)/(s^2 (1 + s + s^2)) vanishes at s = 1j
+ZERO_AT_1J = AgentDynamics(RationalTF(Polynomial([1.0, 0.0, 1.0]),
+                                      Polynomial([1.0, 1.0, 1.0]), p=2), front_coupling())
+
+
+class TestCouplingChain:
+    """coupling_chain against the attribute of the full wave_chain, bit for
+    bit, values and exceptions: the golden-section probes of
+    awtf_norm_estimates evaluate one coupling only."""
+
+    DESCENDING = 1j * DEFAULT_OMEGAS[::-1][::7]
+
+    @staticmethod
+    def assert_same(d, s, seed=None):
+        flips = []
+        for attr in ("g_plus", "g_minus"):
+            got, want, flipped = coupling_walks(d, s, seed, attr)
+            assert got == want, attr
+            flips.append(sum(flipped))
+        return got, flips[0]
+
+    @pytest.mark.parametrize("case", SPECTRA_CASES)
+    def test_canonical_and_bench_pairs(self, case):
+        d = SPECTRA_CASES[case]
+        got, _ = self.assert_same(d, self.DESCENDING)
+        assert all(kind == "returned" for kind, _ in got)
+        # seeded at a sample, as a refinement grid's probes are
+        seed = waves.awtf_eval(d, self.DESCENDING[100])
+        self.assert_same(d, self.DESCENDING[101:], seed)
+
+    @pytest.mark.parametrize("name", ["vel-asym", "sym", "undamped"])
+    def test_tie_window(self, name):
+        # every default-grid sample: vel-asym and sym tie in modulus over
+        # 300 times (TestAxisOracle.test_tie_walk_is_exercised), where the
+        # hint decides; the undamped pair's hint overrides the smaller
+        # modulus 218 times
+        d = undamped() if name == "undamped" else canonical(name, 0.0)
+        got, flips = self.assert_same(d, 1j * DEFAULT_OMEGAS[::-1])
+        assert all(kind == "returned" for kind, _ in got)
+        assert flips == (218 if name == "undamped" else 0)
+
+    @pytest.mark.parametrize("d, where, message", [
+        (canonical("sym", 0.0), 0j, "transfer function has a pole at s=0j"),
+        (ZERO_AT_1J, 1j, "Mf or Mr vanishes at s=1j"),
+    ], ids=["pole", "zero"])
+    def test_singular_sample(self, d, where, message):
+        # the walk goes on past the singular sample with the hint before it
+        s = np.insert(1j * np.geomspace(1e2, 1e-2, 50), 30, where)
+        got, _ = self.assert_same(d, s)
+        assert got[30][0] is SingularSample and message in got[30][1]
+        assert sum(kind == "returned" for kind, _ in got) == 50
 
 
 class TestErrorParity:

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavestring
-from wavestring import SimConfig, Topology, build_network
+from wavestring import (AgentDynamics, FrequencyGrid, RationalTF, SimConfig, Topology,
+                        build_network, local_string_verdict)
 from wavestring import cli
 from wavestring.cli import main, resolve_config
 from wavestring.errors import ConfigError
@@ -426,6 +427,65 @@ class TestSweep:
                      "--parameter", "N"] + values) == 1
         assert f"{named} is not a whole number" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSharedGrid:
+    """A sweep call builds one FrequencyGrid for its rows, whose axis keeps
+    the Mf and Mr values they share (both on an h sweep, Mf on a mu sweep).
+    No row may read another row's values, and no call another call's."""
+
+    @staticmethod
+    def fresh_rows(cfg, parameter, values):
+        """The verdict columns of each row, from its own dynamics objects
+        and a fresh grid, as sweep.csv writes them."""
+        cfg = resolve_config(cfg)
+        ana = cfg["analysis"]
+        rows = []
+        for v in values:
+            d = cli.build_dynamics(cfg)
+            if parameter == "h":
+                d = AgentDynamics(d.Mf, d.Mr, h=v)
+            else:
+                d = AgentDynamics(d.Mf, RationalTF(d.Mr.num.scaled(v), d.Mr.den, d.Mr.p))
+            grid = FrequencyGrid(ana["omega_min"], ana["omega_max"], ana["points"])
+            verdict = local_string_verdict(d, grid)
+            rows.append([str(x) for x in (
+                verdict.awtf_stable, verdict.locally_string_stable,
+                verdict.norm_gp.value, verdict.norm_gm.value)])
+        return rows
+
+    @pytest.mark.parametrize("parameter, values, mr", [
+        ("mu", [1.25, 0.5, 1.0, 0.5, 1.25], MF),
+        ("h", [0.8, 0.0, 0.4, 0.8, 0.0], MR_SCALED),
+    ])
+    def test_rows_equal_fresh_grids(self, tmp_path, parameter, values, mr):
+        cfg = base_config(mr=mr)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--parameter", parameter,
+                     "--values", ",".join(map(str, values))]) == 0
+        with open(out / "sweep.csv") as fh:
+            got = [[r[c] for c in ("awtf_stable", "verdict", "norm_g_plus", "norm_g_minus")]
+                   for r in csv.DictReader(fh)]
+        assert got == self.fresh_rows(cfg, parameter, values)
+
+    def test_calls_in_either_order(self, tmp_path):
+        calls = {
+            "mu": (base_config(mr=MF), ["sweep", "--parameter", "mu", "--values", "0.7,1.0"]),
+            "h": (base_config(), ["sweep", "--parameter", "h", "--values", "0.5,0.1"]),
+            "analyze": (base_config(mr=MR_VEL), ["analyze"]),
+        }
+        outputs = {}
+        for order in (["mu", "h", "analyze"], ["analyze", "h", "mu"]):
+            for name in order:
+                cfg, argv = calls[name]
+                out = tmp_path / f"{name}-{order[0]}"
+                cfg_path = write_config(tmp_path, cfg, name=f"{name}.json")
+                assert main(argv + ["--config", cfg_path, "--out", str(out)]) == 0
+                outputs.setdefault(name, []).append(
+                    {f: (out / f).read_bytes() for f in sorted(os.listdir(out))})
+        for name, (first, second) in outputs.items():
+            assert first == second, name
 
 
 MALFORMED = {

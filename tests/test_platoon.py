@@ -553,28 +553,32 @@ class TestSimulate:
         # block of memory: the square that Phi**K is squared from, which GL
         # (the K stacked C Phi**j and L) then reuses, or GL where that is
         # larger. The rest stays inside a slack of 2.75 squares of nz**2
-        # doubles (0.495 MB at path-50, nz = 150): the K - 1 rows C Phi**j
-        # that the last squarings build (2.3 squares for the full run at
-        # K = 8, 0.85 for the last agent alone at K = 128), the drive rows
-        # (0.85 squares at K = 128) and the chunk buffers. Both runs are the
-        # N sweep's 15,000 steps and use 2.47 and 2.64 squares of the slack.
-        # The last agent's peak is in the block loop, so a copy of Phi**K
-        # held there fails it (3.6 squares); the full run's is in the build.
-        net = build_network(Topology.path(50), gain_asym_dyn)
-        nz = net.state_dim
-        for agents in (None, (50,)):
+        # doubles: in the build, the K - 1 rows C Phi**j that the last
+        # squarings build and the drive rows (0.85 squares each for the last
+        # agent of the path of 50 at K = 128); in the block loop, the chunk
+        # buffers. Both runs peak in the block loop, so a copy of Phi**K held
+        # there fails both: the full run of the path of 24 over 200 steps
+        # (nz = 72, K = 4) uses 2.41 squares of the slack, 1.1 more than its
+        # build, and the last agent of the path of 50 over the N sweep's
+        # 15,000 steps (nz = 150) 2.64; a held copy takes them to 3.41 and
+        # 3.64.
+        over = {}
+        for n, agents, t_final, want_K in ((24, None, 2.0, 4), (50, (50,), 150.0, MAX_BLOCK)):
+            net = build_network(Topology.path(n), gain_asym_dyn)
+            nz = net.state_dim
             na = net.num_agents if agents is None else len(agents)
-            K = block_steps(nz, 1, na, 15_000)
-            assert K == (8 if agents is None else MAX_BLOCK)
+            K = block_steps(nz, 1, na, int(round(t_final / 0.01)))
+            assert K == want_K
             tracemalloc.start()
             try:
-                traj = simulate(net, SimConfig(dt=0.01, T_final=150.0), agents=agents)
+                traj = simulate(net, SimConfig(dt=0.01, T_final=t_final), agents=agents)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             beyond = peak - traj.positions.nbytes - traj.times.nbytes
             shared = max(nz * nz, (nz + K) * K * na)
-            assert beyond <= 8 * (nz * nz + shared) + 2.75 * 8 * nz * nz, agents
+            over[n, agents] = (beyond - 8 * (nz * nz + shared)) / (8 * nz * nz)
+        assert all(slack <= 2.75 for slack in over.values()), over
 
     def test_signal_edges_sum_to_its_value(self):
         # simulate samples value() at the grid and adds an edge's jump

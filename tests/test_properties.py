@@ -2,8 +2,9 @@
 
 One seeded pass of 100 random agent-dynamics draws (property_cases) feeds
 every per-dynamics invariant, and test_stability runs its exact axis and norm
-oracles over the same dynamics; trajectory-level invariants (step-size independence, linearity)
-run on fixed cases in test_platoon.
+oracles over the same dynamics and over 50 more draws with headway
+(headway_cases); trajectory-level invariants (step-size independence,
+linearity) run on fixed cases in test_platoon.
 """
 
 import numpy as np
@@ -49,6 +50,15 @@ def property_cases(count: int = 100):
         d = random_dynamics(rng)
         s = random_sample_point(rng)
         yield d, s, [random_sample_point(rng) for _ in range(20)]
+
+
+def headway_cases(count: int = 50):
+    """Seeded draws of random_dynamics, each with a headway h drawn from
+    [0.05, 1.5]: the exact oracles of test_stability run on them too."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(count):
+        d = random_dynamics(rng)
+        yield AgentDynamics(d.Mf, d.Mr, h=float(rng.uniform(0.05, 1.5)))
 
 
 def test_randomized_invariants_100_cases():

@@ -27,10 +27,17 @@ from wavestring.errors import AssumptionViolated, WavestringError
 from wavestring.waves import t_g_eval
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
                       random_pi_pair, undamped)
-from test_properties import property_cases
+from test_properties import headway_cases, property_cases
 
 SHORT_GRID = FrequencyGrid(1e-4, 1e3, 600)
 PROPERTY_DYNAMICS = [d for d, *_ in property_cases()]
+HEADWAY_DYNAMICS = list(headway_cases())
+# Headway case 44 (h = 1.1215, kappa = 1.0156): |g_plus| exceeds 1 only on
+# [2.29702, 2.30112] (1.00771 at its midpoint), a band narrower than one
+# step of the default grid (0.8%), so the grid reports 0.99567 at its DC
+# end and the verdict reads stable.
+GRID_MISSES_NORM_BAND = pytest.mark.xfail(
+    strict=True, reason="the default grid steps over |g_plus| > 1 on [2.29702, 2.30112]")
 
 
 def sweep(d, grid=SHORT_GRID):
@@ -183,6 +190,10 @@ class TestExactAxisCrossings:
     def test_randomized_property_dynamics(self, case):
         self.assert_grid_finds_exact(PROPERTY_DYNAMICS[case])
 
+    @pytest.mark.parametrize("case", range(len(HEADWAY_DYNAMICS)))
+    def test_headway_property_dynamics(self, case):
+        self.assert_grid_finds_exact(HEADWAY_DYNAMICS[case])
+
     def test_real_curve_has_no_oracle(self):
         # M = 1/s^2: t_g = 1 - 4/w^2 is real on the whole axis
         assert exact_axis_crossings(undamped()) is None
@@ -210,6 +221,12 @@ class TestExactNorms:
     @pytest.mark.parametrize("case", range(len(PROPERTY_DYNAMICS)))
     def test_randomized_property_dynamics(self, case):
         self.assert_grid_agrees(PROPERTY_DYNAMICS[case])
+
+    @pytest.mark.parametrize("case", [
+        pytest.param(k, marks=GRID_MISSES_NORM_BAND) if k == 44 else k
+        for k in range(len(HEADWAY_DYNAMICS))])
+    def test_headway_property_dynamics(self, case):
+        self.assert_grid_agrees(HEADWAY_DYNAMICS[case])
 
     def test_real_coupling_has_no_oracle(self):
         # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both
