@@ -3,7 +3,8 @@
 Scenario configs are JSON; coefficient lists are ascending-power to match
 Polynomial. Every emitted JSON embeds the fully resolved config (defaults
 filled in), so re-running a command on that embedded config reproduces the
-output byte for byte. Output files are written atomically (temp + rename).
+output byte for byte. Output files are written atomically (temp + rename),
+with the mode the umask gives a new file.
 
 Exit codes: 0 success, 1 invalid config, 2 assumption violated, 3 numerical
 failure.
@@ -285,12 +286,23 @@ def build_waves_config(cfg: dict) -> InverseLaplaceConfig:
                   window=float(wav["window"]))
 
 
-def _write_atomic(path: str, data: str):
+def _umask() -> int:
+    # The umask can only be read by setting it; the most restrictive value in
+    # between keeps a file another thread creates meanwhile private.
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
+def _write_atomic(path: str, parts: Iterable[bytes]):
+    """Write the concatenated parts to path through a temporary file and a
+    rename, with the mode open() would give a new file (mkstemp's is 0600)."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(parts)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -299,14 +311,115 @@ def _write_atomic(path: str, data: str):
 
 
 def _write_json(path: str, payload: dict):
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_atomic(path, [(json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()])
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[Iterable]):
-    """One line per row; str of a float is its repr, the shortest round trip."""
-    lines = [",".join(header)]
-    lines += (",".join(map(str, row)) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+# A CSV is split among forked workers only so far as each gets this many
+# cells: a fork, pipe and reap round trip costs about 2.3 ms at the bench's
+# resident size and repr about 1 us per cell, so a smaller share does not pay
+# for its worker. This keeps waves.csv and sweep.csv in-process.
+FORK_MIN_CELLS = 50_000
+CSV_CHUNK_ROWS = 1024  # rows per tolist() chunk: bounds the floats alive at once
+
+
+def _csv_rows(columns: list[np.ndarray], a: int, b: int) -> list[bytes]:
+    """Rows a..b-1 of the table as CSV lines, in chunks. A cell is str of its
+    tolist() value, which for a float is its repr, the shortest round trip."""
+    chunks = []
+    for lo in range(a, b, CSV_CHUNK_ROWS):
+        rows = zip(*(c[lo:min(lo + CSV_CHUNK_ROWS, b)].tolist() for c in columns))
+        chunks.append(("\n".join([",".join(map(str, row)) for row in rows]) + "\n").encode())
+    return chunks
+
+
+def _fork_rows(columns: list[np.ndarray], a: int, b: int) -> Optional[list[int]]:
+    """Fork a worker that writes rows a..b-1 to a pipe and exits: [pid, read
+    end], or None where this process cannot fork."""
+    if not hasattr(os, "fork"):
+        return None
+    import warnings
+
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        # Python 3.12+ warns that forking a multi-threaded process (OpenBLAS
+        # may have started threads) can deadlock the child on a lock another
+        # thread held. This child calls no BLAS routine: it only formats
+        # floats, writes the pipe and leaves through os._exit.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as fh:
+                fh.writelines(_csv_rows(columns, a, b))
+            code = 0
+        finally:
+            # Never return into the caller: no atexit hooks, no inherited
+            # stdio flushed.
+            os._exit(code)
+    os.close(w)
+    return [pid, r]
+
+
+def _join_worker(worker: list[int]) -> Optional[list[bytes]]:
+    """Read a worker's pipe to EOF, then reap it: the bytes it wrote, or None
+    when it failed. Marks the pipe closed (-1) and the worker reaped (0)."""
+    pid, fd = worker
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    worker[1] = -1  # marked first: a leaked fd is harmless, a second close is not
+    os.close(fd)
+    _, status = os.waitpid(pid, 0)
+    worker[0] = 0
+    return chunks if status == 0 else None
+
+
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
+    """Write a table given as equal-length 1-D columns, one line per row.
+
+    The rows are split into contiguous ranges, one per CPU this process may
+    use, as far as each range keeps FORK_MIN_CELLS cells. A forked child
+    formats each range but the last, which this process formats, so the
+    bytes never depend on the worker count; one worker forks nothing. A
+    range whose worker cannot be forked or fails is formatted here. No child
+    outlives the call.
+    """
+    rows = len(columns[0])
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(cpus, rows * len(columns) // FORK_MIN_CELLS, rows))
+    bounds = [rows * k // workers for k in range(workers + 1)]
+    forked = []  # [pid, read end] of each range but the last, or None
+    try:
+        for a, b in zip(bounds[:-2], bounds[1:-1]):
+            forked.append(_fork_rows(columns, a, b))
+        last = _csv_rows(columns, bounds[-2], bounds[-1])
+        parts = [(",".join(header) + "\n").encode()]
+        for k, worker in enumerate(forked):
+            chunks = _join_worker(worker) if worker else None
+            parts += _csv_rows(columns, bounds[k], bounds[k + 1]) if chunks is None else chunks
+    finally:
+        for pid, fd in filter(None, forked):
+            if fd >= 0:
+                os.close(fd)
+            if pid:
+                import signal
+
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    _write_atomic(path, parts + last)
 
 
 def load_config(path: str) -> dict:
@@ -375,7 +488,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     n_agents = net.num_agents
     csv_path = os.path.join(out_dir, "trajectory.csv")
     _write_csv(csv_path, ["t"] + [f"x_{n}" for n in range(n_agents + 1)],
-               ([float(t)] + x.tolist() for t, x in zip(traj.times, traj.positions.T)))
+               [traj.times, *traj.positions])
     _write_json(os.path.join(out_dir, "metrics.json"),
                 {"config": cfg, "per_agent": [dataclasses.asdict(m) for m in metrics]})
     print(f"trajectory written to {csv_path} ({n_agents} agents, "
@@ -401,7 +514,7 @@ def cmd_waves(cfg: dict, out_dir: str) -> int:
 
     csv_path = os.path.join(out_dir, "waves.csv")
     _write_csv(csv_path, ["t", "x_n_sim", "x_n_wave", "a_n", "b_n"],
-               zip(*(v.tolist() for v in (wc.times, sim_n, wc.x, wc.a, wc.b))))
+               [wc.times, sim_n, wc.x, wc.a, wc.b])
     _write_json(os.path.join(out_dir, "waves_meta.json"), {"config": cfg})
     dev = float(np.max(np.abs(sim_n - wc.x)))
     print(f"wave traces written to {csv_path} (max |sim - wave| = {dev:.3e})")
@@ -457,7 +570,8 @@ def cmd_sweep(cfg: dict, out_dir: str, parameter: str, values: list[float]) -> i
     rows = [_sweep_row(cfg, d0, parameter, v, grid) for v in values]
     columns = list(rows[0])
     csv_path = os.path.join(out_dir, "sweep.csv")
-    _write_csv(csv_path, columns, ([row[c] for c in columns] for row in rows))
+    _write_csv(csv_path, columns,
+               [np.array([row[c] for row in rows], dtype=object) for c in columns])
     _write_json(os.path.join(out_dir, "sweep_meta.json"), {"config": cfg})
     print(f"sweep written to {csv_path} ({len(rows)} rows)")
     return 0

@@ -8,9 +8,11 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 
@@ -427,6 +429,153 @@ class TestSweep:
                      "--parameter", "N"] + values) == 1
         assert f"{named} is not a whole number" in capsys.readouterr().err
         assert not out.exists()
+
+
+def assert_no_child_and_no_tmp(directory):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(directory.rglob("*.tmp")) == []
+
+
+class TestCsvWorkers:
+    """A large CSV is formatted by forked workers, one row range each; the
+    bytes never depend on their number, and none outlives the call."""
+
+    # path-6 over 200 s at dt 0.01: 20,001 rows of 8 cells, enough for three
+    # workers; over 0.1 s, 11 rows, fewer than 16 workers
+    LARGE, TINY = 200.0, 0.1
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        return set_cpus
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of this process's os.fork calls, in order."""
+        calls, fork = [], os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    @staticmethod
+    def simulate(tmp_path, name, t_final=LARGE):
+        cfg = base_config()
+        cfg["sim"]["t_final"] = t_final
+        out = tmp_path / name
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        return (out / "trajectory.csv").read_bytes()
+
+    @pytest.fixture
+    def serial(self, tmp_path, cpus):
+        """The one-worker trajectory.csv of the large run."""
+        cpus(1)
+        return self.simulate(tmp_path, "serial")
+
+    @pytest.mark.parametrize("t_final, rows, counts", [
+        (LARGE, 20001, (1, 2, 3)), (TINY, 11, (1, 3, 16))],
+        ids=["large", "fewer-rows-than-workers"])
+    def test_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, cpus, forks,
+                                            t_final, rows, counts):
+        if t_final == self.TINY:
+            monkeypatch.setattr(cli, "FORK_MIN_CELLS", 1)
+        outputs = []
+        for n in counts:
+            cpus(n)
+            del forks[:]
+            outputs.append(self.simulate(tmp_path, f"w{n}", t_final))
+            assert len(forks) == min(n, rows) - 1
+            assert_no_child_and_no_tmp(tmp_path)
+        assert outputs[0].count(b"\n") == 1 + rows
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("fail", ["raises", "missing"])
+    def test_unforkable_range_formatted_here(self, tmp_path, monkeypatch, cpus, serial,
+                                             fail):
+        def refused():
+            raise OSError("Resource temporarily unavailable")
+
+        if fail == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", refused)
+        cpus(2)
+        assert self.simulate(tmp_path, "out") == serial
+        assert_no_child_and_no_tmp(tmp_path)
+
+    @pytest.mark.parametrize("death", ["exit-1", "killed"])
+    def test_failed_worker_range_formatted_here(self, tmp_path, monkeypatch, cpus,
+                                                serial, death):
+        parent, rows = os.getpid(), cli._csv_rows
+
+        def failing(columns, a, b):
+            if os.getpid() != parent:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("worker fails")
+            return rows(columns, a, b)
+
+        monkeypatch.setattr(cli, "_csv_rows", failing)
+        cpus(3)
+        assert self.simulate(tmp_path, "out") == serial
+        assert_no_child_and_no_tmp(tmp_path)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_error_kills_and_reaps_workers(self, tmp_path, monkeypatch, cpus,
+                                                  error):
+        parent = os.getpid()
+
+        def stalling(columns, a, b):
+            if os.getpid() != parent:
+                time.sleep(60)  # still running when the parent fails
+            raise error("parent fails mid-format")
+
+        monkeypatch.setattr(cli, "_csv_rows", stalling)
+        cpus(3)
+        start = time.monotonic()
+        with pytest.raises(error):
+            self.simulate(tmp_path, "out")
+        assert time.monotonic() - start < 30
+        assert_no_child_and_no_tmp(tmp_path)
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_waves_and_sweeps_stay_in_process(self, tmp_path, monkeypatch, cpus):
+        # the bench's waves call and sweep shapes, on as many CPUs as one may have
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        cpus(256)
+        cfg = base_config(mr=MR_VEL)
+        cfg["topology"]["n"] = 20
+        cfg["sim"] = {"t_final": 40.0, "dt": 0.01}
+        cfg["waves"] = {"agent": 10, "t_final": 40.0, "samples": 16384}
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["waves", "--config", cfg_path, "--out", str(tmp_path / "w")]) == 0
+        for parameter, values in (("h", "0:2:20"), ("mu", "0.5:1.5:21"), ("N", "10:50:5")):
+            assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / parameter),
+                         "--parameter", parameter, "--range", values]) == 0
+        assert_no_child_and_no_tmp(tmp_path)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_outputs_take_the_umask_mode(self, tmp_path, umask):
+        cfg_path = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            for command in ("analyze", "simulate"):
+                assert main([command, "--config", cfg_path, "--out", str(out)]) == 0
+            with open(out / "plain", "w"):
+                pass
+        finally:
+            os.umask(old)
+        want = os.stat(out / "plain").st_mode
+        assert want & 0o777 == 0o666 & ~umask
+        for name in ("analysis.json", "trajectory.csv", "metrics.json"):
+            assert os.stat(out / name).st_mode == want
 
 
 class TestSharedGrid:
@@ -879,6 +1028,19 @@ def test_cli_import_leaves_scipy_out():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, wavestring.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_process_pools_out():
+    # the CSV workers are forked with os.fork; a pool module's import would
+    # land in every call's start-up
+    src = os.path.dirname(os.path.dirname(wavestring.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, wavestring.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -29,6 +29,15 @@ and 'outputs_identical' counts, per workload, the parent's files whose
 digest the change's first run reproduces: a check of the outputs against
 each other that does not lean on bench/reference.json.
 
+The harness's `cpu_s` and `peak_rss_mb` count only the harness process, so
+the CPU of a worker it forks (the CLI formats large CSVs on forked workers)
+shows in neither. Each run therefore also keeps 'tree_cpu_s', the user+sys
+CPU of the whole process tree: the `resource.getrusage(RUSAGE_CHILDREN)`
+delta around the `bench/run.py` subprocess, which covers the run, its set-up
+probes and every worker it reaped. 'passes' is the run's pass count (untraced
+plus traced), and the pairs' summary sets 'tree_cpu_per_pass_s' beside
+`cpu_s`.
+
 --paired may be given more than once. The single runs are still made once
 per workload and side; then each named workload, in the order given, has
 its PAIRS pairs and its traced pair. With one --paired workload, 'pairs'
@@ -44,6 +53,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shutil
 import statistics
 import subprocess
@@ -106,13 +116,18 @@ def output_digests(root: str, workload: str) -> dict:
 def run(root: str, workload: str, trace: int) -> dict:
     cmd = [sys.executable, os.path.join(root, "bench", "run.py"), "--workload", workload,
            "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run(cmd, cwd=root, check=True, text=True, capture_output=True).stdout
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    tree_cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     lines = out.strip().splitlines()
     loop_ms = float(re.search(r"median reference loop ([0-9.]+) ms", out).group(1))
     wall_s = float(re.search(r"median untraced pass wall ([0-9.]+) s", out).group(1))
+    passes = sum(map(int, re.search(r"(\d+) untraced and (\d+) traced passes", out).groups()))
     record = json.loads(next(ln for ln in lines if ln.startswith("record "))[7:])
     print(f"  {workload} trace={trace} {root}: {lines[-1][:120]}", file=sys.stderr)
     return {"host.ref_loop_s": loop_ms / 1e3, "pass_wall_s": wall_s,
+            "tree_cpu_s": tree_cpu_s, "passes": passes,
             "result": json.loads(lines[-1]),
             "output_sha256": output_digests(root, workload),
             "_host": {k: v for k, v in record.items() if k != "git_rev"}}
@@ -155,6 +170,9 @@ def paired(pair, workload: str) -> tuple[dict, dict]:
            for metric in ("cpu_s", "peak_rss_mb")},
         "pass_wall_s": {side: [r[side]["pass_wall_s"] for r in runs]
                         for side in ("parent", "change")},
+        "tree_cpu_per_pass_s": {side: [r[side]["tree_cpu_s"] / r[side]["passes"]
+                                       for r in runs]
+                                for side in ("parent", "change")},
         "host.ref_loop_s": {side: [r[side]["host.ref_loop_s"] for r in runs]
                             for side in ("parent", "change")},
         "change_wins": sum(c < p for p, c in zip(run_s["parent"], run_s["change"])),
@@ -216,7 +234,9 @@ def main() -> int:
                 "alternating which ran first. 'result' is the harness's final JSON "
                 "line; 'host.ref_loop_s' is the median reference-loop time and "
                 "'pass_wall_s' the median untraced pass wall (raw seconds) the "
-                "harness printed for that run. The parent ran from a `git archive` "
+                "harness printed for that run; 'tree_cpu_s' is the user+sys CPU of "
+                "the run's whole process tree (its set-up probes and forked workers "
+                "included) over its 'passes'. The parent ran from a `git archive` "
                 "export of its revision, the change from a copy of the working tree "
                 "(tracked files and untracked files git does not ignore), each in its "
                 "own temporary directory. Written by tools/bench_pair.py."),
