@@ -18,15 +18,9 @@ small linear system once at assembly, which keeps the network an ordinary
 biproper coupling would make positions depend algebraically on input
 derivatives and is rejected at assembly.
 
-simulate solves the network exactly on its output grid: the inputs are
-piecewise constant, so one step is z -> Phi z + W u with Phi = exp(dt A),
-and an input edge inside a step adds one column to W. The state advances K
-steps per matvec with Phi**K, and one matrix product per chunk of blocks
-fills the positions in between, so the Python loop runs once per block,
-not per step. Only the agents a caller asks for are reported. block_steps
-picks K from what a block costs against what the build costs, so longer
-runs and fewer agents take longer blocks: a one-agent run of the N sweep
-takes 128 steps per matvec, a full run of the path of 20 32.
+simulate solves the network exactly on its grid: its inputs are piecewise
+constant, so K steps are one matvec with exp(dt A)**K plus an input term;
+block_steps gives K = 128 for one agent of the N sweep, 32 for the path of 20.
 """
 
 from __future__ import annotations
@@ -345,6 +339,9 @@ class SimConfig:
     disturbances: tuple[Disturbance, ...] = ()
 
     def __post_init__(self):
+        for name, value in (("dt", self.dt), ("T_final", self.T_final)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.T_final < 10 * self.dt:
@@ -389,88 +386,39 @@ class Trajectory:
 
 CHUNK_BLOCKS = 32  # blocks whose positions one GEMM fills
 THETA = 0.5        # largest h * ||A||_1 one Taylor series covers
-MAX_DOUBLINGS = 40  # more doublings than this lose the positions' digits
-PANEL_ROWS = 32     # rows of a banded A per product of the Taylor series
-TILE_COLS = 8       # columns of Y per tile of those products
-_WHOLE = ((slice(None),) * 3,)  # the product by A as one product (_series)
+MAX_DOUBLINGS = 40  # doublings of the step map beyond which a dt is refused
 MAX_BLOCK = 128     # longest block; 256 measured slower on every N sweep call
 GL_BUDGET = 2**16   # doubles GL may take where it outgrows the nz**2 square
-BLOCK_MADDS = 10_000  # a block's Python overhead (about 2 us) in matvec multiply-adds
-GEMM_SPEEDUP = 2    # GEMM multiply-adds per matvec multiply-add, in equal time
 
 
 def block_steps(nz: int, inputs: int, agents: int, steps: int) -> int:
     """Steps per block: one Phi**K matvec advances the state K steps.
 
     inputs counts the input columns of one step and steps the run's steps.
-    K is the power of two from 4 to MAX_BLOCK whose run costs least, among
-    those whose output map GL, (nz + K inputs) rows by K agents columns,
-    fits in max(nz**2, GL_BUDGET) doubles. The cost, in matvec
-    multiply-adds, is the block loop's ceil(steps / K) matvecs of nz**2,
-    each with BLOCK_MADDS of Python overhead, plus three GEMM terms that
-    count 1 / GEMM_SPEEDUP per multiply-add: the chunk GEMMs by GL,
-    (nz + K inputs) agents per step, and the build's (_block_maps) log2 K
-    squarings of nz**3 and K (agents + inputs) nz**2 for the stacks of the
-    C Phi**i and the Phi**i W. Measured with one BLAS thread on a 2-core
-    Xeon, one block of the loop took 1.9 us + 0.18 ns nz**2, and the
-    build's GEMMs about 0.08 ns per multiply-add (nz = 60 to 150).
+    K is the largest power of two from 4 to MAX_BLOCK (else 4) whose output
+    map GL, (nz + K inputs) rows by K agents columns, fits in
+    max(nz**2, GL_BUDGET) doubles, and one chunk of whose blocks,
+    CHUNK_BLOCKS K steps, fits in the run: a longer block saves matvecs and
+    their Python, but costs a wider GL and one more squaring in the build.
 
     So longer runs and fewer agents take longer blocks: one agent of the N
     sweep (15,000 steps) gets 128 at every N = 10..50, the one agent of the
-    waves command (nz = 60, 4,000 steps) 64, and a full run of the path of
-    20 (20,000 steps) 32. GL_BUDGET holds a full run of the path of 30 or
-    longer to 16 or less.
+    waves command (nz = 60, 4,000 steps) 64, one agent of the path of 50
+    over 2,000 steps 32, and full runs of the paths of 20 and 50 (20,000
+    steps) 32 and 8.
     """
-    def cost(K: int) -> float:
-        blocks = -(-steps // K)
-        gemms = ((K.bit_length() - 1) * nz**3 + K * (agents + inputs) * nz * nz
-                 + blocks * K * (nz + K * inputs) * agents)
-        return blocks * (nz * nz + BLOCK_MADDS) + gemms / GEMM_SPEEDUP
-
     budget = max(nz * nz, GL_BUDGET)
-    longer = (1 << e for e in range(3, MAX_BLOCK.bit_length()))
-    return min([4, *(K for K in longer if (nz + K * inputs) * K * agents <= budget)], key=cost)
+    K = 4
+    while (2 * K <= MAX_BLOCK and CHUNK_BLOCKS * 2 * K <= steps
+           and (nz + 2 * K * inputs) * 2 * K * agents <= budget):
+        K *= 2
+    return K
 
 
-def _panels(A: np.ndarray) -> tuple[tuple[slice, slice, slice], ...]:
-    """The products (rows, span, cols) whose sum is a product by A:
-    A[rows, span] @ Y[span, cols] fills Z[rows, cols] of Z = A @ Y.
-
-    A banded A takes one product per panel of PANEL_ROWS rows (the last
-    takes the rows left over too), over span, the columns the panel's
-    nonzeros span (none for an all-zero panel): the columns left out only
-    multiply exact zeros. Where these panels would cover more than half of
-    A, one product over all of A instead, as one product beats many that
-    span most of it. A panel's columns of Y are taken as whole tiles of
-    TILE_COLS, the first nz - nz % TILE_COLS and then the last TILE_COLS
-    over again: OpenBLAS's small-matrix kernel, which takes the panels'
-    products, rounds a last partial tile of columns differently from the
-    kernel of the one product.
-    """
-    nz = A.shape[0]
-    # Panels start every PANEL_ROWS rows; the last ends at nz.
-    starts = np.arange(0, max(nz - PANEL_ROWS, 0) + 1, PANEL_ROWS)
-    ends = np.append(starts[1:], nz)
-    hit = np.logical_or.reduceat(A != 0, starts, axis=0)
-    used = hit.any(axis=1)
-    c0 = np.where(used, hit.argmax(axis=1), 0)
-    c1 = np.where(used, nz - hit[:, ::-1].argmax(axis=1), 0)
-    if 2 * np.dot(ends - starts, c1 - c0) > nz * nz:
-        return _WHOLE
-    tail = nz % TILE_COLS
-    cols = [slice(0, nz - tail)] + ([slice(nz - TILE_COLS, nz)] if tail else [])
-    return tuple((slice(r0, r1), slice(a, b), j)
-                 for r0, r1, a, b in zip(starts.tolist(), ends.tolist(),
-                                         c0.tolist(), c1.tolist())
-                 for j in cols)
-
-
-def _series(A, products, X, h, terms: int, Y, Z):
+def _series(A, X, h, terms: int, Y, Z):
     """sum_{k=1..terms} h**k A**(k-1) X / k! by Horner's rule,
     h (X + h A / 2 (X + h A / 3 (...))), in the buffers Y and Z, shaped
-    like X; returns the one that holds the sum. Each product by A is the
-    sum of the given products (_panels), c nz**2 multiply-adds per column
-    of X where they cover a share c of A.
+    like X; returns the one that holds the sum.
 
     For X = A V + B U this is the Taylor series of the state rows of
     (exp(h M) - I) [V; U], M = [[A, B], [0, 0]]. h is a scalar or a row
@@ -478,8 +426,7 @@ def _series(A, products, X, h, terms: int, Y, Z):
     """
     Y[...] = X
     for k in range(terms, 1, -1):
-        for rows, span, cols in products:
-            np.matmul(A[rows, span], Y[span, cols], out=Z[rows, cols])
+        np.matmul(A, Y, out=Z)
         Z *= h / k
         Z += X
         Y, Z = Z, Y
@@ -516,16 +463,8 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     exp(h A) - I, Gamma over h, and an edge column's Gamma over tau mod h.
     s doublings of the step then give Phi and Gamma, and an edge column
     takes the step of each set bit of tau // h. The squarings go on to
-    Phi**K, and each of the last log2 K, by Phi**m with m = 2**j, doubles
-    two stacks, the C Phi**i and the Phi**i W, from i < m to i < 2m: item m
-    from C or W, items m+1..2m-1 as one GEMM on items 1..m-1. GL and drive
-    are laid out from the stacks by copies: G by reshaping the C Phi**i,
-    and L, block-Toeplitz, by one copy from a strided view of the
-    C Phi**k W. The series' products by A run over A's row panels
-    (_panels), so the build costs about (c terms + s + log2 K) nz**3
-    multiply-adds for the powers of the step, c the share of A the panels
-    cover (0.29 on the path of 50, 1 where A is dense), plus
-    K (agents + inputs) nz**2 in the log2 K GEMMs of the stacks.
+    Phi**K, stacking the C Phi**i and the Phi**i W on the way, and GL and
+    drive are copied from the stacks.
     """
     nz, na, ni = A.shape[0], C.shape[0], B_in.shape[1]
     src = np.concatenate([np.arange(ni), edge_inputs])
@@ -542,11 +481,7 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     x = h * norm                     # at most THETA
     terms = next((k for k in range(1, 30) if x**k <= 2.0**-53 * math.factorial(k + 1)), 30)
     steps = np.concatenate([np.full(ni, h), tau - whole * h])
-    # W's few columns take the one product, which measured faster than
-    # the panels' (65 against 197 us for one column at nz = 150, 2-core
-    # Xeon).
-    W = _series(A, _WHOLE, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
-    products = _panels(A)
+    W = _series(A, B_in[:, src], steps, terms, np.empty((nz, ns)), np.empty((nz, ns)))
     # Phi and its squares alternate between PK and a spare square that
     # shares GL's memory, so the build holds little beyond PK and GL. E
     # keeps the digits that I + E would round away. A doubling takes E to
@@ -555,7 +490,7 @@ def _block_maps(A: np.ndarray, B_in: np.ndarray, edge_inputs: np.ndarray,
     memory = np.empty(max(nz * nz, (nz + K * ns) * K * na))
     GL = memory[:(nz + K * ns) * K * na].reshape(nz + K * ns, K * na)
     PK, square = np.empty((nz, nz)), memory[:nz * nz].reshape(nz, nz)
-    cur = _series(A, products, A, h, terms, PK, square)
+    cur = _series(A, A, h, terms, PK, square)
     spare = square if cur is PK else PK
     for level in range(s):
         bit = np.floor(np.ldexp(whole, -level)) % 2 == 1
@@ -619,20 +554,22 @@ def simulate(
     Phi = exp(dt A): u holds each input's sample at the step's start and,
     for each edge strictly inside the step, its jump (_block_maps). The
     result is exact for any dt, step time or pulse width, up to rounding;
-    dt sets only the output spacing, up to a bound: a dt with dt ||A||_1
-    at or above 2**MAX_DOUBLINGS THETA is refused (NumericalError), as the
-    step map's doublings would round away the positions' digits. The state
-    advances K steps at a time: one matvec with Phi**K plus the block's
-    input term. One GEMM per chunk of CHUNK_BLOCKS blocks turns the states
-    at the block starts and the samples into every reported position of
-    the chunk; the state history is never stored. A last partial block is
-    computed whole and its extra steps dropped.
+    dt sets only the output spacing, up to a guard: a dt with dt ||A||_1
+    at or above 2**MAX_DOUBLINGS THETA is refused (NumericalError). It was
+    set where the doublings rounded the positions away on a realization
+    with two blocks per agent; with one, the symmetric path of 3 still
+    ends 1.3e-15 off at dt = 1e16 (60 doublings). The state advances K
+    steps at a time: one matvec with Phi**K plus the block's input term.
+    One GEMM per chunk of CHUNK_BLOCKS blocks turns the states at the block
+    starts and the samples into every reported position of the chunk; the
+    state history is never stored. A last partial block is computed whole
+    and its extra steps dropped.
 
     agents lists the agent ids to report (default: all, in order); the
     trajectory's row k is agents[k - 1]. Fewer agents shrink the output
     map, and block_steps picks K from its size and the run's length: 128
-    for one agent of the N sweep, 32 for a full run of the path of 20, 8
-    for one of the path of 50. The positions differ only in rounding
+    for one agent of the N sweep, 32 for a full run of the path of 20 and
+    8 for one of the path of 50. The positions differ only in rounding
     whatever K is.
 
     The leader position is imposed, not integrated, so positions[0] equals

@@ -52,6 +52,9 @@ class InverseLaplaceConfig:
     window: float = 0.1
 
     def __post_init__(self):
+        for name, value in (("T_final", self.T_final), ("sigma", self.sigma)):
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.T_final <= 0:
             raise ValueError("T_final must be positive")
         if self.samples < 1024 or self.samples & (self.samples - 1):

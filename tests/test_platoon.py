@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -36,13 +37,11 @@ from wavestring.errors import (
 from wavestring import platoon
 from wavestring.platoon import (
     CHUNK_BLOCKS,
+    GL_BUDGET,
     MAX_BLOCK,
     MAX_DOUBLINGS,
-    PANEL_ROWS,
     THETA,
     _block_maps,
-    _panels,
-    _series,
     block_steps,
 )
 from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
@@ -265,14 +264,19 @@ class TestSimulate:
             before = simulate(net, SimConfig(dt=0.01, T_final=err.value.time - 0.01))
         assert np.all(np.isfinite(before.positions))
 
-    def test_divergence_of_unobserved_states_reported_at_block_start(self):
+    def test_divergence_of_unobserved_states_reported_at_block_start(self, monkeypatch):
         # A repulsive chain with a weak rear coupling: the far agents' states
         # overflow before agent 1's position does. The first non-finite
         # state is at a block start, and the run that ends there is finite.
+        # Both runs take the 10,000-step run's K: the shorter one alone
+        # would take 64 and check the state at block starts the first
+        # never reaches.
         mf = tf_normalize(Polynomial([-400, -400]), Polynomial([0, 0, 1, 1 / 3]))
         mr = RationalTF(mf.num.scaled(1e-3), mf.den, mf.p)
         net = build_network(Topology.path(10), AgentDynamics(mf, mr))
         K = block_steps(net.state_dim, 1, 1, 10_000)
+        assert K == MAX_BLOCK
+        monkeypatch.setattr(platoon, "block_steps", lambda *shape: K)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteState) as err:
@@ -351,46 +355,47 @@ class TestSimulate:
             cfg = SimConfig(dt=dt, T_final=30.0,
                             leader=LeaderStep(1.5, start=32.3 * dt))
         elif case == "block-edges":
-            # Pulse k rises on the grid at offset k of a 16-step span and
-            # falls on the half step of offset k + 8, so each offset of a
-            # block of K = 4, 8 or 16 steps carries an edge; the pulses
+            # Pulse k rises on the grid at offset k of a 32-step span and
+            # falls on the half step of offset k + 16, so each offset of a
+            # block of K = 4 to 32 steps carries an edge; the pulses
             # straddle the first chunk boundary. The leader steps at offset
-            # 11, and the run ends 5 steps into a 16-step span, so the last
+            # 11, and the run ends 5 steps into a 32-step span, so the last
             # block is partial.
-            # nine inputs and eight falls inside a step: 17 input columns
+            # 17 inputs and 16 falls inside a step: 33 input columns
             net = build_network(Topology.path(20), dyn)
-            K = block_steps(net.state_dim, 17, 1 if one_agent else net.num_agents, 16 * 120 + 5)
-            first = K * CHUNK_BLOCKS - 16
+            K = block_steps(net.state_dim, 33, 1 if one_agent else net.num_agents, 32 * 60 + 5)
+            first = K * CHUNK_BLOCKS - 32
             cfg = SimConfig(
-                dt=dt, T_final=(16 * 120 + 5) * dt,
+                dt=dt, T_final=(32 * 60 + 5) * dt,
                 leader=LeaderStep(1.0, start=11 * dt),
                 disturbances=tuple(
                     Disturbance(agent=k + 1, signal="pulse",
                                 amplitude=0.1 * (k + 1) * (-1) ** k,
-                                start=(first + 17 * k) * dt, duration=8.5 * dt)
-                    for k in range(8)
+                                start=(first + 33 * k) * dt, duration=16.5 * dt)
+                    for k in range(16)
                 ),
             )
             rises = [round(d.start / dt) for d in cfg.disturbances]
             falls = [int((d.start + d.duration) / dt) for d in cfg.disturbances]
             assert sorted(k % K for k in rises + falls) == sorted(
-                list(range(K)) * (16 // K))
+                list(range(K)) * (32 // K))
             assert rises[0] < K * CHUNK_BLOCKS < rises[-1]
             assert round(cfg.T_final / dt) % K == 5 % K
         elif case == "high-order":
             # ninth-order blocks on the path of 10 (nz = 90): the state
             # outgrows the positions map, whose memory the squares of P
-            # share in simulate
+            # share in simulate. A run under 16 CHUNK_BLOCKS steps keeps
+            # the full run's K at 8, where it does.
             lag = Polynomial([1.0, 0.05]) * Polynomial([1.0, 0.05])
             lag = lag * lag * lag
             mf, mr = dyn.Mf, dyn.Mr
             d = AgentDynamics(RationalTF(mf.num, mf.den * lag, mf.p),
                               RationalTF(mr.num, mr.den * lag, mr.p))
             net = build_network(Topology.path(10), d)
-            K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents, 640)
+            K = block_steps(net.state_dim, 1, 1 if one_agent else net.num_agents, 480)
             assert net.state_dim ** 2 > (net.state_dim + K) * (
                 K * (1 if one_agent else net.num_agents))
-            cfg = SimConfig(dt=dt, T_final=10.0)
+            cfg = SimConfig(dt=dt, T_final=480 * dt)
         else:
             # rises on the half-step after 32 dt, falls between grid points
             net = build_network(Topology.path(10), dyn)
@@ -419,11 +424,12 @@ class TestSimulate:
     def test_one_agent_path_matches_expm_oracle(self, case, gain_asym_dyn):
         net, cfg, agents = self.stagewise_case(case, gain_asym_dyn, one_agent=True)
         # even at the most columns a step can take, three per input, the
-        # cases run blocks of 16 to 64 steps
+        # cases run blocks of 8 to 32 steps: the high-order run's 480 steps
+        # hold one chunk of 8-step blocks, the other runs' 1,920 or more one
+        # of 32-step blocks
         steps = round(cfg.T_final / cfg.dt)
         K = block_steps(net.state_dim, 3 * (1 + len(cfg.disturbances)), 1, steps)
-        assert K == {"off-grid-step": 64, "pulse-edges": 32, "headway": 64,
-                     "block-edges": 16, "high-order": 16}[case]
+        assert K == {"high-order": 8}.get(case, 32)
         want = expm_reference(net, cfg)[[0, *agents]]
         traj = simulate(net, cfg, agents=agents)
         assert traj.agents == agents
@@ -462,19 +468,44 @@ class TestSimulate:
 
     def test_block_length_follows_the_output_map(self, gain_asym_dyn):
         # Over the N sweep's 15,000 steps, a full run's output map, N
-        # columns per step, shortens the block from 32 at N = 10 and 20 to
-        # 8 at N = 40 and 50 (one agent gets the longest block at every N,
-        # test_block_length_of_the_bench_calls). A shorter run takes
-        # shorter blocks: one agent of the path of 50 gets 8 over 640 steps
-        # and 64 over 5,000. The high-order full run (nz = 90, 640 steps)
-        # gets 8.
+        # columns per step, shortens the block from 64 at N = 10 and 32 at
+        # N = 20 to 8 at N = 40 and 50 (one agent gets the longest block at
+        # every N, test_block_length_of_the_bench_calls). A shorter run
+        # takes shorter blocks, one chunk of them at most: one agent of the
+        # path of 50 gets 16 over 640 steps, 32 over 2,000 and 128 over
+        # 5,000. The high-order full run (nz = 90, 480 steps) gets 8.
         for n in (10, 20, 30, 40, 50):
             nz = build_network(Topology.path(n), gain_asym_dyn).state_dim
             assert nz == 3 * n
-            assert block_steps(nz, 1, n, 15_000) == {10: 32, 20: 32, 30: 16}.get(n, 8)
-        assert [block_steps(150, 1, 1, steps) for steps in (640, 5_000)] == [8, 64]
+            assert block_steps(nz, 1, n, 15_000) == {10: 64, 20: 32, 30: 16}.get(n, 8)
+        assert [block_steps(150, 1, 1, steps) for steps in (640, 2_000, 5_000)] == [16, 32, 128]
         net, cfg, _ = self.stagewise_case("high-order", gain_asym_dyn, one_agent=False)
-        assert block_steps(net.state_dim, 1, net.num_agents, 640) == 8
+        assert block_steps(net.state_dim, 1, net.num_agents, 480) == 8
+
+    def test_block_length_rule_over_a_grid_of_shapes(self):
+        # K is the longest power of two up to MAX_BLOCK whose GL fits the
+        # budget and one chunk of whose blocks fits in the run, 4 where
+        # none does; so it never falls as the run grows, nor rises as the
+        # agents or the inputs grow
+        axes = ((9, 60, 150, 297), (1, 3, 17, 51), (1, 3, 20, 99),
+                (10, 300, 640, 2_000, 5_000, 15_000, 10**6))
+        grid = {shape: block_steps(*shape) for shape in itertools.product(*axes)}
+
+        def fits(nz, inputs, agents, steps, K):
+            return (K <= MAX_BLOCK and CHUNK_BLOCKS * K <= steps
+                    and (nz + K * inputs) * K * agents <= max(nz * nz, GL_BUDGET))
+
+        for shape, K in grid.items():
+            assert K in (4, 8, 16, 32, 64, 128), shape
+            assert K == 4 or fits(*shape, K), shape
+            assert not fits(*shape, 2 * K), shape
+        for axis, sign in ((3, 1), (2, -1), (1, -1)):       # steps, agents, inputs
+            for shape, K in grid.items():
+                if shape[axis] != axes[axis][-1]:
+                    bigger = list(shape)
+                    bigger[axis] = axes[axis][axes[axis].index(shape[axis]) + 1]
+                    assert sign * (grid[tuple(bigger)] - K) >= 0, (shape, axis)
+        assert len(set(grid.values())) == 6
 
     def test_block_length_of_the_bench_calls(self, gain_asym_dyn, vel_asym_dyn, monkeypatch):
         # The K that simulate takes for each call shape of the bench: one
@@ -579,6 +610,15 @@ class TestSimulate:
             shared = max(nz * nz, (nz + K) * K * na)
             over[n, agents] = (beyond - 8 * (nz * nz + shared)) / (8 * nz * nz)
         assert all(slack <= 2.75 for slack in over.values()), over
+
+    @pytest.mark.parametrize("field", ["dt", "T_final"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_config_rejected(self, field, value):
+        # a NaN passes every comparison the other checks make, and an
+        # infinite T_final would ask for infinitely many steps
+        kwargs = {"dt": 0.01, "T_final": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimConfig(**kwargs)
 
     def test_signal_edges_sum_to_its_value(self):
         # simulate samples value() at the grid and adds an edge's jump
@@ -729,20 +769,6 @@ def loop_block_maps(C, PK, CP, PW):
     return drive, GL
 
 
-def one_product_series(A, X, h, terms, Y, Z):
-    """_series with each product by A as one product over all of A, as
-    the step map's build took it before the panels. The reference for
-    the panel series."""
-    Y[...] = X
-    for k in range(terms, 1, -1):
-        np.matmul(A, Y, out=Z)
-        Z *= h / k
-        Z += X
-        Y, Z = Z, Y
-    Y *= h
-    return Y
-
-
 class TestBlockMaps:
     DT = 1 / 64
 
@@ -798,95 +824,3 @@ class TestBlockMaps:
             assert np.max(np.abs(PW[i] - power @ W)) <= 1e-12 * scale * np.max(np.abs(W)), i
             power = power @ Phi
         assert np.max(np.abs(PK - power)) <= 1e-12 * np.max(np.abs(power))
-
-    @staticmethod
-    def series_matrix(case, dyn):
-        """A of one network of the panel cases, and whether its series
-        takes the panels (True) or the one product (False)."""
-        kind, n, h = case
-        d = AgentDynamics(dyn.Mf, dyn.Mr, h=h)
-        if kind == "tree":
-            # a spine of 30 and three tail branches: nz = 150 again, but
-            # the branches' states sit past the spine's in the band
-            return build_network(Topology.with_tail_branches(30, (9, 7, 4)), d).A, True
-        A = build_network(Topology.path(n), d).A
-        if kind == "zero-panel":
-            # the rows of the third panel cleared: an all-zero panel, whose
-            # product spans no column
-            A = A.copy()
-            A[2 * PANEL_ROWS:3 * PANEL_ROWS] = 0.0
-        return A, n >= 20
-
-    PANEL_CASES = [("path", n, h) for n in (3, 10, 50) for h in (0.0, 0.5)] + [
-        ("tree", 0, 0.0), ("zero-panel", 50, 0.0)]
-
-    @pytest.mark.parametrize("case", PANEL_CASES, ids=lambda c: f"{c[0]}-{c[1]}-h{c[2]}")
-    def test_panel_series_is_the_one_product(self, case, gain_asym_dyn):
-        # Bit for bit: each entry is the same sum of nonzero products, and
-        # the panels' tiles of TILE_COLS columns round like the one product
-        A, panelled = self.series_matrix(case, gain_asym_dyn)
-        nz = A.shape[0]
-        products = _panels(A)
-        assert (products != platoon._WHOLE) == panelled
-        if panelled:
-            # path-50's and the tree's nz = 150 is no multiple of the panel
-            # height: the last panel takes the 22 rows left over too
-            assert nz % PANEL_ROWS and products[-1][0] == slice(nz - PANEL_ROWS - nz % PANEL_ROWS, nz)
-        if case[0] == "zero-panel":
-            assert [c for r, c, j in products if r.start == 2 * PANEL_ROWS] == [slice(0, 0)] * 2
-        h = THETA / np.linalg.norm(A, 1)
-        got = _series(A, products, A, h, 12, np.empty((nz, nz)), np.empty((nz, nz)))
-        want = one_product_series(A, A, h, 12, np.empty((nz, nz)), np.empty((nz, nz)))
-        assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("agents", [None, (50,)], ids=["full", "one-agent"])
-    def test_panel_build_is_the_one_product_build(self, agents, gain_asym_dyn, monkeypatch):
-        # path-50 with two inputs and an edge of each inside a step, so the
-        # W series integrates over parts of a step too: the maps match the
-        # build whose every product by A is one product, bit for bit
-        net = build_network(Topology.path(50), gain_asym_dyn)
-        C = net.C if agents is None else net.C[[49]]
-        K = block_steps(net.state_dim, 4, C.shape[0], 15_000)
-        args = (net.A, net.B[:, [0, 7]], np.array([0, 1]), np.array([0.3, 0.7]) * self.DT,
-                C, self.DT, K)
-        got = _block_maps(*args)
-        monkeypatch.setattr(platoon, "_panels", lambda A: platoon._WHOLE)
-        for got_map, want_map in zip(got, _block_maps(*args)):
-            assert np.array_equal(got_map, want_map)
-
-    def test_dense_matrix_takes_the_one_product(self):
-        # 32-row panels over every column of a dense A were 25% slower
-        # than one product at nz = 297
-        A = np.random.default_rng(7).standard_normal((297, 297))
-        assert _panels(A) == platoon._WHOLE
-
-    def test_build_of_the_longest_path_does_under_a_third_of_the_series_work(
-            self, gain_asym_dyn, monkeypatch):
-        # path-50 (nz = 150, bandwidth 5), one agent at K = 128: the Phi
-        # series' products by A do 29.4% of the multiply-adds of one
-        # product per Horner step (the panels cover 29.0% of A, and the last
-        # tile of columns is taken twice). W's one-column series takes the
-        # one product, one call per Horner step.
-        net = build_network(Topology.path(50), gain_asym_dyn)
-        A, nz = net.A, net.state_dim
-        phi_work, w_calls = [], []
-
-        def matmul(a, b, **kwargs):
-            if np.shares_memory(a, A):
-                if b.shape[1] == 1:
-                    w_calls.append(a.shape)
-                else:
-                    phi_work.append(a.shape[0] * a.shape[1] * b.shape[1])
-            return np.matmul(a, b, **kwargs)
-
-        class Numpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        spy = Numpy()
-        spy.matmul = matmul
-        monkeypatch.setattr(platoon, "np", spy)
-        _block_maps(A, net.B[:, [0]], np.array([], dtype=int), np.array([]),
-                    net.C[[49]], 0.01, MAX_BLOCK)
-        assert w_calls and set(w_calls) == {(nz, nz)}
-        assert sum(phi_work) <= 0.30 * len(w_calls) * nz**3

@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             InverseLaplaceConfig(T_final=1.0, window=1.0)
 
+    @pytest.mark.parametrize("field", ["T_final", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"T_final": 10.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            InverseLaplaceConfig(**kwargs)
+
 
 def on_line(F, cfg):
     """F sampled on bromwich_line(cfg), the spectrum inverse_laplace takes."""

@@ -29,6 +29,11 @@ and 'outputs_identical' counts, per workload, the parent's files whose
 digest the change's first run reproduces: a check of the outputs against
 each other that does not lean on bench/reference.json.
 
+Each side also keeps 'src_lines' beside its 'rev' and 'src_tree': the line
+count of src/**/*.py in its directory (the parent's export, the change's
+copy), so the line count a simplicity change reports can be checked in its
+BENCH file.
+
 The harness's `cpu_s` and `peak_rss_mb` count only the harness process, so
 the CPU of a worker it forks (the CLI formats large CSVs on forked workers)
 shows in neither. Each run therefore also keeps 'tree_cpu_s', the user+sys
@@ -89,6 +94,17 @@ def copy_worktree(dest: str) -> None:
         if os.path.isfile(os.path.join(ROOT, name)):
             os.makedirs(os.path.join(dest, os.path.dirname(name)), exist_ok=True)
             shutil.copy2(os.path.join(ROOT, name), os.path.join(dest, name))
+
+
+def src_lines(root: str) -> int:
+    """Lines of every src/**/*.py under root, as wc -l counts them."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(root, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
 
 
 def worktree_src_tree() -> str:
@@ -207,6 +223,8 @@ def main() -> int:
         export(parent_rev, parent_root)
         copy_worktree(change_root)
         roots = {"parent": parent_root, "change": change_root}
+        for side, root in roots.items():
+            sides[side]["src_lines"] = src_lines(root)
 
         def pair(workload: str, k: int, trace: int = 0) -> dict:
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
