@@ -6,22 +6,20 @@ is no state-space bisection path. Where the smaller-modulus pick switches
 root (see waves), that argmax sits on a corner of min(|r1|, |r2|), so the
 search's error there is first order in TOL_OMEGA: on the bench's random
 pair 0 it reports 1.7028776, where |g_plus| reaches 1.7028796 at
-omega = 0.9585391. The Nyquist-style axis test that guards analyticity
-reads t_g at the grid frequencies only: a phase jump above pi/2 between
-neighbours is refined as a passage through the origin, and a curve that
-winds between samples can hide crossings, so it needs a finer grid.
+omega = 0.9585391. The axis test that guards analyticity is exact: its
+crossings are the in-range real roots of one polynomial in omega.
 
 A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
-WaveSweep of arrays, feeds the axis test (its t_g array) and both norm
-estimates (|g_plus| and |g_minus| as np.hypot of the arrays). Sign changes
-and grid peaks are found on the arrays; only the probes between grid points
-evaluate anew. A bisection probe reads t_g_eval. A peak's 16-point
-refinement grid is one FrequencyGrid and one awtf_eval chain, shared by
-g_plus and g_minus when they peak at the same grid index, as they mostly
-do; each golden-section probe then evaluates only the coupling it refines
-(waves.coupling_chain). A FrequencyGrid computes its omegas and its axis
-(s in chain order, with the Mf and Mr values last evaluated there) once,
-so the rows of a sweep that share one grid, as the CLI's do, share them.
+WaveSweep of arrays, feeds both norm estimates (|g_plus| and |g_minus| as
+np.hypot of the arrays), and the axis test reads its range. Grid peaks are
+found on the arrays; only the refinement probes evaluate anew. A peak's
+16-point refinement grid is one FrequencyGrid and one awtf_eval chain,
+shared by g_plus and g_minus when they peak at the same grid index, as they
+mostly do; each golden-section probe then evaluates only the coupling it
+refines (waves.coupling_chain). A FrequencyGrid computes its omegas and its
+axis (s in chain order, with the Mf and Mr values last evaluated there)
+once, so the rows of a sweep that share one grid, as the CLI's do, share
+them.
 """
 
 from __future__ import annotations
@@ -33,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AssumptionViolated
+from .errors import AssumptionViolated, NumericalError
+from .poly import Polynomial, poly_roots
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
@@ -50,9 +49,9 @@ from .waves import (
 )
 
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
-TOL_OMEGA = 1e-6   # relative frequency bracket for bisection/golden refinement
+TOL_OMEGA = 1e-6   # relative frequency bracket of golden-section refinement
 TOL_AXIS = 1e-9    # Re(t_g) at a crossing below this counts as non-positive
-PHASE_JUMP_LIMIT = math.pi / 2  # adjacent-sample phase jump taken as an origin passage
+_DOMINATED = 53 * math.log(2.0)  # log of 2**53: a term this far below another is dropped
 
 
 @dataclass(frozen=True)
@@ -117,79 +116,97 @@ class StabilityVerdict:
             raise ValueError("structural fast path forces the unstable verdict")
 
 
-def _bisect_sign_change(f: Callable[[float], float], lo: float, hi: float,
-                        f_lo: float) -> float:
-    """Geometric bisection of a sign change of f on [lo, hi], f(lo) = f_lo,
-    down to a TOL_OMEGA relative bracket; returns its geometric midpoint."""
-    while (hi - lo) > TOL_OMEGA * hi:
-        mid = math.sqrt(lo * hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_lo < 0) == (f_mid < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+def _axis_quadratic(d: AgentDynamics) -> tuple[np.ndarray, ...]:
+    """a, b, c of g_plus's quadratic a g**2 - b g + c = 0 and s**p Df Dr, with
+    a = Nr Df, b = s**p Df Dr + (1 + h s)(Nf Dr + Nr Df) and c = Nf Dr, at
+    s = j omega: complex coefficients in omega, ascending, of one length."""
+    nf, df, nr, dr = (q.coeffs for q in (d.Mf.num, d.Mf.den, d.Mr.num, d.Mr.den))
+    polys = (np.convolve(nr, df), np.convolve(nf, dr), np.convolve(df, dr))
+    q = np.zeros((4, 1 + max(len(polys[0]), len(polys[1]), d.p + len(polys[2]))))
+    for row, poly, shift in zip(q, polys, (0, 0, d.p)):
+        row[shift:shift + len(poly)] = poly  # rows a, c, s**p Df Dr, then b
+    x = q[0] + q[1]
+    q[3] = q[2] + x
+    q[3, 1:] += d.h * x[:-1]
+    return tuple(q[[0, 3, 1, 2]] * np.array([1, 1j, -1, -1j])[np.arange(q.shape[1]) % 4])
+
+
+def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> Optional[list[float]]:
+    """The real roots in [lo, hi] of sum coeffs[k] w**k, ascending (None if
+    every coefficient is zero). A term that another exceeds by 2**53 at lo
+    and at hi does so on all of [lo, hi], so it is dropped; the rest are
+    solved in x = w / sqrt(lo hi), formed from their logarithms and scaled
+    to the largest. A root is real where |Im x| <= 1e-8 |x| (|Im y| for y)."""
+    if not np.isfinite(coeffs).all():
+        raise NumericalError("an axis polynomial's coefficients overflow")
+    k = np.flatnonzero(coeffs)
+    if not k.size:
+        return None
+    logs, log_range = np.log(np.abs(coeffs[k])), np.log([lo, hi])
+    ends = logs[:, None] + np.outer(k, log_range)  # [term, end]
+    keep = ~((ends - ends[:, None]) >= _DOMINATED).all(axis=2).any(axis=1)
+    mid = 0.5 * (math.log(lo) + math.log(hi))
+    k, logs = k[keep], logs[keep] + k[keep] * mid
+    # over w**k[0], an even or odd polynomial is one in y = x**2
+    step = 1 + bool(((k - k[0]) % 2 == 0).all())
+    y = np.zeros((k[-1] - k[0]) // step + 1)
+    y[(k - k[0]) // step] = np.sign(coeffs[k]) * np.exp(logs - logs.max())
+    roots = poly_roots(Polynomial(y)) if len(y) > 1 else np.zeros(0)
+    real = roots.real[np.abs(roots.imag) <= 1e-8 * np.abs(roots)]
+    y_lo, y_hi = np.exp(step * (log_range - mid))
+    return sorted(float(r) ** (1 / step) * math.exp(mid) for r in real if y_lo <= r <= y_hi)
 
 
 def nyquist_axis_test(d: AgentDynamics, sweep: WaveSweep) -> tuple[bool, list[float]]:
     """Does the axis image of t_g avoid the non-positive real axis?
 
-    Reads t_g(j omega) from an ascending awtf_axis_sweep (negative omega
-    follows by conjugate symmetry), refines every sign change of the
-    imaginary part by bisection on t_g_eval, and reports the crossing
-    frequencies whose real part is <= TOL_AXIS. A phase jump of more than
-    pi/2 between neighbours a and b makes the chord longer than either
-    (|a - b|**2 > |a|**2 + |b|**2), so it is refined as a passage through
-    the origin. A crossing between samples that shows neither sign is
-    missed; only a finer grid finds it.
+    Reads only the first and last frequency of an ascending sweep. With
+    t_g = Tn/Td, Tn = b**2 - 4 a c and Td = (s**p Df Dr)**2 (_axis_quadratic),
+    t_g(j omega) is real at the real roots of Im[Tn conj(Td)]; those in the
+    range with Re t_g_eval <= TOL_AXIS are the crossings, ascending. Where it
+    vanishes identically (t_g real on the axis, as for M = 1/s**2), they are
+    the real part's roots, after the low end if Re t_g <= TOL_AXIS there.
+    """
+    lo, hi = float(sweep.s[0].imag), float(sweep.s[-1].imag)
+    a, b, c, base = _axis_quadratic(d)
+    tn_td = np.convolve(np.convolve(b, b) - 4.0 * np.convolve(a, c),
+                        np.convolve(base, base).conj())
+    crossings = _real_roots(tn_td.imag, lo, hi)
+    if crossings is not None:
+        crossings = [w for w in crossings if t_g_eval(d, 1j * w).real <= TOL_AXIS]
+    else:
+        low = [lo] if t_g_eval(d, 1j * lo).real <= TOL_AXIS else []
+        crossings = low + (_real_roots(tn_td.real, lo, hi) or [])
+    return not crossings, crossings
+
+
+def _norm_band_guard(d: AgentDynamics, sweep: WaveSweep) -> Optional[str]:
+    """Refuse where an ascending sweep's grid steps over |g| > 1.
+
+    A root of a g**2 - b g + c has modulus 1 exactly where the real
+    polynomial Res = (|a|**2 - |c|**2)**2 - |b conj(c) - a conj(b)|**2 in
+    omega vanishes; g_minus's roots are the reciprocals, so Res serves both.
+    Between its roots |g_plus| - 1 and |g_minus| - 1 keep their signs, so an
+    interval with no grid sample is read at its geometric midpoint, hinted
+    by the sample above; NumericalError names it if |g| > 1 there. Returns a
+    note when Res vanishes identically.
     """
     omegas = sweep.s.imag
-    values = sweep.t_g
-
-    crossings: list[float] = []
-
-    # A passage through the origin between samples is itself an
-    # intersection with the non-positive real axis; refine it.
-    phases = np.angle(values)
-    dphi = np.angle(np.exp(1j * np.diff(phases)))  # wrapped to (-pi, pi]
-    for k in np.nonzero(np.abs(dphi) > PHASE_JUMP_LIMIT)[0]:
-        im_k, im_k1 = values[k].imag, values[k + 1].imag
-        if im_k != 0.0 and im_k1 != 0.0 and im_k * im_k1 <= 0:
-            continue  # the imaginary-part sign-change pass below handles it
-        re_k, re_k1 = values[k].real, values[k + 1].real
-        if re_k * re_k1 > 0:
-            continue  # grazing without a sign change; TOL_AXIS decides at samples
-        w_star = _bisect_sign_change(
-            lambda w: t_g_eval(d, 1j * w).real,
-            float(omegas[k]), float(omegas[k + 1]), re_k,
-        )
-        t_star = t_g_eval(d, 1j * w_star)
-        # Re vanishes inside the bracket by construction; only a curve that
-        # is also near the real axis there actually touches the target set.
-        im_window = 1e-6 * max(abs(values[k]), abs(values[k + 1])) + TOL_AXIS
-        if abs(t_star.imag) <= im_window:
-            crossings.append(w_star)
-
-    # Samples sitting exactly on the real axis need no refinement; a run of
-    # them is one crossing, reported at its first sample.
-    on_axis = (values.imag == 0.0) & (values.real <= TOL_AXIS)
-    run_starts = on_axis & ~np.concatenate(([False], on_axis[:-1]))
-    crossings.extend(float(w) for w in omegas[run_starts])
-
-    im = values.imag
-    for k in np.nonzero((im[:-1] != 0.0) & (im[1:] != 0.0)
-                        & ~(im[:-1] * im[1:] > 0))[0]:
-        w_star = _bisect_sign_change(
-            lambda w: t_g_eval(d, 1j * w).imag,
-            float(omegas[k]), float(omegas[k + 1]), im[k],
-        )
-        if t_g_eval(d, 1j * w_star).real <= TOL_AXIS:
-            crossings.append(w_star)
-
-    return len(crossings) == 0, crossings
+    a, b, c, _ = _axis_quadratic(d)
+    gap = (np.convolve(a, a.conj()) - np.convolve(c, c.conj())).real
+    cross = np.convolve(b, c.conj()) - np.convolve(a, b.conj())
+    res = np.convolve(gap, gap) - np.convolve(cross, cross.conj()).real
+    roots = _real_roots(res, float(omegas[0]), float(omegas[-1]))
+    if roots is None:
+        return "the unit-modulus polynomial vanishes identically: the norms are the grid's"
+    for lo, hi in zip(roots, roots[1:]):
+        k = min(int(np.searchsorted(omegas, lo, side="right")), len(omegas) - 1)
+        if omegas[k] < hi:
+            continue
+        ws = awtf_eval(d, 1j * math.sqrt(lo * hi), sweep[k])
+        if max(abs(ws.g_plus), abs(ws.g_minus)) > 1.0:
+            raise NumericalError(f"the grid steps over |g| > 1 on [{lo:.6g}, {hi:.6g}]")
+    return None
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -300,7 +317,9 @@ def local_string_verdict(
     One axis sweep feeds both checks: the axis test on t_g (analyticity of
     the couplings in the right half plane) and the norm estimates of g_plus
     and g_minus; an awtf_eval failure in the sweep (BranchAmbiguous at the
-    highest frequency, say) is a NumericalError.
+    highest frequency, say) is a NumericalError. A verdict that is not
+    unstable is refused (NumericalError) where the grid steps over a band
+    with |g_plus| or |g_minus| above 1 (_norm_band_guard).
 
     Fast path: two integrators, asymmetric positional coupling and zero
     headway force the unstable verdict outright; the norm estimates are still
@@ -356,6 +375,8 @@ def local_string_verdict(
         )
     else:
         verdict = "stable"
+    if verdict != "unstable" and (note := _norm_band_guard(d, sweep)):
+        notes.append(note)
 
     return StabilityVerdict(
         awtf_stable=stable,

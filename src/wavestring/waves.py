@@ -88,7 +88,6 @@ class WaveSample:
     g_minus: complex
     alpha: complex
     beta: complex
-    t_g: complex  # discriminant numerator, equal to t_g_eval(d, s)
     branch_flipped: bool = False
 
 
@@ -208,7 +207,6 @@ def awtf_eval(
         g_minus=complex(g_minus),
         alpha=complex(alpha),
         beta=complex(beta),
-        t_g=complex(t_g),
         branch_flipped=flip_p or flip_m,
     )
 
@@ -262,7 +260,6 @@ class WaveSweep:
     g_minus: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    t_g: np.ndarray
     branch_flipped: np.ndarray
 
     def __len__(self) -> int:
@@ -281,7 +278,7 @@ class WaveSweep:
         return WaveSweep(*(getattr(self, f)[index] for f in _FIELDS))
 
 
-_COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta", "t_g")
+_COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta")
 _FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
 BLOCK = 2048  # samples per wave_blocks block: a default FrequencyGrid is one
 _SCALAR_RUN = 64  # entries the scalar chain fills at least before the core resumes
@@ -373,7 +370,7 @@ def _shared_arrays(d: AgentDynamics, sr, si, mf, mr):
 
 def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray, rows=None):
     """_eval_terms and the quadratics at every s, each front/rear pair held
-    as the two rows of one array: (ok, coeff, t_g, half_root, ratio), where
+    as the two rows of one array: (ok, coeff, half_root, ratio), where
     ok marks the samples at which the scalar _eval_terms neither raises nor
     overflows, coeff = (beta, alpha), half_root = sqrt(t_g)/2 over (Mr, Mf)
     and ratio = (Mf/Mr, Mr/Mf), all but ok as (re, im) or complex. rows,
@@ -388,7 +385,7 @@ def _quadratic_arrays(d: AgentDynamics, sr: np.ndarray, si: np.ndarray, rows=Non
     ok &= finite(sr, si, *m, *shared, *t_g, *coeff).all(axis=0)
     w = np.sqrt(join(*t_g))
     half = join(*cmul(0.5, 0.0, w.real, w.imag))
-    return ok, coeff, t_g, half / join(*swap), cdiv(*m, *swap)
+    return ok, coeff, half / join(*swap), cdiv(*m, *swap)
 
 
 def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample],
@@ -399,7 +396,7 @@ def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample],
     not depend on the hint. The root pairs and picks are the rows (g_plus,
     g_minus)."""
     with np.errstate(all="ignore"):
-        ok, coeff, t_g, *operands = _quadratic_arrays(d, s.real, s.imag, rows)
+        ok, coeff, *operands = _quadratic_arrays(d, s.real, s.imag, rows)
         lo, hi = _root_arrays(coeff, *operands)
         pick, tie, fin = _pick_arrays(lo, hi)
 
@@ -414,7 +411,7 @@ def _array_block(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample],
     g_plus, g_minus = np.where(pick, hi, lo)
     beta, alpha = join(*coeff)
     block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=alpha, beta=beta,
-                      t_g=join(*t_g), branch_flipped=flip[0] | flip[1])
+                      branch_flipped=flip[0] | flip[1])
     return block, exact, ok
 
 

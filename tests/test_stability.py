@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,8 @@ from wavestring import (
     tf_normalize,
 )
 from wavestring import stability, waves
-from wavestring.errors import AssumptionViolated, WavestringError
+from wavestring.cli import main
+from wavestring.errors import AssumptionViolated, NumericalError, WavestringError
 from wavestring.waves import t_g_eval
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
                       random_pi_pair, undamped)
@@ -35,9 +37,8 @@ HEADWAY_DYNAMICS = list(headway_cases())
 # Headway case 44 (h = 1.1215, kappa = 1.0156): |g_plus| exceeds 1 only on
 # [2.29702, 2.30112] (1.00771 at its midpoint), a band narrower than one
 # step of the default grid (0.8%), so the grid reports 0.99567 at its DC
-# end and the verdict reads stable.
-GRID_MISSES_NORM_BAND = pytest.mark.xfail(
-    strict=True, reason="the default grid steps over |g_plus| > 1 on [2.29702, 2.30112]")
+# end; the verdict is refused rather than read as stable.
+GRID_MISSES_NORM_BAND = 44
 
 
 def sweep(d, grid=SHORT_GRID):
@@ -83,6 +84,42 @@ class TestNyquist:
         assert not ok
         assert any(abs(w - 0.3441) < 1e-3 for w in crossings)
 
+    @pytest.mark.parametrize("d,want", [
+        (PROPERTY_DYNAMICS[90], 1.1801107), (HEADWAY_DYNAMICS[14], 1.6437906)],
+        ids=["property-90", "headway-14"])
+    def test_crossing_between_samples_of_a_coarse_grid(self, d, want):
+        # 16 points over seven decades: the curve winds between samples, and
+        # the crossing the default grid finds is still reported
+        ok, crossings = nyquist_axis_test(d, sweep(d, FrequencyGrid(1e-4, 1e3, 16)))
+        assert not ok
+        assert crossings == pytest.approx([want], rel=1e-7)
+
+    def test_negligible_leading_denominator_terms(self):
+        # s**3 terms of 1e-30 beside s**2 ones: roots near 1e30 must not
+        # cost the crossing inside the range
+        den = Polynomial([0, 0, 1, 1e-30])
+        d = AgentDynamics(tf_normalize(Polynomial([4 / 3, 4 / 3]), den),
+                          tf_normalize(Polynomial([2.5 / 3, 2.5 / 3]), den), h=0.7)
+        verdict = local_string_verdict(d)
+        assert verdict.locally_string_stable == "unstable"
+        assert verdict.crossings == pytest.approx([0.61763], rel=1e-5)
+
+    def test_range_far_beyond_the_dynamics(self, gain_asym_dyn):
+        # (omega_max / omega_min)**(degree / 2) overflows a float
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            verdict = local_string_verdict(gain_asym_dyn, FrequencyGrid(omega_max=1e50))
+        assert verdict.locally_string_stable == "unstable"
+        assert verdict.crossings == pytest.approx([0.344065], rel=1e-6)
+
+    def test_huge_numerator_constant_through_the_cli(self, tmp_path):
+        den = [0, 0, 1, 1 / 3]
+        cfg = {"dynamics": {"mf": {"num": [1e75, 4 / 3], "den": den},
+                            "mr": {"num": [2.5 / 3, 2.5 / 3], "den": den}},
+               "topology": {"kind": "path", "n": 6}, "analysis": {"points": 400}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
 
 P = np.polynomial.polynomial
 
@@ -124,6 +161,15 @@ def exact_axis_crossings(d, grid=FrequencyGrid()):
     omega / sqrt(omega_min omega_max), count where Re t_g <= TOL_AXIS.
     None when that polynomial vanishes identically (t_g real on the whole axis).
     """
+    roots = axis_polynomial_roots(d, grid)
+    if roots is None:
+        return None
+    return [w for w in roots if t_g_eval(d, 1j * w).real <= stability.TOL_AXIS]
+
+
+def axis_polynomial_roots(d, grid=FrequencyGrid()):
+    """The real roots of Im[Tn(j omega) conj(Td(j omega))] in the grid's
+    range (see exact_axis_crossings); None when it vanishes identically."""
     a, b, c, base = g_plus_quadratic(d)
     tn = P.polysub(P.polymul(b, b), 4.0 * P.polymul(a, c))
     scale = math.sqrt(grid.omega_min * grid.omega_max)
@@ -131,8 +177,7 @@ def exact_axis_crossings(d, grid=FrequencyGrid()):
     im = P.polysub(P.polymul(tn.imag, td.real), P.polymul(tn.real, td.imag))
     if not np.any(im):
         return None
-    return [w for w in axis_roots(im, scale, grid)
-            if t_g_eval(d, 1j * w).real <= stability.TOL_AXIS]
+    return axis_roots(im, scale, grid)
 
 
 def exact_norms_exceed_one(d, grid=FrequencyGrid()):
@@ -171,10 +216,11 @@ class TestExactAxisCrossings:
     def assert_grid_finds_exact(d):
         exact = exact_axis_crossings(d)
         assert exact is not None
-        grid = sorted(local_string_verdict(d).crossings)
-        assert len(grid) == len(exact)
-        for got, want in zip(grid, exact):
-            assert got == pytest.approx(want, rel=1e-5)
+        _, found = nyquist_axis_test(d, sweep(d, FrequencyGrid()))
+        assert found == pytest.approx(exact, rel=1e-8)
+        for w in found:
+            t_g = t_g_eval(d, 1j * w)
+            assert abs(t_g.imag) <= 1e-8 * abs(t_g)
         return exact
 
     @pytest.mark.parametrize("name,h", CANONICAL)
@@ -222,11 +268,22 @@ class TestExactNorms:
     def test_randomized_property_dynamics(self, case):
         self.assert_grid_agrees(PROPERTY_DYNAMICS[case])
 
-    @pytest.mark.parametrize("case", [
-        pytest.param(k, marks=GRID_MISSES_NORM_BAND) if k == 44 else k
-        for k in range(len(HEADWAY_DYNAMICS))])
+    @pytest.mark.parametrize("case", [k for k in range(len(HEADWAY_DYNAMICS))
+                                      if k != GRID_MISSES_NORM_BAND])
     def test_headway_property_dynamics(self, case):
         self.assert_grid_agrees(HEADWAY_DYNAMICS[case])
+
+    def test_band_the_grid_steps_over_is_refused(self, tmp_path):
+        d = HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND]
+        assert exact_norms_exceed_one(d) == (True, False)
+        with pytest.raises(NumericalError, match=r"on \[2\.29702, 2\.30112\]"):
+            local_string_verdict(d)
+        mf, mr = ({"num": list(m.num.coeffs), "den": [0.0] * m.p + list(m.den.coeffs)}
+                  for m in (d.Mf, d.Mr))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dynamics": {"mf": mf, "mr": mr, "h": d.h}}))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert not (tmp_path / "out" / "analysis.json").exists()
 
     def test_real_coupling_has_no_oracle(self):
         # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both
@@ -235,14 +292,6 @@ class TestExactNorms:
 
 
 class TestSharedAxisSweep:
-    @pytest.mark.parametrize("h", [0.0, 0.5])
-    @pytest.mark.parametrize("name", ["sym_dyn", "gain_asym_dyn", "vel_asym_dyn"])
-    def test_sample_t_g_is_t_g_eval(self, request, name, h):
-        base = request.getfixturevalue(name)
-        d = AgentDynamics(base.Mf, base.Mr, h=h)
-        for ws in awtf_axis_sweep(d, np.geomspace(1e-4, 1e3, 200)):
-            assert ws.t_g == t_g_eval(d, ws.s)
-
     def test_verdict_samples_the_axis_once(self, gain_asym_dyn, monkeypatch):
         calls = {"t_g_eval": 0, "tf_eval": 0}
 
@@ -257,8 +306,8 @@ class TestSharedAxisSweep:
         monkeypatch.setattr(waves, "tf_eval", counted("tf_eval", waves.tf_eval))
         grid = FrequencyGrid()
         local_string_verdict(gain_asym_dyn, grid)
-        # bisection probes only; the grid itself is read from the sweep
-        assert calls["t_g_eval"] < 100
+        # one probe per in-range real root of the axis polynomial at most
+        assert 0 < calls["t_g_eval"] <= len(axis_polynomial_roots(gain_asym_dyn, grid))
         # Mf and Mr once per grid point, plus the refinement probes
         assert calls["tf_eval"] <= 2 * (grid.points + 100)
 
