@@ -1,33 +1,27 @@
 """String-stability verdicts, H-infinity estimation and disturbance gains.
 
 The wave couplings are irrational, so norms are estimated by a log-spaced
-frequency sweep plus golden-section refinement around the grid argmax; there
-is no state-space bisection path. Where the smaller-modulus pick switches
-root (see waves), that argmax sits on a corner of min(|r1|, |r2|), so the
-search's error there is first order in TOL_OMEGA: on the bench's random
-pair 0 it reports 1.7028776, where |g_plus| reaches 1.7028796 at
-omega = 0.9585391. The axis test that guards analyticity is exact: its
-crossings are the in-range real roots of one polynomial in omega.
+frequency sweep refined by zooming around the grid argmax (hinf_estimate);
+there is no state-space bisection path. Where the smaller-modulus pick
+switches root (see waves), that argmax sits on a corner of min(|r1|, |r2|),
+so the refinement's error there is first order in TOL_OMEGA. The axis test
+that guards analyticity is exact: its crossings are the in-range real roots
+of one polynomial in omega.
 
 A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
-WaveSweep of arrays, feeds both norm estimates (|g_plus| and |g_minus| as
-np.hypot of the arrays), and the axis test reads its range. Grid peaks are
-found on the arrays; only the refinement probes evaluate anew. A peak's
-16-point refinement grid is one FrequencyGrid and one awtf_eval chain,
-shared by g_plus and g_minus when they peak at the same grid index, as they
-mostly do; each golden-section probe then evaluates only the coupling it
-refines (waves.coupling_chain). A FrequencyGrid computes its omegas and its
-axis (s in chain order, with the Mf and Mr values last evaluated there)
-once, so the rows of a sweep that share one grid, as the CLI's do, share
-them.
-"""
+WaveSweep of arrays, feeds both norm estimates (|g_plus| and |g_minus|),
+and the axis test reads its range. Grid peaks are found on the arrays; each
+refinement level is one more array sweep of ZOOM_POINTS frequencies,
+hint-chained down from the top of its bracket. A FrequencyGrid computes its
+omegas and its axis (s in chain order) once, so the rows of a sweep that
+share one grid, as the CLI's do, share them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -37,20 +31,21 @@ from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
 from .waves import (
     Axis,
-    WaveSample,
     WaveSweep,
     awtf_axis_sweep,
     awtf_eval,
-    coupling_chain,
     reflection_from_sample,
     round_trip,
     t_g_eval,
-    wave_chain,
+    wave_sweep,
 )
 
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
-TOL_OMEGA = 1e-6   # relative frequency bracket of golden-section refinement
+TOL_OMEGA = 1e-6   # relative frequency bracket that ends the norm refinement
+ZOOM_POINTS = 64   # geometric points per refinement level
 TOL_AXIS = 1e-9    # Re(t_g) at a crossing below this counts as non-positive
+_ZOOM_STEPS = np.linspace(0.0, 1.0, ZOOM_POINTS)
+_SAFE_EXPONENT = 64  # _axis_quadratic rows within 2**(+-64) are used as they are
 _DOMINATED = 53 * math.log(2.0)  # log of 2**53: a term this far below another is dropped
 
 
@@ -119,7 +114,9 @@ class StabilityVerdict:
 def _axis_quadratic(d: AgentDynamics) -> tuple[np.ndarray, ...]:
     """a, b, c of g_plus's quadratic a g**2 - b g + c = 0 and s**p Df Dr, with
     a = Nr Df, b = s**p Df Dr + (1 + h s)(Nf Dr + Nr Df) and c = Nf Dr, at
-    s = j omega: complex coefficients in omega, ascending, of one length."""
+    s = j omega: complex coefficients in omega, ascending, of one length,
+    all scaled by one power of two where their largest lies outside
+    2**(+-_SAFE_EXPONENT)."""
     nf, df, nr, dr = (q.coeffs for q in (d.Mf.num, d.Mf.den, d.Mr.num, d.Mr.den))
     polys = (np.convolve(nr, df), np.convolve(nf, dr), np.convolve(df, dr))
     q = np.zeros((4, 1 + max(len(polys[0]), len(polys[1]), d.p + len(polys[2]))))
@@ -128,6 +125,11 @@ def _axis_quadratic(d: AgentDynamics) -> tuple[np.ndarray, ...]:
     x = q[0] + q[1]
     q[3] = q[2] + x
     q[3, 1:] += d.h * x[:-1]
+    # The axis and unit-modulus polynomials are quartic in these rows; one
+    # common power of two, exact, keeps them finite and leaves their roots.
+    exponent = np.frexp(np.abs(q).max())[1]
+    if abs(exponent) > _SAFE_EXPONENT:
+        q = np.ldexp(q, -exponent)
     return tuple(q[[0, 3, 1, 2]] * np.array([1, 1j, -1, -1j])[np.arange(q.shape[1]) % 4])
 
 
@@ -209,100 +211,86 @@ def _norm_band_guard(d: AgentDynamics, sweep: WaveSweep) -> Optional[str]:
     return None
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def _grid_peak(omegas: np.ndarray, mags: np.ndarray
-               ) -> tuple[int, NormEstimate, Optional[tuple[float, float]]]:
-    """Grid argmax k of mags, its unrefined estimate and the bracket of its
-    two neighbours (None when narrower than TOL_OMEGA relative)."""
+               ) -> tuple[NormEstimate, Optional[tuple[float, float]]]:
+    """Unrefined estimate at the argmax k of mags and the bracket of k's two
+    neighbours (None when narrower than TOL_OMEGA relative)."""
     k = int(np.argmax(mags))
     peak = NormEstimate(float(mags[k]), float(omegas[k]), refined=False)
     lo = float(omegas[max(k - 1, 0)])
     hi = float(omegas[min(k + 1, len(omegas) - 1)])
-    return k, peak, None if hi <= lo * (1.0 + TOL_OMEGA) else (lo, hi)
+    return peak, None if hi <= lo * (1.0 + TOL_OMEGA) else (lo, hi)
 
 
 def hinf_estimate(
-    evaluator: Callable[[float], complex],
-    grid: FrequencyGrid = FrequencyGrid(),
-    grid_values: Optional[Sequence[complex]] = None,
+    evaluator: Callable[[np.ndarray], np.ndarray],
+    grid: Union[FrequencyGrid, np.ndarray] = FrequencyGrid(),
+    grid_values: Optional[np.ndarray] = None,
 ) -> NormEstimate:
-    """Peak of |evaluator(omega)| over the grid, golden-section refined
-    around the grid argmax. Where that argmax is a corner (a wave coupling
-    whose smaller-modulus pick switches root), the refinement's error is
-    first order in TOL_OMEGA, not second.
+    """Peak of |evaluator(omega)| over the grid, refined by zooming: each
+    level evaluates ZOOM_POINTS geometric points from the previous level's
+    argmax's lower neighbour to its upper one, until that bracket is
+    narrower than TOL_OMEGA relative, and the largest value seen is
+    reported. Where the peak is a corner (a wave coupling whose
+    smaller-modulus pick switches root), the error is first order in
+    TOL_OMEGA, not second.
 
-    The evaluator receives the frequency in rad/s and returns the complex
-    response on the imaginary axis; grid_values, when given, are its values
-    at grid.omegas() already. The returned value never drops below any
-    grid sample. Assumes the evaluator is analytic in the open right half
-    plane so the boundary supremum equals the H-infinity norm; callers check
-    that upstream (nyquist_axis_test for the wave couplings).
+    grid is a FrequencyGrid or an ascending array of frequencies. The
+    evaluator receives an ascending array of frequencies in rad/s and
+    returns the complex response on the imaginary axis at each;
+    grid_values, when given, are its values on the grid already. The
+    returned value never drops below any grid sample. Assumes the evaluator
+    is analytic in the open right half plane so the boundary supremum equals
+    the H-infinity norm; callers check that upstream (nyquist_axis_test for
+    the wave couplings).
     """
-    omegas = grid.omegas()
-    if grid_values is None:
-        grid_values = [evaluator(w) for w in omegas]
-    mags = np.array([abs(z) for z in grid_values])
-    _, peak, bracket = _grid_peak(omegas, mags)
+    omegas = grid.omegas() if isinstance(grid, FrequencyGrid) else np.asarray(grid, float)
+    values = evaluator(omegas) if grid_values is None else grid_values
+    best, bracket = _grid_peak(omegas, np.abs(np.broadcast_to(values, omegas.shape)))
     if bracket is None:
-        return peak
-    best_val, best_w = peak.value, peak.argmax_omega
+        return best
+    while bracket is not None:
+        lo, hi = bracket
+        omegas = lo * np.exp(_ZOOM_STEPS * math.log(hi / lo))
+        omegas[-1] = hi  # the next level is seeded here
+        peak, bracket = _grid_peak(
+            omegas, np.abs(np.broadcast_to(evaluator(omegas), omegas.shape)))
+        best = peak if peak.value > best.value else best
+    return NormEstimate(best.value, best.argmax_omega, refined=True)
 
-    # Golden-section in log-frequency.
-    a, b = math.log(bracket[0]), math.log(bracket[1])
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1 = abs(evaluator(math.exp(x1)))
-    f2 = abs(evaluator(math.exp(x2)))
-    while (b - a) > math.log1p(TOL_OMEGA):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = abs(evaluator(math.exp(x2)))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = abs(evaluator(math.exp(x1)))
-    w_ref = math.exp(0.5 * (a + b))
-    f_ref = abs(evaluator(w_ref))
-    if f_ref > best_val:
-        best_val, best_w = f_ref, w_ref
-    return NormEstimate(value=best_val, argmax_omega=best_w, refined=True)
+
+def _coupling_probe(d: AgentDynamics, sweep: WaveSweep, attr: str, levels: dict):
+    """omegas (ascending) -> the coupling attr at 1j*omegas, each call one
+    hint chain down from its highest frequency, seeded by the previous
+    call's sample (at first, the ascending sweep's) at the lowest frequency
+    at or above that one: a zoom level's top is a point of the level before.
+    levels maps (lowest, highest) omega to the sweeps already evaluated, as
+    a level that g_plus and g_minus share is."""
+    last = sweep
+
+    def probe(omegas: np.ndarray) -> np.ndarray:
+        nonlocal last
+        key = (omegas[0], omegas[-1])
+        if key not in levels:
+            k = min(int(np.searchsorted(last.s.imag, omegas[-1])), len(last) - 1)
+            levels[key] = wave_sweep(d, 1j * omegas[::-1], last[k]).take(slice(None, None, -1))
+        last = levels[key]
+        return getattr(last, attr)
+
+    return probe
 
 
 def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
                         ) -> tuple[NormEstimate, NormEstimate]:
     """H-infinity estimates of (g_plus, g_minus) from an ascending
-    awtf_axis_sweep, each peak refined around its grid argmax k.
-
-    The 16-point refinement grid is evaluated on a hint chain seeded at
-    sweep[k + 1]; when g_plus and g_minus peak at the same k they share
-    that one grid and its evaluation. Each golden-section search then
-    continues the chain from the grid's last sample through a
-    coupling_chain, which evaluates only the coupling it refines.
-    """
-    omegas = sweep.s.imag
-
-    grids: dict[int, tuple[FrequencyGrid, list[WaveSample]]] = {}
-    results: list[NormEstimate] = []
-    for attr in ("g_plus", "g_minus"):
-        g = getattr(sweep, attr)
-        k, peak, bracket = _grid_peak(omegas, np.hypot(g.real, g.imag))
-        if bracket is None:
-            results.append(peak)
-            continue
-        if k not in grids:
-            grid = FrequencyGrid(*bracket, 16)
-            chain = wave_chain(d, seed=sweep[min(k + 1, len(omegas) - 1)])
-            grids[k] = grid, [chain(1j * w) for w in grid.omegas()]
-        grid, samples = grids[k]
-        values = [getattr(ws, attr) for ws in samples]
-        probe = coupling_chain(d, attr, seed=values[-1])
-        refined = hinf_estimate(lambda w: probe(1j * w), grid, values)
-        best = refined if refined.value >= peak.value else peak
-        results.append(NormEstimate(best.value, best.argmax_omega, refined=True))
-    return results[0], results[1]
+    awtf_axis_sweep: hinf_estimate on the sweep's frequencies and values,
+    each zoom level a hint chain seeded at the sample at the top of its
+    bracket. Where the two couplings zoom on the same bracket, as they
+    mostly do, they share its evaluation."""
+    omegas, levels = sweep.s.imag, {}
+    gp, gm = (hinf_estimate(_coupling_probe(d, sweep, attr, levels), omegas,
+                            getattr(sweep, attr)) for attr in ("g_plus", "g_minus"))
+    return gp, gm
 
 
 def local_string_verdict(

@@ -13,9 +13,9 @@ Step inputs ride along as an extra 1/s factor in the spectrum; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
 origin pole. The wave spectra take the line's couplings from one hint chain
 through waves.wave_blocks, run from the highest frequency down, and are
-formed per block on arrays in the per-sample form's own arithmetic
-(_line_spectra); the entries the arrays cannot vouch for are evaluated per
-sample, so spectra and errors are the per-sample form's, bit for bit.
+formed per block on its arrays (_line_spectra) with the same
+reflection_from_sample and round_trip as a single sample. A spectrum entry
+that is not finite is refused with NumericalError.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonDecaying
+from .errors import NonDecaying, NumericalError
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
-from .pycomplex import MAX_POWI, cdiv, cmul, cpowi, finite, join
 from .tf import AgentDynamics
-from .waves import (TOL_SING, WaveSample, WaveSweep, reflection_from_sample,
-                    round_trip, wave_blocks)
+from .waves import WaveSweep, reflection_from_sample, round_trip, wave_blocks
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -128,34 +126,27 @@ class WaveComponents:
     x: np.ndarray
 
 
-def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig, width: int,
-                  scalar: Callable, arrays: Optional[Callable]) -> np.ndarray:
-    """width spectra on bromwich_line(cfg), one row each, ascending frequency.
+def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig,
+                  spectra: Callable[[WaveSweep], np.ndarray]) -> np.ndarray:
+    """The rows of spectra(block) on bromwich_line(cfg), ascending frequency.
 
     One hint chain walks the line from its top frequency down through
-    wave_blocks. arrays(block), under a local errstate that ignores
-    everything, gives the spectra at every entry of a block (one column
-    each) and the mask of entries it settles; scalar(s, ws) evaluates the
-    others in chain order, so values, warnings and errors are those of
-    scalar applied sample by sample. arrays None leaves every entry to
-    scalar, as does a caller's errstate that reports underflow: the arrays
-    keep no trace of where scalar's numpy operations would underflow.
+    wave_blocks; spectra(block) gives one row per spectrum and one column
+    per entry, under a local errstate that ignores everything. A block's
+    errors come after the blocks before it: what spectra raises, then
+    NumericalError at its first non-finite column.
     """
-    if np.geterr()["under"] != "ignore":
-        arrays = None
     line = bromwich_line(cfg)[::-1]
-    out = np.empty((len(line), width), dtype=complex)
-    lo = 0
+    parts = []
     for block in wave_blocks(d, line):
-        rows = out[lo:lo + len(block)]
-        settled = np.zeros(len(block), dtype=bool)
-        if arrays is not None:
-            with np.errstate(all="ignore"):
-                rows[:], settled = arrays(block)
-        for k in np.flatnonzero(~settled):
-            rows[k] = scalar(block.s[k], block[k])
-        lo += len(block)
-    return out[::-1].T
+        with np.errstate(all="ignore"):
+            rows = spectra(block)
+        bad = ~np.isfinite(rows).all(axis=0)
+        if bad.any():
+            s = complex(block.s[np.argmax(bad)])
+            raise NumericalError(f"the wave spectrum is non-finite at s={s}")
+        parts.append(rows)
+    return np.concatenate(parts, axis=1)[:, ::-1]
 
 
 def _wave_spectra(
@@ -168,42 +159,14 @@ def _wave_spectra(
     """Spectra (A_n, B_n) of a step-driven N-agent path on the Bromwich line.
 
     One walk of the line produces both, so the two inversions see identical
-    branch choices. both is the per-sample form; both_arrays repeats its
-    arithmetic on a block (pycomplex for the Python-complex steps, numpy's
-    own operations where both computes on the numpy scalar s) and settles
-    an entry only where every intermediate is finite, |g_minus - 1| >=
-    TOL_SING and the round trip is nonzero, so results and errors are those
-    of both on one scalar chain. An exponent beyond MAX_POWI, where Python's
-    ** leaves binary powering, sends every entry to both.
+    branch choices.
     """
-    def both(s: complex, ws: WaveSample) -> tuple[complex, complex]:
+    def both(ws: WaveSweep) -> np.ndarray:
         refl = reflection_from_sample(ws)
-        gp, gm = ws.g_plus, ws.g_minus
-        denom = round_trip(ws, refl, N)
-        x0 = step_amplitude / s
-        return gp**n * x0 / denom, gm ** (N - n) * refl.tN * gp**N * x0 / denom
+        x0 = step_amplitude / ws.s / round_trip(ws, refl, N)
+        return np.stack([ws.g_plus**n * x0, ws.g_minus ** (N - n) * refl.tN * ws.g_plus**N * x0])
 
-    def both_arrays(block: WaveSweep) -> tuple[np.ndarray, np.ndarray]:
-        gp = block.g_plus.real, block.g_plus.imag
-        gm = block.g_minus.real, block.g_minus.imag
-        gap = (gm[0] - 1.0, gm[1] - 0.0)
-        t1 = cmul(-gp[0], -gp[1], *gm)
-        tN = cdiv(*cmul(*gm, gp[0] - 1.0, gp[1] - 0.0), *gap)
-        powers = (cpowi(*cmul(*gp, *gm), N - 1), cpowi(*gp, n), cpowi(*gm, N - n),
-                  cpowi(*gp, N))
-        loop = cmul(*cmul(*t1, *tN), *powers[0])
-        trip = (1.0 - loop[0], 0.0 - loop[1])
-        x0 = step_amplitude / block.s
-        x0 = x0.real, x0.imag
-        a = cmul(*powers[1], *x0)
-        b = cmul(*cmul(*cmul(*powers[2], *tN), *powers[3]), *x0)
-        spectra = np.stack([join(*a), join(*b)], axis=1) / join(*trip)[:, None]
-        steps = (gp, gm, t1, tN, *powers, loop, x0, a, b)
-        settled = finite(*(part for z in steps for part in z))
-        settled &= np.isfinite(spectra).all(axis=1) & (np.hypot(*gap) >= TOL_SING)
-        return spectra, settled & ((trip[0] != 0) | (trip[1] != 0))
-
-    a, b = _line_spectra(d, cfg, 2, both, both_arrays if N <= MAX_POWI else None)
+    a, b = _line_spectra(d, cfg, both)
     return a, b
 
 
@@ -252,7 +215,7 @@ def early_time_check(
     if not 1 <= n <= N:
         raise ValueError(f"agent index n={n} outside 1..{N}")
     cfg = cfg or InverseLaplaceConfig(T_final=horizon)
-    (spectrum,) = _line_spectra(d, cfg, 1, lambda s, ws: ws.g_plus**n / s, None)
+    (spectrum,) = _line_spectra(d, cfg, lambda ws: (ws.g_plus**n / ws.s)[None])
     times, wave = inverse_laplace(spectrum, cfg)
 
     net = build_network(Topology.path(N), d)

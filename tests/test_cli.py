@@ -894,6 +894,25 @@ class TestUnrepresentableLowOrderCoefficient:
         assert not out.exists()
 
 
+class TestHugeNumeratorConstant:
+    """Mf's or Mr's numerator constant at 1e100 under a 0.7 s headway. The
+    axis and unit-modulus polynomials are quartic in the coefficients of the
+    wave quadratic, which overflowed at these values; scaled by one power of
+    two they decide. The front (or rear) coupling dominates, and g = 1/(1 +
+    h s) in the limit, so the verdict is stable."""
+
+    @pytest.mark.parametrize("side", ["mf", "mr"])
+    def test_analyze_decides(self, tmp_path, side):
+        cfg = copy.deepcopy(base_config())
+        cfg["dynamics"]["h"] = 0.7
+        cfg["dynamics"][side]["num"][0] = 1e100
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["verdict"] == "stable"
+        assert max(est["value"] for est in report["hinf"].values()) <= 1.0
+
+
 # command, (section, key, value) or None, extra flags
 REFUSED = {
     "dt-1e-12": ("simulate", ("sim", "dt", 1e-12), []),

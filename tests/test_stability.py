@@ -293,23 +293,25 @@ class TestExactNorms:
 
 class TestSharedAxisSweep:
     def test_verdict_samples_the_axis_once(self, gain_asym_dyn, monkeypatch):
-        calls = {"t_g_eval": 0, "tf_eval": 0}
+        calls = {"t_g_eval": 0}
+        entries = []
+        t_g_eval, eval_terms = stability.t_g_eval, waves._eval_terms
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            calls["t_g_eval"] += 1
+            return t_g_eval(*args)
 
-        monkeypatch.setattr(stability, "t_g_eval",
-                            counted("t_g_eval", stability.t_g_eval))
-        monkeypatch.setattr(waves, "tf_eval", counted("tf_eval", waves.tf_eval))
+        monkeypatch.setattr(stability, "t_g_eval", counted)
+        monkeypatch.setattr(waves, "_eval_terms",
+                            lambda d, s: entries.append(len(s)) or eval_terms(d, s))
         grid = FrequencyGrid()
         local_string_verdict(gain_asym_dyn, grid)
         # one probe per in-range real root of the axis polynomial at most
         assert 0 < calls["t_g_eval"] <= len(axis_polynomial_roots(gain_asym_dyn, grid))
-        # Mf and Mr once per grid point, plus the refinement probes
-        assert calls["tf_eval"] <= 2 * (grid.points + 100)
+        # Mf and Mr once per grid point, plus the refinement levels and the
+        # axis test's probes
+        assert entries[0] == grid.points
+        assert sum(entries) <= grid.points + 8 * stability.ZOOM_POINTS + calls["t_g_eval"]
 
 
 class TestHinf:

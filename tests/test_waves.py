@@ -20,7 +20,7 @@ from wavestring.errors import (
     ReflectionSingular,
     SingularSample,
 )
-from wavestring.waves import _pick_root
+from wavestring.waves import _pick_arrays, _resolve_ties
 from conftest import front_coupling, rear_scaled
 
 
@@ -77,17 +77,24 @@ class TestTg:
 
 
 class TestBranchSelection:
+    @staticmethod
+    def pick(lo, hi, hint=None):
+        """The chosen root and whether it overrides the smaller modulus."""
+        lo, hi = np.array([lo], dtype=complex), np.array([hi], dtype=complex)
+        picks, flipped = _resolve_ties(lo, hi, *_pick_arrays(lo, hi), hint)
+        return (hi if picks[0] else lo)[0], bool(flipped[0])
+
     def test_smaller_modulus_default(self):
-        root, flipped = _pick_root(0.5, 1.5, hint=None)
+        root, flipped = self.pick(0.5, 1.5)
         assert root == 0.5 and not flipped
 
     def test_hint_override_flags_flip(self):
         # perfect modulus tie, materially different roots: the hint decides
         # and choosing the non-default (second) candidate is recorded
         lo, hi = -1.0 - 0.5j, 1.0 + 0.5j
-        root, flipped = _pick_root(lo, hi, hint=hi)
+        root, flipped = self.pick(lo, hi, hint=hi)
         assert root == hi and flipped
-        root2, flipped2 = _pick_root(lo, hi, hint=lo)
+        root2, flipped2 = self.pick(lo, hi, hint=lo)
         assert root2 == lo and not flipped2
 
     def test_material_tie_without_hint_raises(self, sym_dyn):

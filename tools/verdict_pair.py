@@ -24,7 +24,10 @@ judged by its own library, and records two sets, defined once here:
 
 Every difference is printed by field. Crossings are compared as ascending
 lists; their digits are summarised as the largest relative move, and a
-change of their order alone is reported as such. The script exits 0 once
+change of their order alone is reported as such. The value and argmax_omega
+of norm_gp and norm_gm are summarised the same way, each as its largest
+relative move; the refined flag, the verdict, the other flags, the notes,
+the exceptions and the exit codes are printed in full. The script exits 0 once
 both sides have run, whatever the differences.
 """
 
@@ -48,6 +51,8 @@ VALUES = (1e-300, 1e-150, 1e-100, 1e-30, 1e30, 1e75, 1e100, 1e150, 1e200, 1e300,
 DEN = [0.0, 0.0, 1.0, 1.0 / 3.0]
 MF = {"num": [4.0 / 3.0, 4.0 / 3.0], "den": DEN}
 MR = {"num": [2.5 / 3.0, 2.5 / 3.0], "den": DEN}  # gain-asym: MF scaled by 2.5/4
+NORMS = ("norm_gp", "norm_gm")
+NORM_PARTS = ("value", "argmax_omega")  # the NormEstimate fields summarised by digits
 
 
 # ------------------------------------------------------------ the case sets
@@ -189,9 +194,19 @@ def run_side(root: str) -> dict:
     return json.loads(done.stdout)
 
 
+def _relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / abs(a) if a else float("inf")
+
+
 def compare(parent: dict, change: dict) -> None:
     for group in ("dynamics", "extreme"):
-        moved, worst, diffs = 0, (0.0, None), 0
+        diffs = 0
+        moves: dict = {}  # summarised field -> [cases moved, (largest move, case)]
+
+        def move(key: str, rel: float, name: str) -> None:
+            count, worst = moves.setdefault(key, [0, (0.0, None)])
+            moves[key] = [count + (rel > 0), max(worst, (rel, name), key=lambda t: t[0])]
+
         for name, old in parent[group].items():
             new = change[group][name]
             for field in sorted(set(old) | set(new)):
@@ -202,16 +217,20 @@ def compare(parent: dict, change: dict) -> None:
                             print(f"{group}/{name}: crossings order {a} -> {b}")
                     a, b = sorted(a), sorted(b)
                     if len(a) == len(b):
-                        rel = max((abs(x - y) / abs(x) for x, y in zip(a, b)), default=0.0)
-                        moved += rel > 0
-                        worst = max(worst, (rel, name), key=lambda t: t[0])
+                        move("crossings", max(map(_relative, a, b), default=0.0), name)
                         continue
+                if field in NORMS and a is not None and b is not None:
+                    # value and argmax_omega are summarised; refined is compared
+                    for part, x, y in zip(NORM_PARTS, a, b):
+                        move(f"{field}.{part}", _relative(x, y), name)
+                    a, b = a[len(NORM_PARTS):], b[len(NORM_PARTS):]
                 if a != b:
                     diffs += 1
                     print(f"{group}/{name}: {field}: {a!r} -> {b!r}")
-        print(f"{group}: {len(parent[group])} cases, {diffs} field differences"
-              + (f"; crossings moved on {moved} cases, largest relative move "
-                 f"{worst[0]:.2g} ({worst[1]})" if group == "dynamics" else ""))
+        print(f"{group}: {len(parent[group])} cases, {diffs} field differences")
+        for key, (count, (rel, name)) in moves.items():
+            print(f"{group}: {key} moved on {count} cases, largest relative move "
+                  f"{rel:.2g} ({name})")
     ext_p, ext_c = parent["extreme"], change["extreme"]
     freed = [k for k in ext_p if ext_p[k]["exit"] == 3 and ext_c[k]["exit"] == 0]
     lost = [k for k in ext_p if ext_p[k]["exit"] == 0 and ext_c[k]["exit"] != 0]
