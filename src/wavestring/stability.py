@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -224,10 +224,10 @@ def _grid_peak(omegas: np.ndarray, mags: np.ndarray
 
 def hinf_estimate(
     evaluator: Callable[[np.ndarray], np.ndarray],
-    grid: Union[FrequencyGrid, np.ndarray] = FrequencyGrid(),
+    omegas: np.ndarray = FrequencyGrid().omegas(),
     grid_values: Optional[np.ndarray] = None,
 ) -> NormEstimate:
-    """Peak of |evaluator(omega)| over the grid, refined by zooming: each
+    """Peak of |evaluator(omega)| over omegas, refined by zooming: each
     level evaluates ZOOM_POINTS geometric points from the previous level's
     argmax's lower neighbour to its upper one, until that bracket is
     narrower than TOL_OMEGA relative, and the largest value seen is
@@ -235,26 +235,23 @@ def hinf_estimate(
     smaller-modulus pick switches root), the error is first order in
     TOL_OMEGA, not second.
 
-    grid is a FrequencyGrid or an ascending array of frequencies. The
-    evaluator receives an ascending array of frequencies in rad/s and
-    returns the complex response on the imaginary axis at each;
-    grid_values, when given, are its values on the grid already. The
-    returned value never drops below any grid sample. Assumes the evaluator
-    is analytic in the open right half plane so the boundary supremum equals
-    the H-infinity norm; callers check that upstream (nyquist_axis_test for
-    the wave couplings).
+    omegas is an ascending array of frequencies in rad/s. The evaluator
+    receives such an array and returns the complex response on the
+    imaginary axis at each; grid_values, when given, are its values at
+    omegas already. The returned value never drops below any grid sample.
+    Assumes the evaluator is analytic in the open right half plane so the
+    boundary supremum equals the H-infinity norm; callers check that
+    upstream (nyquist_axis_test for the wave couplings).
     """
-    omegas = grid.omegas() if isinstance(grid, FrequencyGrid) else np.asarray(grid, float)
     values = evaluator(omegas) if grid_values is None else grid_values
-    best, bracket = _grid_peak(omegas, np.abs(np.broadcast_to(values, omegas.shape)))
+    best, bracket = _grid_peak(omegas, np.abs(values))
     if bracket is None:
         return best
     while bracket is not None:
         lo, hi = bracket
         omegas = lo * np.exp(_ZOOM_STEPS * math.log(hi / lo))
         omegas[-1] = hi  # the next level is seeded here
-        peak, bracket = _grid_peak(
-            omegas, np.abs(np.broadcast_to(evaluator(omegas), omegas.shape)))
+        peak, bracket = _grid_peak(omegas, np.abs(evaluator(omegas)))
         best = peak if peak.value > best.value else best
     return NormEstimate(best.value, best.argmax_omega, refined=True)
 
@@ -319,7 +316,7 @@ def local_string_verdict(
     DC end of the grid.
 
     grid defaults to a fresh FrequencyGrid(); verdicts that pass one grid
-    object share its omegas, its Axis and the Mf and Mr values it holds.
+    object share its omegas and its Axis.
     """
     report = check_assumption1(d, tol_crhp=tol_crhp)
     if not report.passed:

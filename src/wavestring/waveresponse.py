@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NonDecaying, NumericalError
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import WaveSweep, reflection_from_sample, round_trip, wave_blocks
+from .waves import TOL_SING, WaveSweep, reflection_from_sample, round_trip, wave_blocks
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
@@ -132,20 +132,25 @@ def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig,
 
     One hint chain walks the line from its top frequency down through
     wave_blocks; spectra(block) gives one row per spectrum and one column
-    per entry, under a local errstate that ignores everything. A block's
-    errors come after the blocks before it: what spectra raises, then
-    NumericalError at its first non-finite column.
+    per entry, under a local errstate that ignores everything. Errors come
+    at the first bad entry in chain order: NumericalError at a non-finite
+    column, or what spectra raises (ReflectionSingular from
+    reflection_from_sample). So that the second does not pre-empt the
+    first, a block is cut before its first |g_minus - 1| < TOL_SING.
     """
     line = bromwich_line(cfg)[::-1]
     parts = []
     for block in wave_blocks(d, line):
-        with np.errstate(all="ignore"):
-            rows = spectra(block)
-        bad = ~np.isfinite(rows).all(axis=0)
-        if bad.any():
-            s = complex(block.s[np.argmax(bad)])
-            raise NumericalError(f"the wave spectrum is non-finite at s={s}")
-        parts.append(rows)
+        cut = np.flatnonzero(np.abs(block.g_minus - 1.0) < TOL_SING)[:1].tolist()
+        for lo, hi in zip([0] + cut, cut + [len(block)]):
+            part = block.take(slice(lo, hi))
+            with np.errstate(all="ignore"):
+                rows = spectra(part)
+            bad = ~np.isfinite(rows).all(axis=0)
+            if bad.any():
+                s = complex(part.s[np.argmax(bad)])
+                raise NumericalError(f"the wave spectrum is non-finite at s={s}")
+            parts.append(rows)
     return np.concatenate(parts, axis=1)[:, ::-1]
 
 

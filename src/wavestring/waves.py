@@ -15,7 +15,8 @@ unchanged.
 Branch selection: the wave couplings are the smaller-modulus roots (the
 proper root tends to min(1, kappa) at DC and to 0 at infinity). When the two
 moduli tie within TOL_TIE relative, a continuity hint from a neighbouring
-sample decides; with no hint and materially different candidates the
+sample decides (where both roots are equally near it, the one with the
+larger imaginary part); with no hint and materially different candidates the
 evaluation refuses to guess and raises BranchAmbiguous. Frequency sweeps
 therefore chain hints, seeded at the largest |s| where the split is always
 unambiguous. Where g_plus's two roots tie in modulus m away from t_g = 0,
@@ -199,20 +200,30 @@ def _pick_arrays(lo: np.ndarray, hi: np.ndarray):
     return ~(m_lo <= m_hi), tie
 
 
+def _nearer_hi(lo, hi, prev):
+    """Whether hi is the root nearer prev. Where both are equally near
+    within TOL_TIE relative (a real pick before a conjugate pair), continuity
+    cannot decide and the root with the larger imaginary part is taken, so
+    the choice does not rest on rounding."""
+    d_lo, d_hi = np.abs(lo - prev), np.abs(hi - prev)
+    even = np.abs(d_lo - d_hi) <= TOL_TIE * np.maximum(d_lo, d_hi)
+    return np.where(even, hi.imag > lo.imag, ~(d_lo <= d_hi))
+
+
 def _resolve_ties(lo, hi, pick_hi, tie, hint):
     """Pick each tie sample's root nearest the previous sample's pick (for
-    sample 0, nearest hint), walking the ties in chain order. Returns the
-    picks and where they override the smaller modulus."""
+    sample 0, nearest hint; see _nearer_hi), walking the ties in chain
+    order. Returns the picks and where they override the smaller modulus."""
     if not tie.any():
         return pick_hi, tie
     picks = pick_hi.copy()
     if tie[0]:
-        picks[0] = not abs(lo[0] - hint) <= abs(hi[0] - hint)
+        picks[0] = _nearer_hi(lo[:1], hi[:1], hint)[0]
     idx = np.nonzero(tie[1:])[0] + 1
     if idx.size:
         # A tie sample's hint is one of the previous sample's two roots, so
         # the choice after either is computed for all ties at once.
-        after = [(~(np.abs(lo[idx] - prev) <= np.abs(hi[idx] - prev))).tolist()
+        after = [_nearer_hi(lo[idx], hi[idx], prev).tolist()
                  for prev in (lo[idx - 1], hi[idx - 1])]
         chosen = picks.tolist()
         for i, if_lo, if_hi in zip(idx.tolist(), *after):
@@ -228,22 +239,21 @@ def _wave_block(d: AgentDynamics, s: np.ndarray, hints: Optional[tuple[complex, 
     there is none); the block is cut before that entry. The root pairs and
     picks are the rows (g_plus, g_minus).
 
-    Each root pair is cancellation-free: the root whose sum form
-    coeff/2 -/+ sqrt(t_g)/(2 own) cancels is recovered from the product of
-    the roots instead (at large |s| the direct difference loses all
-    significant digits).
+    Each root pair is cancellation-free and never divides by own alone: of
+    the two sums shared +/- sqrt(t_g), the larger in modulus gives one root
+    as sum/(2 own) and the other, from the product of the roots, as
+    2 other/sum (at large |s| the direct difference loses all significant
+    digits, and where own underflows other/own overflows).
     """
     (mf, mr, shared, t_g), stop, error = _eval_terms(d, s)
     with np.errstate(all="ignore"):
         own = np.stack([mr, mf])
         coeff = shared / own  # rows (beta, alpha)
-        half = 0.5 * np.sqrt(t_g) / own
-        minus, plus = 0.5 * coeff - half, 0.5 * coeff + half
-        plus_wins = np.abs(plus) >= np.abs(minus)
-        # The division by the losing sum (or by zero) is computed and discarded.
-        q = own[::-1] / own / np.where(plus_wins, plus, minus)
-        lo = np.where(plus_wins & (plus != 0), q, minus)
-        hi = np.where(plus_wins, plus, q)
+        root = np.sqrt(t_g)
+        plus_wins = np.abs(shared + root) >= np.abs(shared - root)
+        big = np.where(plus_wins, shared + root, shared - root)
+        far, near = 0.5 * big / own, 2.0 * own[::-1] / big
+        lo, hi = np.where(plus_wins, near, far), np.where(plus_wins, far, near)
         pick, tie = _pick_arrays(lo, hi)
     if hints is None and stop and tie[:, 0].any():
         stop, error = 0, BranchAmbiguous("root moduli tie and no continuity hint was provided")
@@ -297,7 +307,9 @@ def wave_sweep(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample] = Non
     """The wave_blocks of s (a hint chain in the order given) as one
     WaveSweep."""
     s = np.asarray(s, dtype=complex)
-    blocks = list(wave_blocks(d, s, seed)) or [_wave_block(d, s, _hints(seed))[0]]
+    blocks = list(wave_blocks(d, s, seed))
+    if not blocks:  # s is empty
+        return WaveSweep(s, s, s, s, s, np.zeros(0, dtype=bool))
     if len(blocks) == 1:
         return blocks[0]
     return WaveSweep(*(np.concatenate([getattr(b, f) for b in blocks]) for f in _FIELDS))

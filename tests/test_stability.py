@@ -316,7 +316,8 @@ class TestSharedAxisSweep:
 
 class TestHinf:
     def test_constant_evaluator(self):
-        est = hinf_estimate(lambda w: 0.5 + 0j, FrequencyGrid(1e-2, 1e2, 32))
+        est = hinf_estimate(lambda w: np.full(len(w), 0.5 + 0j),
+                            FrequencyGrid(1e-2, 1e2, 32).omegas())
         assert est.value == pytest.approx(0.5)
 
     def test_gain_asym_norm_exceeds_one(self, gain_asym_dyn):
