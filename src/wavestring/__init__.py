@@ -26,6 +26,7 @@ from .waves import (
     awtf_axis_sweep,
     awtf_dc,
     awtf_eval,
+    disturbance_gain,
     quadratic_residuals,
     reflection_from_sample,
     t_g_eval,
@@ -35,7 +36,6 @@ from .stability import (
     NormEstimate,
     StabilityVerdict,
     awtf_norm_estimates,
-    disturbance_gain,
     headway_dominant_term,
     hinf_estimate,
     local_string_verdict,

@@ -562,10 +562,10 @@ def cmd_sweep(cfg: dict, out_dir: str, parameter: str, values: list[float]) -> i
         _require(float(v).is_integer(), f"N = {float(v)!r} is not a whole number")
 
     d0 = build_dynamics(cfg)
-    # One grid for the call, whose rows share its omegas and axis and the Mf
-    # or Mr they keep from d0. It is built when the first h or mu row needs
-    # it, after that row's dynamics, so an N sweep never reads the grid
-    # config and a bad sweep value is reported before a bad grid.
+    # One grid for the call, whose rows share its omegas. It is built when
+    # the first h or mu row needs it, after that row's dynamics, so an N
+    # sweep never reads the grid config and a bad sweep value is reported
+    # before a bad grid.
     grid = functools.cache(lambda: build_grid(cfg))
     rows = [_sweep_row(cfg, d0, parameter, v, grid) for v in values]
     columns = list(rows[0])

@@ -1,20 +1,16 @@
-"""String-stability verdicts, H-infinity estimation and disturbance gains.
+"""String-stability verdicts and H-infinity estimation.
 
-The wave couplings are irrational, so norms are estimated by a log-spaced
-frequency sweep refined by zooming around the grid argmax (hinf_estimate);
-there is no state-space bisection path. Where the smaller-modulus pick
-switches root (see waves), that argmax sits on a corner of min(|r1|, |r2|),
-so the refinement's error there is first order in TOL_OMEGA. The axis test
-that guards analyticity is exact: its crossings are the in-range real roots
-of one polynomial in omega.
-
-A verdict samples the axis once: one hint-chained awtf_axis_sweep, a
-WaveSweep of arrays, feeds both norm estimates (|g_plus| and |g_minus|),
-and the axis test reads its range. Grid peaks are found on the arrays; each
-refinement level is one more array sweep of ZOOM_POINTS frequencies,
-hint-chained down from the top of its bracket. A FrequencyGrid computes its
-omegas and its axis (s in chain order) once, so the rows of a sweep that
-share one grid, as the CLI's do, share them."""
+A verdict reads the moduli of the wave couplings (waves.wave_moduli) and
+polynomials in omega, never a branch pick, so no hint chain. Each norm is
+the larger of a log-spaced grid refined by zooming around its argmax
+(hinf_estimate; no state-space bisection path), each level ZOOM_POINTS
+frequencies that both couplings share where they reach the same bracket,
+and the tie corners in range: the real roots of one polynomial, where
+min(|r1|, |r2|) has a corner that a zoom resolves only to first order and
+the moduli are exact ratios of the quadratic's coefficients. The axis test
+is exact too: its crossings are the in-range real roots of one polynomial.
+A FrequencyGrid computes its omegas once, so verdicts sharing a grid, as
+the CLI's sweep rows do, share them."""
 
 from __future__ import annotations
 
@@ -29,16 +25,7 @@ from .errors import AssumptionViolated, NumericalError
 from .poly import Polynomial, poly_roots
 from .tf import (TOL_CRHP, TOL_DC, AgentDynamics, check_assumption1,
                  low_order_coeffs, positional_symmetry)
-from .waves import (
-    Axis,
-    WaveSweep,
-    awtf_axis_sweep,
-    awtf_eval,
-    reflection_from_sample,
-    round_trip,
-    t_g_eval,
-    wave_sweep,
-)
+from .waves import t_g_eval, wave_moduli
 
 TOL_NORM = 1e-3    # stable/marginal band half-width around |G| = 1
 TOL_OMEGA = 1e-6   # relative frequency bracket that ends the norm refinement
@@ -53,8 +40,8 @@ _DOMINATED = 53 * math.log(2.0)  # log of 2**53: a term this far below another i
 class FrequencyGrid:
     """Logarithmic frequency grid on [omega_min, omega_max] rad/s.
 
-    A grid object computes its omegas and its Axis (waves.Axis) once, on
-    first use; nothing is shared between grid objects.
+    A grid object computes its omegas once, on first use; nothing is shared
+    between grid objects.
     """
 
     omega_min: float = 1e-4
@@ -78,11 +65,6 @@ class FrequencyGrid:
         omegas = np.geomspace(self.omega_min, self.omega_max, self.points)
         omegas.flags.writeable = False
         return omegas
-
-    @cached_property
-    def axis(self) -> Axis:
-        """The grid as awtf_axis_sweep walks it."""
-        return Axis(self.omegas())
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,7 @@ def _axis_quadratic(d: AgentDynamics) -> tuple[np.ndarray, ...]:
     x = q[0] + q[1]
     q[3] = q[2] + x
     q[3, 1:] += d.h * x[:-1]
-    # The axis and unit-modulus polynomials are quartic in these rows; one
+    # The axis, tie and unit-modulus polynomials are quartic in these rows; one
     # common power of two, exact, keeps them finite and leaves their roots.
     exponent = np.frexp(np.abs(q).max())[1]
     if abs(exponent) > _SAFE_EXPONENT:
@@ -159,17 +141,17 @@ def _real_roots(coeffs: np.ndarray, lo: float, hi: float) -> Optional[list[float
     return sorted(float(r) ** (1 / step) * math.exp(mid) for r in real if y_lo <= r <= y_hi)
 
 
-def nyquist_axis_test(d: AgentDynamics, sweep: WaveSweep) -> tuple[bool, list[float]]:
+def nyquist_axis_test(d: AgentDynamics, omegas: np.ndarray) -> tuple[bool, list[float]]:
     """Does the axis image of t_g avoid the non-positive real axis?
 
-    Reads only the first and last frequency of an ascending sweep. With
-    t_g = Tn/Td, Tn = b**2 - 4 a c and Td = (s**p Df Dr)**2 (_axis_quadratic),
+    Reads only the first and last of ascending omegas. With t_g = Tn/Td,
+    Tn = b**2 - 4 a c and Td = (s**p Df Dr)**2 (_axis_quadratic),
     t_g(j omega) is real at the real roots of Im[Tn conj(Td)]; those in the
     range with Re t_g_eval <= TOL_AXIS are the crossings, ascending. Where it
     vanishes identically (t_g real on the axis, as for M = 1/s**2), they are
     the real part's roots, after the low end if Re t_g <= TOL_AXIS there.
     """
-    lo, hi = float(sweep.s[0].imag), float(sweep.s[-1].imag)
+    lo, hi = float(omegas[0]), float(omegas[-1])
     a, b, c, base = _axis_quadratic(d)
     tn_td = np.convolve(np.convolve(b, b) - 4.0 * np.convolve(a, c),
                         np.convolve(base, base).conj())
@@ -182,18 +164,17 @@ def nyquist_axis_test(d: AgentDynamics, sweep: WaveSweep) -> tuple[bool, list[fl
     return not crossings, crossings
 
 
-def _norm_band_guard(d: AgentDynamics, sweep: WaveSweep) -> Optional[str]:
-    """Refuse where an ascending sweep's grid steps over |g| > 1.
+def _norm_band_guard(d: AgentDynamics, omegas: np.ndarray) -> Optional[str]:
+    """Refuse where ascending omegas step over |g| > 1.
 
     A root of a g**2 - b g + c has modulus 1 exactly where the real
     polynomial Res = (|a|**2 - |c|**2)**2 - |b conj(c) - a conj(b)|**2 in
     omega vanishes; g_minus's roots are the reciprocals, so Res serves both.
-    Between its roots |g_plus| - 1 and |g_minus| - 1 keep their signs, so an
-    interval with no grid sample is read at its geometric midpoint, hinted
-    by the sample above; NumericalError names it if |g| > 1 there. Returns a
-    note when Res vanishes identically.
+    Between its roots |g_plus| - 1 and |g_minus| - 1 keep their signs, so
+    the intervals with no grid sample are read at their geometric midpoints,
+    all in one wave_moduli call; NumericalError names the first, ascending,
+    where |g| > 1. Returns a note when Res vanishes identically.
     """
-    omegas = sweep.s.imag
     a, b, c, _ = _axis_quadratic(d)
     gap = (np.convolve(a, a.conj()) - np.convolve(c, c.conj())).real
     cross = np.convolve(b, c.conj()) - np.convolve(a, b.conj())
@@ -201,14 +182,33 @@ def _norm_band_guard(d: AgentDynamics, sweep: WaveSweep) -> Optional[str]:
     roots = _real_roots(res, float(omegas[0]), float(omegas[-1]))
     if roots is None:
         return "the unit-modulus polynomial vanishes identically: the norms are the grid's"
-    for lo, hi in zip(roots, roots[1:]):
-        k = min(int(np.searchsorted(omegas, lo, side="right")), len(omegas) - 1)
-        if omegas[k] < hi:
-            continue
-        ws = awtf_eval(d, 1j * math.sqrt(lo * hi), sweep[k])
-        if max(abs(ws.g_plus), abs(ws.g_minus)) > 1.0:
-            raise NumericalError(f"the grid steps over |g| > 1 on [{lo:.6g}, {hi:.6g}]")
+    lo, hi = np.array(roots[:-1]), np.array(roots[1:])
+    k = np.minimum(np.searchsorted(omegas, lo, side="right"), len(omegas) - 1)
+    free = omegas[k] >= hi  # no grid sample inside (lo, hi)
+    lo, hi = lo[free], hi[free]
+    over = np.flatnonzero(wave_moduli(d, 1j * np.sqrt(lo * hi)).max(axis=0) > 1.0)
+    if over.size:
+        k = over[0]
+        raise NumericalError(f"the grid steps over |g| > 1 on [{lo[k]:.6g}, {hi[k]:.6g}]")
     return None
+
+
+def _tie_corners(d: AgentDynamics, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The frequencies in [lo, hi] where g_plus's roots r1, r2 tie in
+    modulus, ascending, and |g_plus|, |g_minus| there as two rows. They tie
+    exactly where b**2/(a c) = r1/r2 + 2 + r2/r1 is real and in [0, 4]: at
+    the real roots of Im[b**2 conj(a c)] (_axis_quadratic's rows) with
+    0 <= Re(b**2/(a c)) <= 4. There |g_plus| = sqrt(|c|/|a|) and, g_minus's
+    roots being the reciprocals, |g_minus| = sqrt(|a|/|c|)."""
+    a, b, c, _ = _axis_quadratic(d)
+    bb, ac = np.convolve(b, b), np.convolve(a, c)
+    omegas = np.array(_real_roots(np.convolve(bb, ac.conj()).imag, lo, hi) or [])
+    at_a, at_bb, at_c = (np.polynomial.polynomial.polyval(omegas, q) for q in (a, bb, c))
+    with np.errstate(all="ignore"):
+        ratio = (at_bb / (at_a * at_c)).real
+        tie = (ratio >= 0.0) & (ratio <= 4.0)
+        g_plus = np.sqrt(np.abs(at_c[tie]) / np.abs(at_a[tie]))
+    return omegas[tie], np.stack([g_plus, 1.0 / g_plus])
 
 
 def _grid_peak(omegas: np.ndarray, mags: np.ndarray
@@ -225,69 +225,56 @@ def _grid_peak(omegas: np.ndarray, mags: np.ndarray
 def hinf_estimate(
     evaluator: Callable[[np.ndarray], np.ndarray],
     omegas: np.ndarray = FrequencyGrid().omegas(),
-    grid_values: Optional[np.ndarray] = None,
 ) -> NormEstimate:
     """Peak of |evaluator(omega)| over omegas, refined by zooming: each
     level evaluates ZOOM_POINTS geometric points from the previous level's
     argmax's lower neighbour to its upper one, until that bracket is
     narrower than TOL_OMEGA relative, and the largest value seen is
-    reported. Where the peak is a corner (a wave coupling whose
-    smaller-modulus pick switches root), the error is first order in
-    TOL_OMEGA, not second.
+    reported. At a smooth peak the error is second order in TOL_OMEGA; at
+    a corner of |evaluator| it is first order.
 
     omegas is an ascending array of frequencies in rad/s. The evaluator
-    receives such an array and returns the complex response on the
-    imaginary axis at each; grid_values, when given, are its values at
-    omegas already. The returned value never drops below any grid sample.
-    Assumes the evaluator is analytic in the open right half plane so the
-    boundary supremum equals the H-infinity norm; callers check that
+    receives such an array and returns the response on the imaginary axis
+    at each, or its modulus. The returned value never drops below any grid
+    sample. Assumes the evaluator is analytic in the open right half plane
+    so the boundary supremum equals the H-infinity norm; callers check that
     upstream (nyquist_axis_test for the wave couplings).
     """
-    values = evaluator(omegas) if grid_values is None else grid_values
-    best, bracket = _grid_peak(omegas, np.abs(values))
+    best, bracket = _grid_peak(omegas, np.abs(evaluator(omegas)))
     if bracket is None:
         return best
     while bracket is not None:
         lo, hi = bracket
         omegas = lo * np.exp(_ZOOM_STEPS * math.log(hi / lo))
-        omegas[-1] = hi  # the next level is seeded here
+        omegas[-1] = hi  # exactly the bracket's top: the levels nest
         peak, bracket = _grid_peak(omegas, np.abs(evaluator(omegas)))
         best = peak if peak.value > best.value else best
     return NormEstimate(best.value, best.argmax_omega, refined=True)
 
 
-def _coupling_probe(d: AgentDynamics, sweep: WaveSweep, attr: str, levels: dict):
-    """omegas (ascending) -> the coupling attr at 1j*omegas, each call one
-    hint chain down from its highest frequency, seeded by the previous
-    call's sample (at first, the ascending sweep's) at the lowest frequency
-    at or above that one: a zoom level's top is a point of the level before.
-    levels maps (lowest, highest) omega to the sweeps already evaluated, as
-    a level that g_plus and g_minus share is."""
-    last = sweep
-
-    def probe(omegas: np.ndarray) -> np.ndarray:
-        nonlocal last
-        key = (omegas[0], omegas[-1])
-        if key not in levels:
-            k = min(int(np.searchsorted(last.s.imag, omegas[-1])), len(last) - 1)
-            levels[key] = wave_sweep(d, 1j * omegas[::-1], last[k]).take(slice(None, None, -1))
-        last = levels[key]
-        return getattr(last, attr)
-
-    return probe
-
-
-def awtf_norm_estimates(d: AgentDynamics, sweep: WaveSweep
+def awtf_norm_estimates(d: AgentDynamics, omegas: np.ndarray
                         ) -> tuple[NormEstimate, NormEstimate]:
-    """H-infinity estimates of (g_plus, g_minus) from an ascending
-    awtf_axis_sweep: hinf_estimate on the sweep's frequencies and values,
-    each zoom level a hint chain seeded at the sample at the top of its
-    bracket. Where the two couplings zoom on the same bracket, as they
-    mostly do, they share its evaluation."""
-    omegas, levels = sweep.s.imag, {}
-    gp, gm = (hinf_estimate(_coupling_probe(d, sweep, attr, levels), omegas,
-                            getattr(sweep, attr)) for attr in ("g_plus", "g_minus"))
-    return gp, gm
+    """H-infinity estimates of (g_plus, g_minus) over ascending omegas: each
+    the larger of hinf_estimate on its wave_moduli row and the tie corners
+    in range (_tie_corners), whose frequency is then the argmax (refined
+    still says whether the zoom ran). The grid, and a zoom level that both
+    couplings reach, as they mostly do, is evaluated once for both."""
+    levels: dict = {}
+
+    def moduli(w: np.ndarray) -> np.ndarray:
+        key = (w[0], w[-1], len(w))
+        if key not in levels:
+            levels[key] = wave_moduli(d, 1j * w)
+        return levels[key]
+
+    norms = [hinf_estimate(lambda w: moduli(w)[0], omegas),
+             hinf_estimate(lambda w: moduli(w)[1], omegas)]
+    corners, peaks = _tie_corners(d, float(omegas[0]), float(omegas[-1]))
+    for row, m in enumerate(peaks):
+        if m.size and m.max() > norms[row].value:
+            k = int(np.argmax(m))
+            norms[row] = NormEstimate(float(m[k]), float(corners[k]), norms[row].refined)
+    return norms[0], norms[1]
 
 
 def local_string_verdict(
@@ -299,10 +286,11 @@ def local_string_verdict(
 ) -> StabilityVerdict:
     """Local string stability: wave couplings analytic with norms <= 1.
 
-    One axis sweep feeds both checks: the axis test on t_g (analyticity of
-    the couplings in the right half plane) and the norm estimates of g_plus
-    and g_minus; an awtf_eval failure in the sweep (BranchAmbiguous at the
-    highest frequency, say) is a NumericalError. A verdict that is not
+    Both checks read the grid's range: the norm estimates of g_plus and
+    g_minus (awtf_norm_estimates, the grid's moduli first, so a bad grid
+    entry raises there, the highest first) and the axis test on t_g
+    (analyticity of the couplings in the right half plane). No branch is
+    picked, so BranchAmbiguous cannot arise. A verdict that is not
     unstable is refused (NumericalError) where the grid steps over a band
     with |g_plus| or |g_minus| above 1 (_norm_band_guard).
 
@@ -316,22 +304,22 @@ def local_string_verdict(
     DC end of the grid.
 
     grid defaults to a fresh FrequencyGrid(); verdicts that pass one grid
-    object share its omegas and its Axis.
+    object share its omegas.
     """
     report = check_assumption1(d, tol_crhp=tol_crhp)
     if not report.passed:
         raise AssumptionViolated("; ".join(report.violations))
 
     grid = FrequencyGrid() if grid is None else grid
-    sweep = awtf_axis_sweep(d, grid.axis)
+    omegas = grid.omegas()
+    norm_gp, norm_gm = awtf_norm_estimates(d, omegas)
     notes: list[str] = []
-    stable, crossings = nyquist_axis_test(d, sweep)
+    stable, crossings = nyquist_axis_test(d, omegas)
     if not stable:
         notes.append(
             f"axis test failed at omega={', '.join(f'{w:.4g}' for w in crossings)}"
         )
 
-    norm_gp, norm_gm = awtf_norm_estimates(d, sweep)
     max_norm = max(norm_gp.value, norm_gm.value)
     argmax_w = norm_gp.argmax_omega if norm_gp.value >= norm_gm.value \
         else norm_gm.argmax_omega
@@ -360,7 +348,7 @@ def local_string_verdict(
         )
     else:
         verdict = "stable"
-    if verdict != "unstable" and (note := _norm_band_guard(d, sweep)):
+    if verdict != "unstable" and (note := _norm_band_guard(d, omegas)):
         notes.append(note)
 
     return StabilityVerdict(
@@ -388,30 +376,3 @@ def headway_dominant_term(d: AgentDynamics) -> float:
         + h * c.k_y1 * (1.0 - c.kappa)
         - h * h * c.kappa * c.kappa
     )
-
-
-def disturbance_gain(
-    d: AgentDynamics,
-    N: int,
-    omega: float,
-) -> tuple[complex, complex]:
-    """Chain-end disturbance transfers at s = 1j*omega for an N-agent path.
-
-    Returns (front-to-rear, rear-to-front-prefactor):
-
-      X_N/D_1 = g_plus**N * (1 + tN) / (1 - tN*t1*(g_plus*g_minus)**(N-1))
-      prefactor = g_minus**(N-1) * (1 + t1) / (same denominator)
-
-    The rear-to-front transfer carries an additional boundary factor that
-    cancels in growth comparisons, so only the prefactor structure is
-    returned. Raises ReflectionSingular near omega = 0.
-    """
-    if N < 3:
-        raise ValueError("path interconnection needs N >= 3 agents")
-    s = 1j * omega
-    ws = awtf_eval(d, s)
-    refl = reflection_from_sample(ws)
-    denom = round_trip(ws, refl, N)
-    forward = ws.g_plus**N * (1.0 + refl.tN) / denom
-    backward = ws.g_minus ** (N - 1) * (1.0 + refl.t1) / denom
-    return forward, backward

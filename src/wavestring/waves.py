@@ -26,18 +26,18 @@ g_plus's: at the tie |g_plus| = m and |g_minus| = 1/m, and one of them is at
 least 1. So a switch cannot hide instability.
 
 Every evaluation runs on one array core in plain numpy complex arithmetic:
-_eval_terms forms Mf, Mr, t_g and the shared numerator at every s of a
-block, _wave_block both root pairs (front and rear as the two rows of one
-array) and the smaller-modulus picks, and _resolve_ties walks only the
-tie-window samples in Python, in chain order, each hinted by the previous
-pick. A block raises at its first bad entry in chain order (a pole, a
-vanishing or non-finite Mf or Mr, a non-finite quadratic, or an unhinted
-tie at its first entry), after the entries before it. wave_blocks cuts a
-sweep into blocks of BLOCK = 2048 samples, which holds a default
-2,000-point grid whole and bounds the temporaries on the Bromwich line. A
-sweep is a WaveSweep, the WaveSample fields as arrays; a single point
-(awtf_eval, t_g_eval) is a one-entry block. An axis sweep walks an Axis:
-s = 1j*omega in chain order and the permutation back to the caller's order.
+_eval_terms forms Mf, Mr, t_g and the shared numerator at every s, and
+_root_pairs both root pairs (front and rear as the two rows of one array).
+wave_moduli stops there, at the smaller modulus of each pair: |g_plus| and
+|g_minus| with no pick, all that a verdict reads. _wave_block picks the
+couplings, and _resolve_ties walks only the tie-window samples in Python,
+in chain order, each hinted by the previous pick. A block raises at its
+first bad entry in chain order (a pole, a vanishing or non-finite Mf or Mr,
+a non-finite quadratic, or an unhinted tie at its first entry), after the
+entries before it. wave_blocks cuts a sweep into blocks of BLOCK = 2048
+samples, which holds a default grid whole and bounds the temporaries on the
+Bromwich line. A sweep is a WaveSweep, the WaveSample fields as arrays; a
+single point (awtf_eval, t_g_eval) is a one-entry block.
 
 The square root is taken of the discriminant numerator
 
@@ -232,28 +232,31 @@ def _resolve_ties(lo, hi, pick_hi, tie, hint):
     return picks, tie & (picks != pick_hi)
 
 
+def _root_pairs(mf, mr, shared, t_g):
+    """Both roots of each wave quadratic, rows (g_plus, g_minus) of lo and
+    hi, and own = (Mr, Mf). Cancellation-free, never dividing by own alone:
+    of the sums shared +/- sqrt(t_g), the larger in modulus gives one root
+    as sum/(2 own) and the other, from the product of the roots, as
+    2 other/sum (at large |s| the direct difference loses all significant
+    digits, and where own underflows other/own overflows)."""
+    own = np.stack([mr, mf])
+    root = np.sqrt(t_g)
+    plus_wins = np.abs(shared + root) >= np.abs(shared - root)
+    big = np.where(plus_wins, shared + root, shared - root)
+    far, near = 0.5 * big / own, 2.0 * own[::-1] / big
+    return np.where(plus_wins, near, far), np.where(plus_wins, far, near), own
+
+
 def _wave_block(d: AgentDynamics, s: np.ndarray, hints: Optional[tuple[complex, complex]]
                 ) -> tuple[WaveSweep, Optional[Exception]]:
     """Both couplings at every s, hint-chained from hints (the previous
     g_plus and g_minus), and the exception of the first bad entry (None if
-    there is none); the block is cut before that entry. The root pairs and
-    picks are the rows (g_plus, g_minus).
-
-    Each root pair is cancellation-free and never divides by own alone: of
-    the two sums shared +/- sqrt(t_g), the larger in modulus gives one root
-    as sum/(2 own) and the other, from the product of the roots, as
-    2 other/sum (at large |s| the direct difference loses all significant
-    digits, and where own underflows other/own overflows).
-    """
-    (mf, mr, shared, t_g), stop, error = _eval_terms(d, s)
+    there is none); the block is cut before that entry. The root pairs
+    (_root_pairs) and picks are the rows (g_plus, g_minus)."""
+    terms, stop, error = _eval_terms(d, s)
     with np.errstate(all="ignore"):
-        own = np.stack([mr, mf])
-        coeff = shared / own  # rows (beta, alpha)
-        root = np.sqrt(t_g)
-        plus_wins = np.abs(shared + root) >= np.abs(shared - root)
-        big = np.where(plus_wins, shared + root, shared - root)
-        far, near = 0.5 * big / own, 2.0 * own[::-1] / big
-        lo, hi = np.where(plus_wins, near, far), np.where(plus_wins, far, near)
+        lo, hi, own = _root_pairs(*terms)
+        coeff = terms[2] / own  # rows (beta, alpha)
         pick, tie = _pick_arrays(lo, hi)
     if hints is None and stop and tie[:, 0].any():
         stop, error = 0, BranchAmbiguous("root moduli tie and no continuity hint was provided")
@@ -263,6 +266,21 @@ def _wave_block(d: AgentDynamics, s: np.ndarray, hints: Optional[tuple[complex, 
     block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=coeff[1], beta=coeff[0],
                       branch_flipped=flip[0] | flip[1])
     return (block if error is None else block.take(slice(0, stop))), error
+
+
+def wave_moduli(d: AgentDynamics, s: np.ndarray) -> np.ndarray:
+    """|g_plus| and |g_minus| at every s, the two rows of one array: the
+    smaller root modulus of each quadratic, so no branch is picked and no
+    hint needed (where a tie walk keeps the larger root, it is larger by
+    under TOL_TIE). Raises what a single sample raises at the bad entry
+    nearest the end of s: for ascending s = 1j*omega the highest |omega|,
+    where a chained sweep of them (awtf_axis_sweep) raises."""
+    terms, _, error = _eval_terms(d, s)
+    if error is not None:
+        raise _eval_terms(d, s[::-1])[2]
+    with np.errstate(all="ignore"):
+        lo, hi, _ = _root_pairs(*terms)
+        return np.minimum(np.abs(lo), np.abs(hi))
 
 
 def _hints(seed: Optional[WaveSample]) -> Optional[tuple[complex, complex]]:
@@ -315,28 +333,17 @@ def wave_sweep(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample] = Non
     return WaveSweep(*(np.concatenate([getattr(b, f) for b in blocks]) for f in _FIELDS))
 
 
-class Axis:
-    """The imaginary-axis samples of one array of frequencies, as
-    awtf_axis_sweep walks them: s = 1j*omega in chain order (highest |omega|
-    first) and the permutation back to the caller's order."""
+def awtf_axis_sweep(d: AgentDynamics, omegas) -> WaveSweep:
+    """Samples at s = 1j*omega for each omega (array-like), in the caller's
+    order.
 
-    def __init__(self, omegas):
-        omegas = np.asarray(omegas, dtype=float)
-        order = np.argsort(-np.abs(omegas), kind="stable")
-        self.s = 1j * omegas[order]
-        self.back = np.argsort(order)
-
-
-def awtf_axis_sweep(d: AgentDynamics, omegas: Union[np.ndarray, Axis]) -> WaveSweep:
-    """Samples at s = 1j*omega for each omega (array-like, or the Axis of a
-    FrequencyGrid), in the caller's order.
-
-    The hint chain runs from the highest frequency downward, so it starts
+    The hint chain runs from the highest |omega| downward, so it starts
     where root selection is unambiguous (|g| -> 0 vs |beta| -> infinity) and
     continuity carries it through any modulus ties near DC.
     """
-    axis = omegas if isinstance(omegas, Axis) else Axis(omegas)
-    return wave_sweep(d, axis.s).take(axis.back)
+    omegas = np.asarray(omegas, dtype=float)
+    order = np.argsort(-np.abs(omegas), kind="stable")
+    return wave_sweep(d, 1j * omegas[order]).take(np.argsort(order))
 
 
 def awtf_dc(d: AgentDynamics) -> tuple[float, float]:
@@ -378,6 +385,28 @@ def round_trip(ws: Union[WaveSample, WaveSweep], refl: ReflectionSample, N: int)
     """1 - t1*tN*(g_plus*g_minus)**(N-1): the denominator of every transfer
     of an N-agent path, one wave's trip to both ends and back."""
     return 1.0 - refl.t1 * refl.tN * (ws.g_plus * ws.g_minus) ** (N - 1)
+
+
+def disturbance_gain(d: AgentDynamics, N: int, omega: float) -> tuple[complex, complex]:
+    """Chain-end disturbance transfers at s = 1j*omega for an N-agent path.
+
+    Returns (front-to-rear, rear-to-front-prefactor):
+
+      X_N/D_1 = g_plus**N * (1 + tN) / (1 - tN*t1*(g_plus*g_minus)**(N-1))
+      prefactor = g_minus**(N-1) * (1 + t1) / (same denominator)
+
+    The rear-to-front transfer carries an additional boundary factor that
+    cancels in growth comparisons, so only the prefactor structure is
+    returned. Raises ReflectionSingular near omega = 0.
+    """
+    if N < 3:
+        raise ValueError("path interconnection needs N >= 3 agents")
+    ws = awtf_eval(d, 1j * omega)
+    refl = reflection_from_sample(ws)
+    denom = round_trip(ws, refl, N)
+    forward = ws.g_plus**N * (1.0 + refl.tN) / denom
+    backward = ws.g_minus ** (N - 1) * (1.0 + refl.t1) / denom
+    return forward, backward
 
 
 def quadratic_residuals(ws: WaveSample, d: AgentDynamics) -> tuple[float, float]:

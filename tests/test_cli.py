@@ -579,9 +579,10 @@ class TestCsvWorkers:
 
 
 class TestSharedGrid:
-    """A sweep call builds one FrequencyGrid for its rows, whose axis keeps
-    the Mf and Mr values they share (both on an h sweep, Mf on a mu sweep).
-    No row may read another row's values, and no call another call's."""
+    """A sweep call builds one FrequencyGrid for its rows, which share its
+    omegas and nothing else: each row's verdict equals one from the row's
+    own dynamics objects and a fresh grid, and no call reads another
+    call's."""
 
     @staticmethod
     def fresh_rows(cfg, parameter, values):

@@ -25,7 +25,9 @@ from wavestring import (
 )
 from wavestring import stability, waves
 from wavestring.cli import main
-from wavestring.errors import AssumptionViolated, NumericalError, WavestringError
+from wavestring.errors import (AssumptionViolated, NumericalError, SingularSample,
+                               WavestringError)
+from wavestring.stability import TOL_NORM
 from wavestring.waves import t_g_eval
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
                       random_pi_pair, undamped)
@@ -36,14 +38,11 @@ PROPERTY_DYNAMICS = [d for d, *_ in property_cases()]
 HEADWAY_DYNAMICS = list(headway_cases())
 # Headway case 44 (h = 1.1215, kappa = 1.0156): |g_plus| exceeds 1 only on
 # [2.29702, 2.30112] (1.00771 at its midpoint), a band narrower than one
-# step of the default grid (0.8%), so the grid reports 0.99567 at its DC
-# end; the verdict is refused rather than read as stable.
+# step of the default grid (0.8%), so the grid peaks at 0.99567 at its DC
+# end. g_plus's roots tie in modulus at 2.29909, inside the band, and that
+# corner (1.00779) is the norm: the verdict is unstable. Under a tol_norm
+# that reads 1.00779 as marginal, the band guard refuses the verdict.
 GRID_MISSES_NORM_BAND = 44
-
-
-def sweep(d, grid=SHORT_GRID):
-    """The axis sweep that nyquist_axis_test and awtf_norm_estimates read."""
-    return awtf_axis_sweep(d, grid.omegas())
 
 
 class TestGrid:
@@ -63,24 +62,24 @@ class TestGrid:
 
 class TestNyquist:
     def test_symmetric_passes(self, sym_dyn):
-        ok, crossings = nyquist_axis_test(sym_dyn, sweep(sym_dyn))
+        ok, crossings = nyquist_axis_test(sym_dyn, SHORT_GRID.omegas())
         assert ok and crossings == []
 
     def test_velocity_asym_passes(self, vel_asym_dyn):
-        ok, _ = nyquist_axis_test(vel_asym_dyn, sweep(vel_asym_dyn))
+        ok, _ = nyquist_axis_test(vel_asym_dyn, SHORT_GRID.omegas())
         assert ok
 
     def test_undamped_double_integrator_fails(self):
         # M = 1/s^2 gives a real curve 1 - 4/w^2, negative for w < 2
         m = RationalTF(Polynomial([1.0]), Polynomial([1.0]), p=2)
         d = AgentDynamics(m, m)
-        ok, crossings = nyquist_axis_test(d, sweep(d))
+        ok, crossings = nyquist_axis_test(d, SHORT_GRID.omegas())
         assert not ok
         assert any(abs(w - 2.0) < 1e-3 for w in crossings)
 
     def test_gain_asym_crossing_found(self, gain_asym_dyn):
         # this pair genuinely intersects the non-positive axis near w=0.344
-        ok, crossings = nyquist_axis_test(gain_asym_dyn, sweep(gain_asym_dyn))
+        ok, crossings = nyquist_axis_test(gain_asym_dyn, SHORT_GRID.omegas())
         assert not ok
         assert any(abs(w - 0.3441) < 1e-3 for w in crossings)
 
@@ -90,7 +89,7 @@ class TestNyquist:
     def test_crossing_between_samples_of_a_coarse_grid(self, d, want):
         # 16 points over seven decades: the curve winds between samples, and
         # the crossing the default grid finds is still reported
-        ok, crossings = nyquist_axis_test(d, sweep(d, FrequencyGrid(1e-4, 1e3, 16)))
+        ok, crossings = nyquist_axis_test(d, FrequencyGrid(1e-4, 1e3, 16).omegas())
         assert not ok
         assert crossings == pytest.approx([want], rel=1e-7)
 
@@ -216,7 +215,7 @@ class TestExactAxisCrossings:
     def assert_grid_finds_exact(d):
         exact = exact_axis_crossings(d)
         assert exact is not None
-        _, found = nyquist_axis_test(d, sweep(d, FrequencyGrid()))
+        _, found = nyquist_axis_test(d, FrequencyGrid().omegas())
         assert found == pytest.approx(exact, rel=1e-8)
         for w in found:
             t_g = t_g_eval(d, 1j * w)
@@ -268,22 +267,35 @@ class TestExactNorms:
     def test_randomized_property_dynamics(self, case):
         self.assert_grid_agrees(PROPERTY_DYNAMICS[case])
 
-    @pytest.mark.parametrize("case", [k for k in range(len(HEADWAY_DYNAMICS))
-                                      if k != GRID_MISSES_NORM_BAND])
+    @pytest.mark.parametrize("case", range(len(HEADWAY_DYNAMICS)))
     def test_headway_property_dynamics(self, case):
         self.assert_grid_agrees(HEADWAY_DYNAMICS[case])
 
     def test_band_the_grid_steps_over_is_refused(self, tmp_path):
+        # tol_norm = 0.02 reads the band's peak as marginal, and the guard
+        # finds no grid sample in the band
         d = HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND]
         assert exact_norms_exceed_one(d) == (True, False)
         with pytest.raises(NumericalError, match=r"on \[2\.29702, 2\.30112\]"):
-            local_string_verdict(d)
+            local_string_verdict(d, tol_norm=0.02)
         mf, mr = ({"num": list(m.num.coeffs), "den": [0.0] * m.p + list(m.den.coeffs)}
                   for m in (d.Mf, d.Mr))
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"dynamics": {"mf": mf, "mr": mr, "h": d.h}}))
+        path.write_text(json.dumps({"dynamics": {"mf": mf, "mr": mr, "h": d.h},
+                                    "analysis": {"tolerances": {"tol_norm": 0.02}}}))
         assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert not (tmp_path / "out" / "analysis.json").exists()
+
+    def test_tie_corner_reads_the_band_the_grid_steps_over(self):
+        d = HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND]
+        omegas = FrequencyGrid().omegas()
+        assert max(abs(ws.g_plus) for ws in awtf_axis_sweep(d, omegas)) < 0.996
+        verdict = local_string_verdict(d)
+        assert verdict.locally_string_stable == "unstable" and verdict.awtf_stable
+        assert verdict.notes == () and verdict.norm_gp.refined
+        assert verdict.norm_gp.value == pytest.approx(1.0077864, rel=1e-7)
+        assert 2.29702 < verdict.norm_gp.argmax_omega < 2.30112
+        assert verdict.norm_gm.argmax_omega == verdict.norm_gp.argmax_omega
 
     def test_real_coupling_has_no_oracle(self):
         # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both
@@ -321,13 +333,13 @@ class TestHinf:
         assert est.value == pytest.approx(0.5)
 
     def test_gain_asym_norm_exceeds_one(self, gain_asym_dyn):
-        gp, gm = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn))
+        gp, gm = awtf_norm_estimates(gain_asym_dyn, SHORT_GRID.omegas())
         assert gp.value > 1.0
         assert gp.argmax_omega < 1.0  # low-frequency peak
         assert gm.value < 1.0
 
     def test_velocity_asym_norm_at_one(self, vel_asym_dyn):
-        gp, gm = awtf_norm_estimates(vel_asym_dyn, sweep(vel_asym_dyn))
+        gp, gm = awtf_norm_estimates(vel_asym_dyn, SHORT_GRID.omegas())
         assert gp.value <= 1.0 + 1e-3
         assert gm.value <= 1.0 + 1e-3
 
@@ -335,7 +347,7 @@ class TestHinf:
         values = []
         for points in (250, 500, 1000, 2000):
             gp, _ = awtf_norm_estimates(
-                gain_asym_dyn, sweep(gain_asym_dyn, FrequencyGrid(1e-4, 1e3, points))
+                gain_asym_dyn, FrequencyGrid(1e-4, 1e3, points).omegas()
             )
             values.append(gp.value)
         for a, b in zip(values, values[1:]):
@@ -343,7 +355,7 @@ class TestHinf:
 
     def test_value_at_least_every_grid_sample(self, gain_asym_dyn):
         grid = FrequencyGrid(1e-3, 1e2, 64)
-        gp, _ = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn, grid))
+        gp, _ = awtf_norm_estimates(gain_asym_dyn, grid.omegas())
         mags = [abs(s.g_plus) for s in awtf_axis_sweep(gain_asym_dyn, grid.omegas())]
         assert gp.value >= max(mags) - 1e-12
 
@@ -403,6 +415,31 @@ class TestVerdict:
         # Python's bare OverflowError
         with pytest.raises(WavestringError, match=r"s=1e\+200j"):
             local_string_verdict(gain_asym_dyn, FrequencyGrid(omega_max=1e200))
+
+    def test_first_bad_grid_entry_is_the_highest(self):
+        # Mf vanishes at +-1j and +-2j, the two ends of the grid: the verdict
+        # raises at s = 2j, where a chained sweep of the grid starts. The
+        # imaginary-axis zeros pass the assumption check under tol_crhp = -1.
+        mf = tf_normalize(Polynomial([4.0, 0.0, 5.0, 0.0, 1.0]),
+                          Polynomial([0.0, 0.0, 1.0, 4.0, 6.0, 4.0, 1.0]))
+        grid = FrequencyGrid(1.0, 2.0, 16)
+        assert grid.omegas()[[0, -1]].tolist() == [1.0, 2.0]
+        with pytest.raises(SingularSample, match=r"^Mf or Mr vanishes at s=2j$"):
+            local_string_verdict(AgentDynamics(mf, front_coupling()), grid, tol_crhp=-1.0)
+
+    @pytest.mark.parametrize("name", ["sym", "vel-asym"])
+    @pytest.mark.parametrize("h", [0.0, 0.5])
+    def test_kappa_one_peaks_at_the_dc_end(self, name, h):
+        # kappa = 1: both DC gains are 1, and at h = 0 the peak is 1 to
+        # within tol_norm at the grid's low end, which the marginal rule
+        # exempts; a tie corner must not move the argmax past 10 omega_min
+        grid = FrequencyGrid()
+        v = local_string_verdict(canonical(name, h), grid)
+        assert v.locally_string_stable == ("stable" if h == 0.0 else "unstable")
+        assert v.awtf_stable == (h == 0.0) and not v.theorem2_triggered
+        for est in (v.norm_gp, v.norm_gm):
+            assert est.argmax_omega == grid.omega_min
+            assert abs(est.value - 1.0) <= (TOL_NORM if h == 0.0 else 0.01)
 
     def test_assumption_violation_raises(self):
         mf = RationalTF(Polynomial([1]), Polynomial([1, 1]), p=2)
@@ -483,7 +520,7 @@ class TestDisturbanceGain:
         assert mags[0] < mags[1] < mags[2]
 
     def test_growth_at_norm_argmax(self, gain_asym_dyn):
-        gp, _ = awtf_norm_estimates(gain_asym_dyn, sweep(gain_asym_dyn))
+        gp, _ = awtf_norm_estimates(gain_asym_dyn, SHORT_GRID.omegas())
         assert gp.value > 1
         mags = [abs(disturbance_gain(gain_asym_dyn, N, gp.argmax_omega)[0])
                 for N in (5, 10, 20, 40)]

@@ -25,9 +25,11 @@ judged by its own library, and records two sets, defined once here:
 Every difference is printed by field. Crossings are compared as ascending
 lists; their digits are summarised as the largest relative move, and a
 change of their order alone is reported as such. The value and argmax_omega
-of norm_gp and norm_gm are summarised the same way, each as its largest
-relative move; the refined flag, the verdict, the other flags, the notes,
-the exceptions and the exit codes are printed in full. The script exits 0 once
+of norm_gp and norm_gm are summarised the same way. Each summary counts the
+cases that moved up and those that moved down, each beside its largest
+relative move (a case's crossings count by the direction of their largest
+move). The refined flag, the verdict, the other flags, the notes, the
+exceptions and the exit codes are printed in full. The script exits 0 once
 both sides have run, whatever the differences.
 """
 
@@ -201,11 +203,19 @@ def _relative(a: float, b: float) -> float:
 def compare(parent: dict, change: dict) -> None:
     for group in ("dynamics", "extreme"):
         diffs = 0
-        moves: dict = {}  # summarised field -> [cases moved, (largest move, case)]
+        # summarised field -> {"up": [cases, (largest move, case)], "down": ...}
+        moves: dict = {}
 
-        def move(key: str, rel: float, name: str) -> None:
-            count, worst = moves.setdefault(key, [0, (0.0, None)])
-            moves[key] = [count + (rel > 0), max(worst, (rel, name), key=lambda t: t[0])]
+        def move(key: str, old: list, new: list, name: str) -> None:
+            """One case's moves, old -> new entry by entry; the case counts
+            up or down by the direction of its largest relative move."""
+            way = moves.setdefault(key, {"up": [0, (0.0, None)], "down": [0, (0.0, None)]})
+            rel, x, y = max(((_relative(x, y), x, y) for x, y in zip(old, new)),
+                            default=(0.0, 0.0, 0.0))
+            if rel > 0:
+                tally = way["up" if y > x else "down"]
+                tally[0] += 1
+                tally[1] = max(tally[1], (rel, name), key=lambda t: t[0])
 
         for name, old in parent[group].items():
             new = change[group][name]
@@ -217,20 +227,21 @@ def compare(parent: dict, change: dict) -> None:
                             print(f"{group}/{name}: crossings order {a} -> {b}")
                     a, b = sorted(a), sorted(b)
                     if len(a) == len(b):
-                        move("crossings", max(map(_relative, a, b), default=0.0), name)
+                        move("crossings", a, b, name)
                         continue
                 if field in NORMS and a is not None and b is not None:
                     # value and argmax_omega are summarised; refined is compared
                     for part, x, y in zip(NORM_PARTS, a, b):
-                        move(f"{field}.{part}", _relative(x, y), name)
+                        move(f"{field}.{part}", [x], [y], name)
                     a, b = a[len(NORM_PARTS):], b[len(NORM_PARTS):]
                 if a != b:
                     diffs += 1
                     print(f"{group}/{name}: {field}: {a!r} -> {b!r}")
         print(f"{group}: {len(parent[group])} cases, {diffs} field differences")
-        for key, (count, (rel, name)) in moves.items():
-            print(f"{group}: {key} moved on {count} cases, largest relative move "
-                  f"{rel:.2g} ({name})")
+        for key, way in moves.items():
+            print(f"{group}: {key} moved " + " and ".join(
+                f"{d} on {n} cases (largest relative move {rel:.2g}, {name})"
+                for d, (n, (rel, name)) in way.items()))
     ext_p, ext_c = parent["extreme"], change["extreme"]
     freed = [k for k in ext_p if ext_p[k]["exit"] == 3 and ext_c[k]["exit"] == 0]
     lost = [k for k in ext_p if ext_p[k]["exit"] == 0 and ext_c[k]["exit"] != 0]
