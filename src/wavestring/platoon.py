@@ -150,10 +150,6 @@ class StateSpaceBlock:
     def order(self) -> int:
         return self.A.shape[0]
 
-    def response(self, s: complex) -> np.ndarray:
-        """[Mf(s), Mr(s)]: the position's response to each input at s."""
-        return np.linalg.solve(s * np.eye(self.order) - self.A, self.B)[-1]
-
 
 def realize(d: AgentDynamics) -> StateSpaceBlock:
     """One agent's minimal block: [Mf Mr] over their common denominator

@@ -1,16 +1,16 @@
 """String-stability verdicts and H-infinity estimation.
 
 A verdict reads the moduli of the wave couplings (waves.wave_moduli) and
-polynomials in omega, never a branch pick, so no hint chain. Each norm is
-the larger of a log-spaced grid refined by zooming around its argmax
-(hinf_estimate; no state-space bisection path), each level ZOOM_POINTS
-frequencies that both couplings share where they reach the same bracket,
-and the tie corners in range: the real roots of one polynomial, where
-min(|r1|, |r2|) has a corner that a zoom resolves only to first order and
-the moduli are exact ratios of the quadratic's coefficients. The axis test
-is exact too: its crossings are the in-range real roots of one polynomial.
-A FrequencyGrid computes its omegas once, so verdicts sharing a grid, as
-the CLI's sweep rows do, share them."""
+polynomials in omega from one set of rows, g_plus's quadratic on the axis
+(_axis_quadratic), never a branch pick. Each norm is the larger of a
+log-spaced grid refined by zooming around its argmax (hinf_estimate), each
+level ZOOM_POINTS frequencies that both couplings share where they reach
+the same bracket, and the tie corners in range, the real roots of one
+polynomial. The axis test's crossings are the in-range real roots of
+another. A verdict the norms do not read as unstable is checked at
+rho = 1 + tol_norm by a level set: between the real roots of two more
+polynomials |g| - rho keeps its sign, so one moduli call decides. A
+FrequencyGrid computes its omegas once, for every verdict that shares it."""
 
 from __future__ import annotations
 
@@ -107,7 +107,7 @@ def _axis_quadratic(d: AgentDynamics) -> tuple[np.ndarray, ...]:
     x = q[0] + q[1]
     q[3] = q[2] + x
     q[3, 1:] += d.h * x[:-1]
-    # The axis, tie and unit-modulus polynomials are quartic in these rows; one
+    # The axis, tie and level-set polynomials are quartic in these rows; one
     # common power of two, exact, keeps them finite and leaves their roots.
     exponent = np.frexp(np.abs(q).max())[1]
     if abs(exponent) > _SAFE_EXPONENT:
@@ -151,56 +151,66 @@ def nyquist_axis_test(d: AgentDynamics, omegas: np.ndarray) -> tuple[bool, list[
     vanishes identically (t_g real on the axis, as for M = 1/s**2), they are
     the real part's roots, after the low end if Re t_g <= TOL_AXIS there.
     """
-    lo, hi = float(omegas[0]), float(omegas[-1])
-    a, b, c, base = _axis_quadratic(d)
+    crossings = _axis_crossings(d, _axis_quadratic(d), float(omegas[0]), float(omegas[-1]))
+    return not crossings, crossings
+
+
+def _axis_crossings(d: AgentDynamics, rows: tuple[np.ndarray, ...],
+                    lo: float, hi: float) -> list[float]:
+    """nyquist_axis_test's crossings in [lo, hi] from _axis_quadratic's rows."""
+    a, b, c, base = rows
     tn_td = np.convolve(np.convolve(b, b) - 4.0 * np.convolve(a, c),
                         np.convolve(base, base).conj())
     crossings = _real_roots(tn_td.imag, lo, hi)
     if crossings is not None:
-        crossings = [w for w in crossings if t_g_eval(d, 1j * w).real <= TOL_AXIS]
-    else:
-        low = [lo] if t_g_eval(d, 1j * lo).real <= TOL_AXIS else []
-        crossings = low + (_real_roots(tn_td.real, lo, hi) or [])
-    return not crossings, crossings
+        return [w for w in crossings if t_g_eval(d, 1j * w).real <= TOL_AXIS]
+    low = [lo] if t_g_eval(d, 1j * lo).real <= TOL_AXIS else []
+    return low + (_real_roots(tn_td.real, lo, hi) or [])
 
 
-def _norm_band_guard(d: AgentDynamics, omegas: np.ndarray) -> Optional[str]:
-    """Refuse where ascending omegas step over |g| > 1.
+def _band_over(d: AgentDynamics, rows: tuple[np.ndarray, ...], lo: float, hi: float,
+               rho: float) -> Optional[str]:
+    """A note naming the first band in [lo, hi], ascending, where |g_plus| or
+    |g_minus| exceeds rho, else None. A root of g_plus's quadratic (rows
+    a, b, c) has modulus rho where a root of A x**2 - B x + C, with
+    A, B, C = rho a, b, c / rho, has modulus 1: at the real roots of
+    Res = (|A|**2 - |C|**2)**2 - |B conj(C) - A conj(B)|**2. For g_minus,
+    whose roots are the reciprocals, swap a and c. The rows are scaled by
+    powers of two (no power of rho is formed), so Res is finite for every
+    finite rho. Between its roots |g| - rho keeps its sign: each interval is
+    read at its geometric midpoint, all in one wave_moduli call. A Res that
+    vanishes identically (|g| = rho on the whole axis) has no band."""
+    a, b, c, _ = rows
+    m, e = math.frexp(rho)
+    bands = []  # (low edge, high edge, wave_moduli row)
+    for row, (first, last) in enumerate(((a, c), (c, a))):
+        q, k = np.stack([m * first, b, last / m]), np.array([e, 0, -e])  # A, B, C = q 2**k
+        k -= (np.frexp(np.abs(q).max(axis=1))[1] + k).max()
+        qa, qb, qc = np.ldexp(q.view(float), k[:, None]).view(complex)
+        gap = (np.convolve(qa, qa.conj()) - np.convolve(qc, qc.conj())).real
+        cross = np.convolve(qb, qc.conj()) - np.convolve(qa, qb.conj())
+        roots = _real_roots(np.convolve(gap, gap) - np.convolve(cross, cross.conj()).real,
+                            lo, hi)
+        if roots is not None:
+            edges = [lo, *roots, hi]
+            bands += [(w, v, row) for w, v in zip(edges, edges[1:]) if v > w]
+    moduli = wave_moduli(d, 1j * np.sqrt([w * v for w, v, _ in bands]))
+    over = [band for k, band in enumerate(bands) if moduli[band[2], k] > rho]
+    if not over:
+        return None
+    w, v, row = min(over)
+    return f"|{('g_plus', 'g_minus')[row]}| exceeds {rho:.6g} on [{w:.6g}, {v:.6g}]"
 
-    A root of a g**2 - b g + c has modulus 1 exactly where the real
-    polynomial Res = (|a|**2 - |c|**2)**2 - |b conj(c) - a conj(b)|**2 in
-    omega vanishes; g_minus's roots are the reciprocals, so Res serves both.
-    Between its roots |g_plus| - 1 and |g_minus| - 1 keep their signs, so
-    the intervals with no grid sample are read at their geometric midpoints,
-    all in one wave_moduli call; NumericalError names the first, ascending,
-    where |g| > 1. Returns a note when Res vanishes identically.
-    """
-    a, b, c, _ = _axis_quadratic(d)
-    gap = (np.convolve(a, a.conj()) - np.convolve(c, c.conj())).real
-    cross = np.convolve(b, c.conj()) - np.convolve(a, b.conj())
-    res = np.convolve(gap, gap) - np.convolve(cross, cross.conj()).real
-    roots = _real_roots(res, float(omegas[0]), float(omegas[-1]))
-    if roots is None:
-        return "the unit-modulus polynomial vanishes identically: the norms are the grid's"
-    lo, hi = np.array(roots[:-1]), np.array(roots[1:])
-    k = np.minimum(np.searchsorted(omegas, lo, side="right"), len(omegas) - 1)
-    free = omegas[k] >= hi  # no grid sample inside (lo, hi)
-    lo, hi = lo[free], hi[free]
-    over = np.flatnonzero(wave_moduli(d, 1j * np.sqrt(lo * hi)).max(axis=0) > 1.0)
-    if over.size:
-        k = over[0]
-        raise NumericalError(f"the grid steps over |g| > 1 on [{lo[k]:.6g}, {hi[k]:.6g}]")
-    return None
 
-
-def _tie_corners(d: AgentDynamics, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _tie_corners(rows: tuple[np.ndarray, ...], lo: float, hi: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """The frequencies in [lo, hi] where g_plus's roots r1, r2 tie in
     modulus, ascending, and |g_plus|, |g_minus| there as two rows. They tie
     exactly where b**2/(a c) = r1/r2 + 2 + r2/r1 is real and in [0, 4]: at
     the real roots of Im[b**2 conj(a c)] (_axis_quadratic's rows) with
     0 <= Re(b**2/(a c)) <= 4. There |g_plus| = sqrt(|c|/|a|) and, g_minus's
     roots being the reciprocals, |g_minus| = sqrt(|a|/|c|)."""
-    a, b, c, _ = _axis_quadratic(d)
+    a, b, c, _ = rows
     bb, ac = np.convolve(b, b), np.convolve(a, c)
     omegas = np.array(_real_roots(np.convolve(bb, ac.conj()).imag, lo, hi) or [])
     at_a, at_bb, at_c = (np.polynomial.polynomial.polyval(omegas, q) for q in (a, bb, c))
@@ -259,6 +269,12 @@ def awtf_norm_estimates(d: AgentDynamics, omegas: np.ndarray
     in range (_tie_corners), whose frequency is then the argmax (refined
     still says whether the zoom ran). The grid, and a zoom level that both
     couplings reach, as they mostly do, is evaluated once for both."""
+    return _norm_estimates(d, _axis_quadratic(d), omegas)
+
+
+def _norm_estimates(d: AgentDynamics, rows: tuple[np.ndarray, ...], omegas: np.ndarray
+                    ) -> tuple[NormEstimate, NormEstimate]:
+    """awtf_norm_estimates with the tie corners from _axis_quadratic's rows."""
     levels: dict = {}
 
     def moduli(w: np.ndarray) -> np.ndarray:
@@ -269,7 +285,7 @@ def awtf_norm_estimates(d: AgentDynamics, omegas: np.ndarray
 
     norms = [hinf_estimate(lambda w: moduli(w)[0], omegas),
              hinf_estimate(lambda w: moduli(w)[1], omegas)]
-    corners, peaks = _tie_corners(d, float(omegas[0]), float(omegas[-1]))
+    corners, peaks = _tie_corners(rows, float(omegas[0]), float(omegas[-1]))
     for row, m in enumerate(peaks):
         if m.size and m.max() > norms[row].value:
             k = int(np.argmax(m))
@@ -286,13 +302,13 @@ def local_string_verdict(
 ) -> StabilityVerdict:
     """Local string stability: wave couplings analytic with norms <= 1.
 
-    Both checks read the grid's range: the norm estimates of g_plus and
-    g_minus (awtf_norm_estimates, the grid's moduli first, so a bad grid
-    entry raises there, the highest first) and the axis test on t_g
-    (analyticity of the couplings in the right half plane). No branch is
-    picked, so BranchAmbiguous cannot arise. A verdict that is not
-    unstable is refused (NumericalError) where the grid steps over a band
-    with |g_plus| or |g_minus| above 1 (_norm_band_guard).
+    Every check reads the grid's range and _axis_quadratic's rows, formed
+    once: the norm estimates of g_plus and g_minus (awtf_norm_estimates,
+    the grid's moduli first, so a bad grid entry raises there, the highest
+    first) and the axis test on t_g (analyticity of the couplings in the
+    right half plane). A norm above rho = 1 + tol_norm is unstable; failing
+    that, so is a band with |g_plus| or |g_minus| above rho that the level
+    set finds (_band_over), and a note names it.
 
     Fast path: two integrators, asymmetric positional coupling and zero
     headway force the unstable verdict outright; the norm estimates are still
@@ -312,54 +328,41 @@ def local_string_verdict(
 
     grid = FrequencyGrid() if grid is None else grid
     omegas = grid.omegas()
-    norm_gp, norm_gm = awtf_norm_estimates(d, omegas)
+    rows = _axis_quadratic(d)
+    norm_gp, norm_gm = _norm_estimates(d, rows, omegas)
     notes: list[str] = []
-    stable, crossings = nyquist_axis_test(d, omegas)
+    lo, hi = float(omegas[0]), float(omegas[-1])
+    crossings = _axis_crossings(d, rows, lo, hi)
+    stable = not crossings
     if not stable:
-        notes.append(
-            f"axis test failed at omega={', '.join(f'{w:.4g}' for w in crossings)}"
-        )
+        notes.append(f"axis test failed at omega={', '.join(f'{w:.4g}' for w in crossings)}")
 
-    max_norm = max(norm_gp.value, norm_gm.value)
-    argmax_w = norm_gp.argmax_omega if norm_gp.value >= norm_gm.value \
-        else norm_gm.argmax_omega
+    peak = max(norm_gp, norm_gm, key=lambda n: n.value)
+    max_norm, argmax_w = peak.value, peak.argmax_omega
 
     fast_path = d.p == 2 and d.h == 0.0 and not positional_symmetry(d, tol_dc)
     if fast_path:
         verdict = "unstable"
-        notes.append(
-            "two integrators with asymmetric positional coupling: "
-            "unstable regardless of the measured peak"
-        )
+        notes.append("two integrators with asymmetric positional coupling: "
+                     "unstable regardless of the measured peak")
         if max_norm <= 1.0 + tol_norm:
-            notes.append(
-                f"warning: norm estimate {max_norm:.6f} does not confirm the "
-                "predicted excess; grid may be too narrow"
-            )
-    elif not stable:
+            notes.append(f"warning: norm estimate {max_norm:.6f} does not confirm the "
+                         "predicted excess; grid may be too narrow")
+    elif not stable or max_norm > 1.0 + tol_norm:
         verdict = "unstable"
-    elif max_norm > 1.0 + tol_norm:
+    elif band := _band_over(d, rows, lo, hi, 1.0 + tol_norm):
         verdict = "unstable"
+        notes.append(band)
     elif abs(max_norm - 1.0) <= tol_norm and argmax_w > 10.0 * grid.omega_min:
         verdict = "marginal"
-        notes.append(
-            f"peak {max_norm:.6f} at interior omega={argmax_w:.4g} sits on the "
-            "|G|=1 boundary"
-        )
+        notes.append(f"peak {max_norm:.6f} at interior omega={argmax_w:.4g} sits on the "
+                     "|G|=1 boundary")
     else:
         verdict = "stable"
-    if verdict != "unstable" and (note := _norm_band_guard(d, omegas)):
-        notes.append(note)
 
-    return StabilityVerdict(
-        awtf_stable=stable,
-        locally_string_stable=verdict,
-        norm_gp=norm_gp,
-        norm_gm=norm_gm,
-        theorem2_triggered=fast_path,
-        crossings=tuple(crossings),
-        notes=tuple(notes),
-    )
+    return StabilityVerdict(awtf_stable=stable, locally_string_stable=verdict,
+                            norm_gp=norm_gp, norm_gm=norm_gm, theorem2_triggered=fast_path,
+                            crossings=tuple(crossings), notes=tuple(notes))
 
 
 def headway_dominant_term(d: AgentDynamics) -> float:

@@ -897,7 +897,7 @@ class TestUnrepresentableLowOrderCoefficient:
 
 class TestHugeNumeratorConstant:
     """Mf's or Mr's numerator constant at 1e100 under a 0.7 s headway. The
-    axis and unit-modulus polynomials are quartic in the coefficients of the
+    axis and level-set polynomials are quartic in the coefficients of the
     wave quadratic, which overflowed at these values; scaled by one power of
     two they decide. The front (or rear) coupling dominates, and g = 1/(1 +
     h s) in the limit, so the verdict is stable."""
@@ -912,6 +912,24 @@ class TestHugeNumeratorConstant:
         report = json.loads((out / "analysis.json").read_text())
         assert report["verdict"] == "stable"
         assert max(est["value"] for est in report["hinf"].values()) <= 1.0
+
+
+class TestExtremeTolNorm:
+    """tol_norm far from its default on the two stable canonical designs.
+    The level set at rho = 1 + tol_norm must stay finite for every finite
+    rho (rho**4 overflows from rho = 1e100 on); only a rho below the norm,
+    as at tol_norm = -0.5, makes the verdict unstable."""
+
+    @pytest.mark.parametrize("mr", [MR_VEL, MF], ids=["vel-asym", "sym"])
+    @pytest.mark.parametrize("tol_norm", [0.02, 10, 1e100, 1e300, -0.5, 1e-300])
+    def test_analyze_decides(self, tmp_path, mr, tol_norm):
+        cfg = base_config(mr=mr)
+        cfg["analysis"]["tolerances"] = {"tol_norm": tol_norm}
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "analysis.json").read_text())
+        assert report["verdict"] == ("unstable" if tol_norm < 0 else "stable")
+        assert report["notes"] == []
 
 
 # command, (section, key, value) or None, extra flags

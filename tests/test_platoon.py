@@ -44,7 +44,8 @@ from wavestring.platoon import (
     _block_maps,
     block_steps,
 )
-from conftest import expm_reference, front_coupling, realization_matches, rear_scaled
+from conftest import (block_response, expm_reference, front_coupling, realization_matches,
+                      rear_scaled)
 
 
 class TestTopology:
@@ -139,7 +140,7 @@ class TestRealize:
     def test_front_coupling_dimension_and_value(self):
         blk = realize(AgentDynamics(front_coupling(), rear_scaled(2.5 / 4)))
         assert blk.order == 3
-        assert blk.response(1j) == pytest.approx([-1.6 - 0.8j, -1.0 - 0.5j], rel=1e-9)
+        assert block_response(blk, 1j) == pytest.approx([-1.6 - 0.8j, -1.0 - 0.5j], rel=1e-9)
 
     def test_improper_rejected(self):
         tf = RationalTF(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]), p=1)

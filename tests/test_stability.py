@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ from wavestring import (
 )
 from wavestring import stability, waves
 from wavestring.cli import main
-from wavestring.errors import (AssumptionViolated, NumericalError, SingularSample,
-                               WavestringError)
+from wavestring.errors import AssumptionViolated, SingularSample, WavestringError
 from wavestring.stability import TOL_NORM
 from wavestring.waves import t_g_eval
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling,
@@ -41,8 +41,13 @@ HEADWAY_DYNAMICS = list(headway_cases())
 # step of the default grid (0.8%), so the grid peaks at 0.99567 at its DC
 # end. g_plus's roots tie in modulus at 2.29909, inside the band, and that
 # corner (1.00779) is the norm: the verdict is unstable. Under a tol_norm
-# that reads 1.00779 as marginal, the band guard refuses the verdict.
+# that reads 1.00779 as marginal, the level set at 1 + tol_norm finds no
+# band above it, so the verdict is marginal.
 GRID_MISSES_NORM_BAND = 44
+# The 12 designs whose norm P exceeds 1 while the axis test passes.
+PEAK_ABOVE_ONE = {**{f"property-{k:02d}": PROPERTY_DYNAMICS[k] for k in (2, 17, 31, 87)},
+                  **{f"headway-{k:02d}": HEADWAY_DYNAMICS[k]
+                     for k in (10, 11, 22, 23, 37, 44, 47, 48)}}
 
 
 class TestGrid:
@@ -271,20 +276,32 @@ class TestExactNorms:
     def test_headway_property_dynamics(self, case):
         self.assert_grid_agrees(HEADWAY_DYNAMICS[case])
 
-    def test_band_the_grid_steps_over_is_refused(self, tmp_path):
-        # tol_norm = 0.02 reads the band's peak as marginal, and the guard
-        # finds no grid sample in the band
-        d = HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND]
-        assert exact_norms_exceed_one(d) == (True, False)
-        with pytest.raises(NumericalError, match=r"on \[2\.29702, 2\.30112\]"):
-            local_string_verdict(d, tol_norm=0.02)
+    @pytest.mark.parametrize("case,points,row,peak,band", [
+        (GRID_MISSES_NORM_BAND, 2000, "norm_gp", 1.0077864, (2.29702, 2.30112)),
+        (47, 400, "norm_gm", 1.015433, (1.87765, 1.88737))], ids=["headway-44", "headway-47"])
+    def test_band_the_grid_steps_over_is_marginal(self, tmp_path, case, points, row, peak, band):
+        # tol_norm = 0.02 reads the band's peak, a tie corner, as marginal;
+        # no grid sample lies in the band, and the level set at 1.02 finds
+        # no band either (the band guard used to refuse both, exit 3)
+        d, grid = HEADWAY_DYNAMICS[case], FrequencyGrid(points=points)
+        assert exact_norms_exceed_one(d) == (row == "norm_gp", row == "norm_gm")
+        omegas = grid.omegas()
+        assert not ((omegas > band[0]) & (omegas < band[1])).any()
+        verdict = local_string_verdict(d, grid, tol_norm=0.02)
+        assert verdict.locally_string_stable == "marginal" and verdict.awtf_stable
+        norm = getattr(verdict, row)
+        assert norm.value == pytest.approx(peak, rel=1e-6)
+        assert band[0] < norm.argmax_omega < band[1]
         mf, mr = ({"num": list(m.num.coeffs), "den": [0.0] * m.p + list(m.den.coeffs)}
                   for m in (d.Mf, d.Mr))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"dynamics": {"mf": mf, "mr": mr, "h": d.h},
-                                    "analysis": {"tolerances": {"tol_norm": 0.02}}}))
-        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert not (tmp_path / "out" / "analysis.json").exists()
+                                    "analysis": {"points": points,
+                                                 "tolerances": {"tol_norm": 0.02}}}))
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "analysis.json").read_text())
+        assert payload["verdict"] == "marginal"
+        assert payload["hinf"]["g_plus" if row == "norm_gp" else "g_minus"]["value"] == norm.value
 
     def test_tie_corner_reads_the_band_the_grid_steps_over(self):
         d = HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND]
@@ -301,6 +318,56 @@ class TestExactNorms:
         # M = 1/s^2: a = c = 1 and b = 2 - w^2 is real on the axis, so both
         # |a|**2 - |c|**2 and b conj(c) - a conj(b) vanish
         assert exact_norms_exceed_one(undamped()) is None
+
+
+class TestLevelSet:
+    """The verdict at rho = 1 + tol_norm: unstable where the norm exceeds
+    rho, else where the level set finds a band above rho."""
+
+    @pytest.mark.parametrize("name", PEAK_ABOVE_ONE)
+    def test_peak_straddle(self, name):
+        # rho just below the norm P is unstable, rho just above it is not.
+        # The level set alone misses some of the first: at near-tangency
+        # Res's root pair comes out complex and is dropped.
+        d = PEAK_ABOVE_ONE[name]
+        verdict = local_string_verdict(d)
+        peak = max(verdict.norm_gp.value, verdict.norm_gm.value)
+        assert verdict.awtf_stable and peak > 1.0
+        for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+            below = local_string_verdict(d, tol_norm=peak * (1.0 - eps) - 1.0)
+            assert below.locally_string_stable == "unstable", eps
+            above = local_string_verdict(d, tol_norm=peak * (1.0 + eps) - 1.0)
+            assert above.locally_string_stable != "unstable", eps
+
+    def test_band_the_norm_misses_is_unstable(self, monkeypatch):
+        # norms forced to 0.99: only the level set can see |g_minus| > 1.001
+        from test_array_core import min_moduli
+
+        d = PEAK_ABOVE_ONE["property-02"]
+        missed = stability.NormEstimate(0.99, 1.0, refined=True)
+        monkeypatch.setattr(stability, "_norm_estimates", lambda *args: (missed, missed))
+        verdict = local_string_verdict(d)
+        assert verdict.locally_string_stable == "unstable" and verdict.awtf_stable
+        (note,) = verdict.notes
+        match = re.fullmatch(r"\|g_minus\| exceeds 1\.001 on \[(\S+), (\S+)\]", note)
+        lo, hi = float(match[1]), float(match[2])
+        inside = np.geomspace(lo, hi, 101)[1:-1]
+        assert (min_moduli(d, inside)[1] > 1.001).all()
+        outside = np.array([lo * (1 - 1e-4), hi * (1 + 1e-4)])
+        assert (min_moduli(d, outside)[1] < 1.001).all()
+
+    @pytest.mark.parametrize("d,tol_norm", [
+        (canonical("gain-asym", 0.0), TOL_NORM), (canonical("vel-asym", 0.0), TOL_NORM),
+        (canonical("sym", 0.0), TOL_NORM), (canonical("vel-asym", 0.5), TOL_NORM),
+        (HEADWAY_DYNAMICS[GRID_MISSES_NORM_BAND], 0.02), (undamped(), TOL_NORM)],
+        ids=["gain-asym", "vel-asym", "sym", "vel-asym-h0.5", "headway-44", "undamped"])
+    def test_quadratic_rows_formed_once(self, monkeypatch, d, tol_norm):
+        # fast path, level set, axis test failed, marginal, real curve
+        calls = []
+        build = stability._axis_quadratic
+        monkeypatch.setattr(stability, "_axis_quadratic", lambda d: calls.append(d) or build(d))
+        local_string_verdict(d, tol_norm=tol_norm)
+        assert len(calls) == 1
 
 
 class TestSharedAxisSweep:

@@ -14,13 +14,16 @@ judged by its own library, and records two sets, defined once here:
   20 rows of its h sweep, and the 100 property and 50 headway cases of the
   test suite. Each records local_string_verdict on the default grid: the
   verdict, awtf_stable, both norm estimates, the theorem-2 flag, the notes
-  and the crossings, or the class and message of what it raises.
-- EXTREME, 346 `wavestring analyze` configs: the gain-asym path-6 config at
+  and the crossings, or the class and message of what it raises. Each is
+  recorded twice: at the default tol_norm, and at RELAXED, where a peak
+  just above 1 is marginal.
+- EXTREME, 382 `wavestring analyze` configs: the gain-asym path-6 config at
   400 points with one change, at h = 0 and at h = 0.7. The change sets one
   entry of mf.num, mr.num, mf.den or mr.den to one of VALUES, or
-  omega_max to 1e10, 1e50 or 1e150, or omega_min to 1e-30 or 1e-100. Each
-  records the exit code and the verdict in analysis.json (None if none is
-  written).
+  omega_max to 1e10, 1e50 or 1e150, or omega_min to 1e-30 or 1e-100, or
+  tol_norm to one of TOL_NORMS, the last also with the vel-asym and sym
+  rears. Each records the exit code and the verdict in analysis.json (None
+  if none is written).
 
 Every difference is printed by field. Crossings are compared as ascending
 lists; their digits are summarised as the largest relative move, and a
@@ -50,9 +53,13 @@ from bench_pair import export  # noqa: E402
 
 VALUES = (1e-300, 1e-150, 1e-100, 1e-30, 1e30, 1e75, 1e100, 1e150, 1e200, 1e300,
           -1.0, 0.5, 3.0, 1e-12)
+TOL_NORMS = (0.02, 10.0, 1e100, 1e300, -0.5, 1e-300)
+RELAXED = 0.02  # the second tol_norm of DYNAMICS
 DEN = [0.0, 0.0, 1.0, 1.0 / 3.0]
 MF = {"num": [4.0 / 3.0, 4.0 / 3.0], "den": DEN}
 MR = {"num": [2.5 / 3.0, 2.5 / 3.0], "den": DEN}  # gain-asym: MF scaled by 2.5/4
+REARS = {"gain-asym": MR, "vel-asym": {"num": [4.0 / 3.0, 2.5 / 3.0], "den": DEN},
+         "sym": MF}
 NORMS = ("norm_gp", "norm_gm")
 NORM_PARTS = ("value", "argmax_omega")  # the NormEstimate fields summarised by digits
 
@@ -123,7 +130,7 @@ def dynamics_set() -> dict:
 
 
 def extreme_set() -> dict:
-    """EXTREME: name -> analyze config, 346 entries."""
+    """EXTREME: name -> analyze config, 382 entries."""
     out = {}
     for h in (0.0, 0.7):
         def config(**analysis):
@@ -142,15 +149,20 @@ def extreme_set() -> dict:
                             ("omega_min", (1e-30, 1e-100))):
             for v in values:
                 out[f"h{h}-{key}={v:g}"] = config(**{key: v})
+        for rear, mr in REARS.items():
+            for v in TOL_NORMS:
+                cfg = config(tolerances={"tol_norm": v})
+                cfg["dynamics"]["mr"] = json.loads(json.dumps(mr))
+                out[f"h{h}-{rear}-tol_norm={v:g}"] = cfg
     return out
 
 
-def _verdict_record(d) -> dict:
+def _verdict_record(d, **tolerances) -> dict:
     import dataclasses
 
     from wavestring import local_string_verdict
     try:
-        v = local_string_verdict(d)
+        v = local_string_verdict(d, **tolerances)
     except Exception as exc:  # recorded and compared, not swallowed
         return {"raised": f"{type(exc).__name__}: {exc}"}
     return {"verdict": v.locally_string_stable, "awtf_stable": v.awtf_stable,
@@ -177,7 +189,10 @@ def _analyze_record(cfg: dict, tmp: str, name: str) -> dict:
 
 
 def worker() -> None:
-    records = {"dynamics": {k: _verdict_record(d) for k, d in dynamics_set().items()}}
+    dynamics = dynamics_set()
+    records = {"dynamics": {k: _verdict_record(d) for k, d in dynamics.items()},
+               f"dynamics at tol_norm {RELAXED}":
+               {k: _verdict_record(d, tol_norm=RELAXED) for k, d in dynamics.items()}}
     with tempfile.TemporaryDirectory() as tmp:
         records["extreme"] = {k: _analyze_record(cfg, tmp, f"out{i}")
                               for i, (k, cfg) in enumerate(extreme_set().items())}
@@ -201,7 +216,7 @@ def _relative(a: float, b: float) -> float:
 
 
 def compare(parent: dict, change: dict) -> None:
-    for group in ("dynamics", "extreme"):
+    for group in parent:
         diffs = 0
         # summarised field -> {"up": [cases, (largest move, case)], "down": ...}
         moves: dict = {}
