@@ -55,5 +55,4 @@ d = AgentDynamics(front, rear, h=0.7)
 sweep = awtf_axis_sweep(d, np.geomspace(1e-3, 1e2, 200))
 scale = np.maximum(1.0, np.abs(sweep.beta) ** 2)
 worst = max(quadratic_residuals(sweep[k], d)[0] / scale[k] for k in range(len(sweep)))
-print(f"worst scaled residual over {len(sweep)} frequencies: {worst:.2e} "
-      f"({int(sweep.branch_flipped.sum())} hint overrides)")
+print(f"worst scaled residual over {len(sweep)} frequencies: {worst:.2e}")

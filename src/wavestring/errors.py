@@ -42,10 +42,6 @@ class SingularSample(NumericalError):
     """Wave quantities are singular at the requested frequency."""
 
 
-class BranchAmbiguous(NumericalError):
-    """Quadratic root moduli tie and no continuity hint is available."""
-
-
 class NoIntegrator(WavestringError):
     """DC gain formulas require at least one integrator."""
 

@@ -83,7 +83,7 @@ class StabilityVerdict:
     norm_gp: NormEstimate
     norm_gm: NormEstimate
     theorem2_triggered: bool
-    crossings: tuple[float, ...] = field(default=())  # from nyquist_axis_test
+    crossings: tuple[float, ...] = field(default=())  # from _axis_crossings
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self):

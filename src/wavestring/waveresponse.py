@@ -11,11 +11,11 @@ sigma = 2/T_final.
 
 Step inputs ride along as an extra 1/s factor in the spectrum; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
-origin pole. The wave spectra take the line's couplings from one hint chain
-through waves.wave_blocks, run from the highest frequency down, and are
-formed per block on its arrays (_line_spectra) with the same
-reflection_from_sample and round_trip as a single sample. A spectrum entry
-that is not finite is refused with NumericalError.
+origin pole. The wave spectra take the line's couplings from
+waves.wave_blocks, run from the highest frequency down, and are formed per
+block on its arrays (_line_spectra) with the same reflection_from_sample
+and round_trip as a single sample. A spectrum entry that is not finite is
+refused with NumericalError.
 """
 
 from __future__ import annotations
@@ -130,13 +130,13 @@ def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig,
                   spectra: Callable[[WaveSweep], np.ndarray]) -> np.ndarray:
     """The rows of spectra(block) on bromwich_line(cfg), ascending frequency.
 
-    One hint chain walks the line from its top frequency down through
-    wave_blocks; spectra(block) gives one row per spectrum and one column
-    per entry, under a local errstate that ignores everything. Errors come
-    at the first bad entry in chain order: NumericalError at a non-finite
-    column, or what spectra raises (ReflectionSingular from
-    reflection_from_sample). So that the second does not pre-empt the
-    first, a block is cut before its first |g_minus - 1| < TOL_SING.
+    wave_blocks walks the line from its top frequency down; spectra(block)
+    gives one row per spectrum and one column per entry, under a local
+    errstate that ignores everything. Errors come at the first bad entry in
+    that order: NumericalError at a non-finite column, or what spectra
+    raises (ReflectionSingular from reflection_from_sample). So that the
+    second does not pre-empt the first, a block is cut before its first
+    |g_minus - 1| < TOL_SING.
     """
     line = bromwich_line(cfg)[::-1]
     parts = []

@@ -13,27 +13,23 @@ up a factor (1 + h*s) on the own-position feedback, so alpha and beta become
 unchanged.
 
 Branch selection: the wave couplings are the smaller-modulus roots (the
-proper root tends to min(1, kappa) at DC and to 0 at infinity). When the two
-moduli tie within TOL_TIE relative, a continuity hint from a neighbouring
-sample decides (where both roots are equally near it, the one with the
-larger imaginary part); with no hint and materially different candidates the
-evaluation refuses to guess and raises BranchAmbiguous. Frequency sweeps
-therefore chain hints, seeded at the largest |s| where the split is always
-unambiguous. Where g_plus's two roots tie in modulus m away from t_g = 0,
-the pick may switch root, and g_plus jumps there. g_minus's quadratic has
-g_plus's coefficients in reverse order, so its roots are the reciprocals of
-g_plus's: at the tie |g_plus| = m and |g_minus| = 1/m, and one of them is at
-least 1. So a switch cannot hide instability.
+proper root tends to min(1, kappa) at DC and to 0 at infinity), picked at
+every s on its own: no state passes from one sample to the next, so a
+coupling does not depend on the frequencies evaluated before it. Where the
+two roots tie in modulus, rounding picks, and either root has the modulus
+that a verdict reads. Where g_plus's two roots tie in modulus m away from
+t_g = 0, the pick may switch root, and g_plus jumps there. g_minus's
+quadratic has g_plus's coefficients in reverse order, so its roots are the
+reciprocals of g_plus's: at the tie |g_plus| = m and |g_minus| = 1/m, and
+one of them is at least 1. So a switch cannot hide instability.
 
 Every evaluation runs on one array core in plain numpy complex arithmetic:
 _eval_terms forms Mf, Mr, t_g and the shared numerator at every s, and
 _root_pairs both root pairs (front and rear as the two rows of one array).
 wave_moduli stops there, at the smaller modulus of each pair: |g_plus| and
-|g_minus| with no pick, all that a verdict reads. _wave_block picks the
-couplings, and _resolve_ties walks only the tie-window samples in Python,
-in chain order, each hinted by the previous pick. A block raises at its
-first bad entry in chain order (a pole, a vanishing or non-finite Mf or Mr,
-a non-finite quadratic, or an unhinted tie at its first entry), after the
+|g_minus|, all that a verdict reads. _wave_block picks the couplings. A
+block raises at its first bad entry in the order given (a pole, a
+vanishing or non-finite Mf or Mr, or a non-finite quadratic), after the
 entries before it. wave_blocks cuts a sweep into blocks of BLOCK = 2048
 samples, which holds a default grid whole and bounds the temporaries on the
 Bromwich line. A sweep is a WaveSweep, the WaveSample fields as arrays; a
@@ -56,16 +52,9 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    BranchAmbiguous,
-    NoIntegrator,
-    NumericalError,
-    ReflectionSingular,
-    SingularSample,
-)
+from .errors import NoIntegrator, NumericalError, ReflectionSingular, SingularSample
 from .tf import AgentDynamics, low_order_coeffs
 
-TOL_TIE = 1e-6    # relative modulus tie window for branch selection
 TOL_SING = 1e-8   # |g_minus - 1| below this means the rear reflection blows up
 BLOCK = 2048      # samples per wave_blocks block: a default FrequencyGrid is one
 
@@ -79,7 +68,6 @@ class WaveSample:
     g_minus: complex
     alpha: complex
     beta: complex
-    branch_flipped: bool = False
 
 
 @dataclass(frozen=True)
@@ -105,26 +93,23 @@ class WaveSweep:
     g_minus: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    branch_flipped: np.ndarray
 
     def __len__(self) -> int:
         return len(self.s)
 
     def __getitem__(self, k: int) -> WaveSample:
-        return WaveSample(*(complex(getattr(self, f)[k]) for f in _COMPLEX_FIELDS),
-                          branch_flipped=bool(self.branch_flipped[k]))
+        return WaveSample(*(complex(getattr(self, f)[k]) for f in _FIELDS))
 
     def __iter__(self) -> Iterator[WaveSample]:
-        for *z, flipped in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
-            yield WaveSample(*z, branch_flipped=flipped)
+        for z in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
+            yield WaveSample(*z)
 
     def take(self, index) -> "WaveSweep":
         """The entries at index, in that order."""
         return WaveSweep(*(getattr(self, f)[index] for f in _FIELDS))
 
 
-_COMPLEX_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta")
-_FIELDS = _COMPLEX_FIELDS + ("branch_flipped",)
+_FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta")
 
 
 def _eval_terms(d: AgentDynamics, s: np.ndarray):
@@ -189,49 +174,6 @@ def t_g_eval(d: AgentDynamics, s: complex) -> complex:
     return _terms_at(d, s)[3]
 
 
-def _pick_arrays(lo: np.ndarray, hi: np.ndarray):
-    """The smaller-modulus pick at every sample: (picks hi, is a tie). A tie
-    (moduli within TOL_TIE relative, roots not coincident, or a modulus that
-    is not a number) needs the previous pick; see _resolve_ties."""
-    m_lo, m_hi = np.abs(lo), np.abs(hi)
-    scale = np.maximum(m_lo, m_hi)
-    tie = ~(np.abs(m_lo - m_hi) >= TOL_TIE * scale)
-    tie &= ~(np.abs(lo - hi) <= TOL_TIE * np.maximum(1.0, scale))
-    return ~(m_lo <= m_hi), tie
-
-
-def _nearer_hi(lo, hi, prev):
-    """Whether hi is the root nearer prev. Where both are equally near
-    within TOL_TIE relative (a real pick before a conjugate pair), continuity
-    cannot decide and the root with the larger imaginary part is taken, so
-    the choice does not rest on rounding."""
-    d_lo, d_hi = np.abs(lo - prev), np.abs(hi - prev)
-    even = np.abs(d_lo - d_hi) <= TOL_TIE * np.maximum(d_lo, d_hi)
-    return np.where(even, hi.imag > lo.imag, ~(d_lo <= d_hi))
-
-
-def _resolve_ties(lo, hi, pick_hi, tie, hint):
-    """Pick each tie sample's root nearest the previous sample's pick (for
-    sample 0, nearest hint; see _nearer_hi), walking the ties in chain
-    order. Returns the picks and where they override the smaller modulus."""
-    if not tie.any():
-        return pick_hi, tie
-    picks = pick_hi.copy()
-    if tie[0]:
-        picks[0] = _nearer_hi(lo[:1], hi[:1], hint)[0]
-    idx = np.nonzero(tie[1:])[0] + 1
-    if idx.size:
-        # A tie sample's hint is one of the previous sample's two roots, so
-        # the choice after either is computed for all ties at once.
-        after = [_nearer_hi(lo[idx], hi[idx], prev).tolist()
-                 for prev in (lo[idx - 1], hi[idx - 1])]
-        chosen = picks.tolist()
-        for i, if_lo, if_hi in zip(idx.tolist(), *after):
-            chosen[i] = if_hi if chosen[i - 1] else if_lo
-        picks[idx] = np.array(chosen)[idx]
-    return picks, tie & (picks != pick_hi)
-
-
 def _root_pairs(mf, mr, shared, t_g):
     """Both roots of each wave quadratic, rows (g_plus, g_minus) of lo and
     hi, and own = (Mr, Mf). Cancellation-free, never dividing by own alone:
@@ -247,34 +189,27 @@ def _root_pairs(mf, mr, shared, t_g):
     return np.where(plus_wins, near, far), np.where(plus_wins, far, near), own
 
 
-def _wave_block(d: AgentDynamics, s: np.ndarray, hints: Optional[tuple[complex, complex]]
-                ) -> tuple[WaveSweep, Optional[Exception]]:
-    """Both couplings at every s, hint-chained from hints (the previous
-    g_plus and g_minus), and the exception of the first bad entry (None if
-    there is none); the block is cut before that entry. The root pairs
-    (_root_pairs) and picks are the rows (g_plus, g_minus)."""
+def _wave_block(d: AgentDynamics, s: np.ndarray) -> tuple[WaveSweep, Optional[Exception]]:
+    """Both couplings at every s, each the root of smaller modulus (hi
+    where |lo| <= |hi| fails, so also where a modulus is not a number), and
+    the exception of the first bad entry (None if there is none); the block
+    is cut before that entry. The root pairs (_root_pairs) and picks are
+    the rows (g_plus, g_minus)."""
     terms, stop, error = _eval_terms(d, s)
     with np.errstate(all="ignore"):
         lo, hi, own = _root_pairs(*terms)
         coeff = terms[2] / own  # rows (beta, alpha)
-        pick, tie = _pick_arrays(lo, hi)
-    if hints is None and stop and tie[:, 0].any():
-        stop, error = 0, BranchAmbiguous("root moduli tie and no continuity hint was provided")
-    tie[:, stop:] = False
-    pick, flip = zip(*map(_resolve_ties, lo, hi, pick, tie, hints or (None, None)))
-    g_plus, g_minus = np.where(pick, hi, lo)
-    block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=coeff[1], beta=coeff[0],
-                      branch_flipped=flip[0] | flip[1])
+        g_plus, g_minus = np.where(~(np.abs(lo) <= np.abs(hi)), hi, lo)
+    block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=coeff[1], beta=coeff[0])
     return (block if error is None else block.take(slice(0, stop))), error
 
 
 def wave_moduli(d: AgentDynamics, s: np.ndarray) -> np.ndarray:
     """|g_plus| and |g_minus| at every s, the two rows of one array: the
-    smaller root modulus of each quadratic, so no branch is picked and no
-    hint needed (where a tie walk keeps the larger root, it is larger by
-    under TOL_TIE). Raises what a single sample raises at the bad entry
-    nearest the end of s: for ascending s = 1j*omega the highest |omega|,
-    where a chained sweep of them (awtf_axis_sweep) raises."""
+    smaller root modulus of each quadratic, the modulus of the couplings
+    that _wave_block picks. Raises what a single sample raises at the bad
+    entry nearest the end of s: for ascending s = 1j*omega the highest
+    |omega|, where awtf_axis_sweep raises."""
     terms, _, error = _eval_terms(d, s)
     if error is not None:
         raise _eval_terms(d, s[::-1])[2]
@@ -283,51 +218,32 @@ def wave_moduli(d: AgentDynamics, s: np.ndarray) -> np.ndarray:
         return np.minimum(np.abs(lo), np.abs(hi))
 
 
-def _hints(seed: Optional[WaveSample]) -> Optional[tuple[complex, complex]]:
-    return None if seed is None else (seed.g_plus, seed.g_minus)
-
-
-def awtf_eval(
-    d: AgentDynamics,
-    s: complex,
-    hint: Optional[WaveSample] = None,
-) -> WaveSample:
-    """Evaluate both wave couplings at s.
-
-    hint, when given, is a WaveSample at a nearby frequency used to resolve
-    modulus ties by continuity; branch_flipped records when that override
-    picked the non-default root.
-    """
-    block, error = _wave_block(d, np.array([complex(s)]), _hints(hint))
+def awtf_eval(d: AgentDynamics, s: complex) -> WaveSample:
+    """Evaluate both wave couplings at s."""
+    block, error = _wave_block(d, np.array([complex(s)]))
     if error is not None:
         raise error
     return block[0]
 
 
-def wave_blocks(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample] = None
-                ) -> Iterator[WaveSweep]:
+def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
     """Both couplings at every s as WaveSweep blocks in order, at most BLOCK
-    entries each, one hint chain from seed (or unhinted at s[0]) through
-    them all. At the first bad entry the entries before it are yielded and
-    its exception raised."""
-    hints = _hints(seed)
+    entries each. At the first bad entry the entries before it are yielded
+    and its exception raised."""
     for lo in range(0, len(s), BLOCK):
-        block, error = _wave_block(d, s[lo:lo + BLOCK], hints)
+        block, error = _wave_block(d, s[lo:lo + BLOCK])
         if len(block):
             yield block
-            hints = block.g_plus[-1], block.g_minus[-1]
         if error is not None:
             raise error
 
 
-def wave_sweep(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample] = None
-               ) -> WaveSweep:
-    """The wave_blocks of s (a hint chain in the order given) as one
-    WaveSweep."""
+def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:
+    """The wave_blocks of s as one WaveSweep."""
     s = np.asarray(s, dtype=complex)
-    blocks = list(wave_blocks(d, s, seed))
+    blocks = list(wave_blocks(d, s))
     if not blocks:  # s is empty
-        return WaveSweep(s, s, s, s, s, np.zeros(0, dtype=bool))
+        return WaveSweep(s, s, s, s, s)
     if len(blocks) == 1:
         return blocks[0]
     return WaveSweep(*(np.concatenate([getattr(b, f) for b in blocks]) for f in _FIELDS))
@@ -335,12 +251,8 @@ def wave_sweep(d: AgentDynamics, s: np.ndarray, seed: Optional[WaveSample] = Non
 
 def awtf_axis_sweep(d: AgentDynamics, omegas) -> WaveSweep:
     """Samples at s = 1j*omega for each omega (array-like), in the caller's
-    order.
-
-    The hint chain runs from the highest |omega| downward, so it starts
-    where root selection is unambiguous (|g| -> 0 vs |beta| -> infinity) and
-    continuity carries it through any modulus ties near DC.
-    """
+    order. They are evaluated from the highest |omega| down, so a bad
+    entry raises at the highest |omega| among them, as in wave_moduli."""
     omegas = np.asarray(omegas, dtype=float)
     order = np.argsort(-np.abs(omegas), kind="stable")
     return wave_sweep(d, 1j * omegas[order]).take(np.argsort(order))

@@ -2,11 +2,13 @@
 library.
 
 The reference evaluates Mf and Mr with the scalar tf_eval, takes both roots
-of each wave quadratic with cmath, picks the smaller modulus and walks the
-modulus ties by the previous pick, one sample at a time in chain order.
-Values are compared at 1e-12 relative; where the two roots nearly coincide
-(the kappa = 1 rows near DC) a root's rounding error is amplified by their
-separation, and the comparison allows that amplification (see close).
+of each wave quadratic with cmath and picks the smaller modulus, one sample
+at a time in the order given. Values are compared at 1e-12 relative; where
+the two roots nearly coincide (the kappa = 1 rows near DC) a root's
+rounding error is amplified by their separation, and the comparison allows
+that amplification (see close). Where the two moduli are equal to rounding
+(the undamped pair below omega = 2), rounding picks, and either root is
+accepted.
 """
 
 import cmath
@@ -16,13 +18,12 @@ import pytest
 
 from wavestring import AgentDynamics, FrequencyGrid, Polynomial, RationalTF
 from wavestring import stability, waveresponse, waves
-from wavestring.errors import (BranchAmbiguous, NumericalError, PoleAtSample,
-                               ReflectionSingular, SingularSample)
+from wavestring.errors import NumericalError, PoleAtSample, ReflectionSingular, SingularSample
 from wavestring.stability import TOL_OMEGA, awtf_norm_estimates, hinf_estimate
 from wavestring.tf import tf_eval
 from wavestring.waveresponse import (InverseLaplaceConfig, _wave_spectra, bromwich_line,
                                      early_time_check)
-from wavestring.waves import TOL_SING, TOL_TIE, awtf_axis_sweep, wave_sweep
+from wavestring.waves import TOL_SING, awtf_axis_sweep, wave_sweep
 from conftest import (CANONICAL, bench_pairs, canonical, front_coupling, record_calls,
                       undamped)
 from test_properties import headway_cases, property_cases
@@ -55,9 +56,6 @@ ROW_CASES = {
 ZERO_AT_1J = AgentDynamics(RationalTF(Polynomial([1.0, 0.0, 1.0]),
                                       Polynomial([1.0, 1.0, 1.0]), p=2), front_coupling())
 EPS = np.finfo(float).eps
-# the undamped pair's flips on the default grid: rounding decides which of
-# two roots of modulus 1 is the smaller, and the tie walk overrides it
-UNDAMPED_FLIPS = 943
 
 
 # ------------------------------------------------------------ the reference
@@ -94,30 +92,16 @@ def reference_roots(own, other, shared, t_g):
     return 2 * other / big, big / (2 * own)
 
 
-def reference_pick(roots, prev):
-    """The smaller-modulus root, or on a modulus tie the one nearest prev;
-    if both are equally near within TOL_TIE, the larger imaginary part."""
-    lo, hi = sorted(roots, key=abs)
-    if abs(abs(lo) - abs(hi)) >= TOL_TIE * abs(hi) or abs(lo - hi) <= TOL_TIE * max(1.0, abs(hi)):
-        return lo
-    if prev is None:
-        raise BranchAmbiguous("root moduli tie and no continuity hint was provided")
-    near = sorted((lo, hi), key=lambda g: abs(g - prev))
-    if abs(abs(near[0] - prev) - abs(near[1] - prev)) <= TOL_TIE * abs(near[1] - prev):
-        return max(near, key=lambda g: g.imag)
-    return near[0]
-
-
-def reference_chain(d, s, prev=(None, None)):
+def reference_chain(d, s):
     """[(s, g_plus, g_minus, beta, alpha, other g_plus root, other g_minus
-    root)] along s in order, each sample's ties walked by the one before."""
+    root)] along s in order, each coupling the smaller-modulus root."""
     out = []
     for x in map(complex, s):
         mf, mr, shared, t_g = reference_terms(d, x)
         pair = reference_roots(mr, mf, shared, t_g), reference_roots(mf, mr, shared, t_g)
-        prev = tuple(reference_pick(r, p) for r, p in zip(pair, prev))
-        others = tuple(r[0] if g is r[1] else r[1] for g, r in zip(prev, pair))
-        out.append((x, *prev, shared / mr, shared / mf, *others))
+        picks = tuple(min(r, key=abs) for r in pair)
+        others = tuple(r[0] if g is r[1] else r[1] for g, r in zip(picks, pair))
+        out.append((x, *picks, shared / mr, shared / mf, *others))
     return np.array(out)
 
 
@@ -137,13 +121,22 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def moduli_tie(rows, col: int) -> np.ndarray:
+    """Where the reference's two roots in column col (1 for g_plus, 2 for
+    g_minus) have moduli equal to rounding: within 4 eps relative."""
+    m, other = np.abs(rows[:, col]), np.abs(rows[:, col + 4])
+    return np.abs(m - other) <= 4 * EPS * np.maximum(m, other)
+
+
 def close(sweep, rows):
     """The sweep's s, couplings and coefficients against the reference rows,
     at 1e-12 relative. A rounding of the discriminant moves a root by about
     eps |coeff| / |g1 - g2| relative, g1 - g2 being the two roots' distance,
     which only near a double root exceeds 1e-12; that much more is allowed.
-    A coefficient that overflows (Mf or Mr underflowing beside the shared
-    numerator) must be non-finite in both, and allows nothing more."""
+    Where the two moduli are equal to rounding (moduli_tie), either root
+    is accepted. A coefficient that overflows (Mf or Mr underflowing beside
+    the shared numerator) must be non-finite in both, and allows nothing
+    more."""
     np.testing.assert_array_equal(sweep.s, rows[:, 0])
     for col, (g, coeff) in enumerate(((sweep.g_plus, sweep.beta),
                                       (sweep.g_minus, sweep.alpha)), start=1):
@@ -153,14 +146,9 @@ def close(sweep, rows):
         np.testing.assert_allclose(coeff[finite], want_coeff[finite], rtol=1e-12, atol=0)
         with np.errstate(all="ignore"):
             extra = np.where(finite, 16 * EPS * np.abs(coeff) / np.abs(want - other), 0.0)
-        assert (np.abs(g - want) <= (1e-12 + extra) * np.abs(want)).all(), \
-            ("g_plus", "g_minus")[col - 1]
-
-
-def g_plus_ties(rows) -> int:
-    """Samples whose two g_plus roots tie in modulus within TOL_TIE."""
-    g, other = np.abs(rows[:, 1]), np.abs(rows[:, 5])
-    return int((np.abs(g - other) < TOL_TIE * np.maximum(g, other)).sum())
+        ok = np.abs(g - want) <= (1e-12 + extra) * np.abs(want)
+        ok |= moduli_tie(rows, col) & (np.abs(g - other) <= (1e-12 + extra) * np.abs(other))
+        assert ok.all(), ("g_plus", "g_minus")[col - 1]
 
 
 # ----------------------------------------------------------- axis sweeps
@@ -173,8 +161,17 @@ class TestAxisReference:
         close(awtf_axis_sweep(d, DEFAULT_OMEGAS), reference_axis(d, DEFAULT_OMEGAS))
 
     @pytest.mark.parametrize("name", ["vel-asym", "sym"])
-    def test_tie_walk_is_exercised(self, name):
-        assert g_plus_ties(reference_axis(canonical(name, 0.0), DEFAULT_OMEGAS)) > 300
+    def test_near_ties_take_the_smaller_root(self, name):
+        # hundreds of samples near DC whose two g_plus roots agree in modulus
+        # within 1e-6 relative but differ in value: at each the sweep's
+        # g_plus is the reference's smaller root, not the other one
+        d = canonical(name, 0.0)
+        sweep, rows = awtf_axis_sweep(d, DEFAULT_OMEGAS), reference_axis(d, DEFAULT_OMEGAS)
+        g, other = np.abs(rows[:, 1]), np.abs(rows[:, 5])
+        near = np.abs(g - other) < 1e-6 * np.maximum(g, other)
+        assert near.sum() > 300 and (g[near] <= other[near]).all()
+        got = sweep.g_plus[near]
+        assert (np.abs(got - rows[near, 1]) < np.abs(got - rows[near, 5])).all()
 
     @pytest.mark.parametrize("k", range(12))
     def test_bench_random_pairs(self, k):
@@ -183,31 +180,25 @@ class TestAxisReference:
 
     def test_undamped_pair(self):
         # M = 1/s**2: on the axis beta = 2 - w**2 and the roots' product is 1,
-        # so below w = 2 they are a conjugate pair on the unit circle. The
-        # first sample below the double root at w = 2 is equally near both
-        # from the previous (real) pick; the core and the reference both
-        # take the root with the larger imaginary part there.
+        # so below w = 2 they are a conjugate pair on the unit circle, and
+        # which one is the smaller is rounding's choice
         d = undamped()
         sweep, rows = awtf_axis_sweep(d, DEFAULT_OMEGAS), reference_axis(d, DEFAULT_OMEGAS)
         close(sweep, rows)
-        for g, want in ((sweep.g_plus, rows[:, 1]), (sweep.g_minus, rows[:, 2])):
-            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
-            assert (g[DEFAULT_OMEGAS < 2.0].imag > 0).all()
-        # both roots have modulus 1 to rounding, so which one is the smaller
-        # is rounding's choice, and the hint overrides it 943 times
-        assert sweep.branch_flipped.sum() == UNDAMPED_FLIPS
+        band = DEFAULT_OMEGAS < 2.0
+        for g in (sweep.g_plus, sweep.g_minus):
+            np.testing.assert_allclose(np.abs(g[band]), 1.0, rtol=4 * EPS, atol=0)
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("name", ["vel-asym", "undamped"])
     def test_block_boundaries_inside_the_tie_window(self, monkeypatch, block, name):
-        # Small blocks put block starts on tie samples, whose hint is the
-        # previous block's last entry. vel-asym ties without flips; the
-        # undamped pair's hint overrides the smaller modulus 943 times.
+        # Small blocks put block starts where the two roots nearly tie in
+        # modulus (vel-asym near DC) or tie to rounding (the undamped band):
+        # each pick rests on its own sample, so the blocks change no bit.
         d = undamped() if name == "undamped" else canonical(name, 0.0)
         whole = awtf_axis_sweep(d, DEFAULT_OMEGAS)
         monkeypatch.setattr(waves, "BLOCK", block)
         sweep = awtf_axis_sweep(d, DEFAULT_OMEGAS)
-        assert sweep.branch_flipped.sum() == (UNDAMPED_FLIPS if name == "undamped" else 0)
         for f in waves._FIELDS:
             np.testing.assert_array_equal(getattr(sweep, f), getattr(whole, f), f)
 
@@ -219,16 +210,16 @@ class TestAxisReference:
 
     def test_empty_sweep(self, sym_dyn):
         sweep = awtf_axis_sweep(sym_dyn, [])
-        assert len(sweep) == 0 and sweep.branch_flipped.dtype == bool
-        assert all(getattr(sweep, f).dtype == complex for f in waves._COMPLEX_FIELDS)
+        assert len(sweep) == 0
+        assert all(getattr(sweep, f).dtype == complex for f in waves._FIELDS)
 
     @pytest.mark.parametrize("case", SPECTRA_CASES)
     def test_single_points_are_one_entry_blocks(self, case):
-        # awtf_eval hinted by the sample above equals the sweep's entry
+        # awtf_eval at each entry's s equals the sweep's entry
         d = SPECTRA_CASES[case]
         sweep = wave_sweep(d, 1j * DEFAULT_OMEGAS[::-1][::50])
-        for k in range(1, len(sweep)):
-            assert waves.awtf_eval(d, sweep.s[k], sweep[k - 1]) == sweep[k]
+        for k in range(len(sweep)):
+            assert waves.awtf_eval(d, sweep.s[k]) == sweep[k]
 
 
 class TestOneBlockPerGrid:
@@ -242,25 +233,15 @@ class TestOneBlockPerGrid:
 
 
 class TestModuli:
-    """wave_moduli against the chained sweep of the same frequencies: the
-    moduli of its picks, and the exception it raises."""
+    """wave_moduli against the axis sweep of the same frequencies: the
+    moduli of its picks."""
 
-    @pytest.mark.parametrize("case", SPECTRA_CASES)
+    @pytest.mark.parametrize("case", [*SPECTRA_CASES, "undamped"])
     def test_default_grid_bit_for_bit(self, case):
-        d = SPECTRA_CASES[case]
+        d = undamped() if case == "undamped" else SPECTRA_CASES[case]
         sweep = awtf_axis_sweep(d, DEFAULT_OMEGAS)
         np.testing.assert_array_equal(waves.wave_moduli(d, 1j * DEFAULT_OMEGAS),
                                       np.abs([sweep.g_plus, sweep.g_minus]))
-
-    def test_ties_take_the_smaller_modulus(self):
-        # where the tie walk picks the larger root, it is larger by less
-        # than TOL_TIE
-        d = undamped()
-        sweep = awtf_axis_sweep(d, DEFAULT_OMEGAS)
-        got = waves.wave_moduli(d, 1j * DEFAULT_OMEGAS)
-        chained = np.abs([sweep.g_plus, sweep.g_minus])
-        assert (got <= chained).all() and (got < chained).any()
-        assert (chained - got <= TOL_TIE * chained).all()
 
 
 def row_case(case: str, h: float) -> AgentDynamics:
@@ -422,8 +403,7 @@ class TestSpectraErrors:
     def sweep(g_plus, g_minus):
         s = bromwich_line(TestSpectraErrors.CFG)[::-1]
         zeros = np.zeros(len(s), dtype=complex)
-        return waves.WaveSweep(s, g_plus, g_minus, zeros, zeros,
-                               np.zeros(len(s), dtype=bool))
+        return waves.WaveSweep(s, g_plus, g_minus, zeros, zeros)
 
     @staticmethod
     def spectra(monkeypatch, d, sweep, cuts):
@@ -499,8 +479,7 @@ def dense_peak(d, est, row, points=100_000):
 def corner_cases() -> dict:
     """Property and headway draws whose peak is a corner of min(|r1|, |r2|),
     where a search that assumes a smooth peak stops short of it by more
-    than 1e-6 and a zoom through the hint chain stood up to 9.7e-7 above
-    it (headway-38): on each, both norms are tie corners."""
+    than 1e-6: on each, both norms are tie corners."""
     props, heads = [case[0] for case in property_cases()], list(headway_cases())
     return {**{f"property-{k}": props[k] for k in (19, 26, 47, 67, 70, 93, 96)},
             **{f"headway-{k}": heads[k] for k in (10, 22, 38, 47)}}
@@ -567,12 +546,6 @@ class TestRefinement:
 class TestErrors:
     """The core raises the reference's exception, type and message, at the
     first bad entry in chain order, after the entries before it."""
-
-    def test_branch_ambiguous(self):
-        d, omegas = undamped(), np.geomspace(1e-6, 1.0, 600)
-        got = outcome(lambda: awtf_axis_sweep(d, omegas))
-        assert got[0] is BranchAmbiguous
-        assert got == outcome(lambda: reference_axis(d, omegas))
 
     def test_singular_sample_on_a_pole(self, sym_dyn):
         omegas = np.concatenate([np.geomspace(1e-2, 1e2, 50), [0.0]])
@@ -671,3 +644,16 @@ def test_close_allows_more_than_1e_12_only_near_a_double_root():
     extra = 16 * EPS * np.abs(rows[:, 3]) / np.abs(rows[:, 1] - rows[:, 5])
     assert extra.max() > 1e-12
     assert (extra[DEFAULT_OMEGAS > 4e-3] < 1e-12).all()
+
+
+def test_close_accepts_either_root_only_on_the_undamped_band():
+    # the reference's moduli tie to rounding nowhere on the canonical
+    # dynamics and the bench pairs, on the axis or on the bench's line, and
+    # on the undamped pair exactly below omega = 2
+    line = bromwich_line(BENCH_LINE)[::-1]
+    for d in SPECTRA_CASES.values():
+        for rows in (reference_axis(d, DEFAULT_OMEGAS), reference_chain(d, line)):
+            assert not (moduli_tie(rows, 1) | moduli_tie(rows, 2)).any()
+    rows = reference_axis(undamped(), DEFAULT_OMEGAS)
+    for col in (1, 2):
+        np.testing.assert_array_equal(moduli_tie(rows, col), DEFAULT_OMEGAS < 2.0)

@@ -485,7 +485,7 @@ class TestVerdict:
 
     def test_first_bad_grid_entry_is_the_highest(self):
         # Mf vanishes at +-1j and +-2j, the two ends of the grid: the verdict
-        # raises at s = 2j, where a chained sweep of the grid starts. The
+        # raises at s = 2j, where an axis sweep of the grid starts. The
         # imaginary-axis zeros pass the assumption check under tol_crhp = -1.
         mf = tf_normalize(Polynomial([4.0, 0.0, 5.0, 0.0, 1.0]),
                           Polynomial([0.0, 0.0, 1.0, 4.0, 6.0, 4.0, 1.0]))

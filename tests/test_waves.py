@@ -14,14 +14,9 @@ from wavestring import (
     t_g_eval,
     tf_eval,
 )
-from wavestring.errors import (
-    BranchAmbiguous,
-    NoIntegrator,
-    ReflectionSingular,
-    SingularSample,
-)
-from wavestring.waves import _pick_arrays, _resolve_ties
-from conftest import front_coupling, rear_scaled
+from wavestring.errors import NoIntegrator, ReflectionSingular, SingularSample
+from wavestring.waves import wave_sweep
+from conftest import front_coupling, rear_scaled, undamped
 
 
 def all_three(sym, asym, velasym):
@@ -77,39 +72,38 @@ class TestTg:
 
 
 class TestBranchSelection:
-    @staticmethod
-    def pick(lo, hi, hint=None):
-        """The chosen root and whether it overrides the smaller modulus."""
-        lo, hi = np.array([lo], dtype=complex), np.array([hi], dtype=complex)
-        picks, flipped = _resolve_ties(lo, hi, *_pick_arrays(lo, hi), hint)
-        return (hi if picks[0] else lo)[0], bool(flipped[0])
+    def test_smaller_modulus_default(self, gain_asym_dyn):
+        # the g_plus roots sum to beta: the other one is larger in modulus
+        ws = awtf_eval(gain_asym_dyn, 0.5j)
+        assert abs(ws.g_plus) < abs(ws.beta - ws.g_plus)
 
-    def test_smaller_modulus_default(self):
-        root, flipped = self.pick(0.5, 1.5)
-        assert root == 0.5 and not flipped
-
-    def test_hint_override_flags_flip(self):
-        # perfect modulus tie, materially different roots: the hint decides
-        # and choosing the non-default (second) candidate is recorded
-        lo, hi = -1.0 - 0.5j, 1.0 + 0.5j
-        root, flipped = self.pick(lo, hi, hint=hi)
-        assert root == hi and flipped
-        root2, flipped2 = self.pick(lo, hi, hint=lo)
-        assert root2 == lo and not flipped2
-
-    def test_material_tie_without_hint_raises(self, sym_dyn):
-        with pytest.raises(BranchAmbiguous):
-            awtf_eval(sym_dyn, 1e-4j)
-
-    def test_hint_resolves_material_tie(self, sym_dyn):
-        seed = awtf_eval(sym_dyn, 1e-3j, awtf_eval(sym_dyn, 1e-2j, awtf_eval(sym_dyn, 0.1j)))
-        ws = awtf_eval(sym_dyn, 1e-4j, hint=seed)
+    def test_material_tie_takes_the_smaller_modulus(self, sym_dyn):
+        ws = awtf_eval(sym_dyn, 1e-4j)
         assert abs(ws.g_plus) <= 1.0 + 1e-9
 
     def test_coincident_roots_need_no_hint(self, sym_dyn):
-        # at 1e-8(1+j) the two roots agree to ~1e-8: no ambiguity
+        # at 1e-8(1+j) the two roots agree to ~1e-8
         ws = awtf_eval(sym_dyn, 1e-8 * (1 + 1j))
         assert ws.g_plus == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("sigma", [1e-8, 1e-9])
+    def test_undamped_pair_decays_just_off_the_axis(self, sigma):
+        # M = 1/s**2: on the axis below omega = 2 both roots have modulus 1;
+        # just right of it the proper (decaying) one has modulus below 1.
+        # The samples follow 10j in one sweep: no sample may steer the next.
+        d = undamped()
+        s = np.concatenate([[10j], sigma + 1j * np.geomspace(1.99, 0.01, 400)])
+        sweep = wave_sweep(d, s)
+        assert (np.abs(sweep.g_plus[1:]) < 1.0).all()
+        assert (np.abs(sweep.g_minus[1:]) < 1.0).all()
+
+    def test_a_sample_does_not_depend_on_the_one_before(self):
+        # on the undamped pair's band both roots have modulus 1 and differ
+        # in value; whatever precedes 1j in a sweep, its entry is awtf_eval's
+        d = undamped()
+        alone = awtf_eval(d, 1j)
+        for before in (10j, 1.5j, 0.5j, -1j, 1e-3 + 1j):
+            assert wave_sweep(d, np.array([before, 1j]))[1] == alone, before
 
 
 class TestAwtfLimits:
@@ -212,7 +206,7 @@ class TestReflections:
     def test_identities(self, gain_asym_dyn):
         s = 0.1j
         ws = awtf_eval(gain_asym_dyn, s)
-        refl = reflection_from_sample(awtf_eval(gain_asym_dyn, s, hint=ws))
+        refl = reflection_from_sample(ws)
         assert abs(refl.t1 + ws.g_plus * ws.g_minus) <= 1e-9
         assert abs(refl.tN * (ws.g_minus - 1) - ws.g_minus * (ws.g_plus - 1)) <= 1e-9
 

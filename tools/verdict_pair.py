@@ -6,7 +6,7 @@ The parent's committed files are exported with `git archive` into a
 temporary directory, as tools/bench_pair.py does; the change side is the
 working tree. On each side this script runs itself as a subprocess
 (`--worker`) with that side's src/ first on PYTHONPATH, so each side is
-judged by its own library, and records two sets, defined once here:
+judged by its own library, and records three sets, defined once here:
 
 - DYNAMICS, 230 dynamics: the canonical six (gain-asym, vel-asym and sym at
   h = 0 and 0.5), the 12 seed-1 PI pairs of the bench's spectral workload,
@@ -24,6 +24,11 @@ judged by its own library, and records two sets, defined once here:
   tol_norm to one of TOL_NORMS, the last also with the vel-asym and sym
   rears. Each records the exit code and the verdict in analysis.json (None
   if none is written).
+- COUPLINGS, the couplings g_plus and g_minus of each DYNAMICS entry on two
+  lines: awtf_axis_sweep on the default grid, and wave_sweep down the
+  bench's Bromwich line (T_final 40 s, 16384 samples, top frequency
+  first). Each records the class and message of what it raises (None if
+  nothing), and the arrays go to one .npy file per entry and line.
 
 Every difference is printed by field. Crossings are compared as ascending
 lists; their digits are summarised as the largest relative move, and a
@@ -32,8 +37,10 @@ of norm_gp and norm_gm are summarised the same way. Each summary counts the
 cases that moved up and those that moved down, each beside its largest
 relative move (a case's crossings count by the direction of their largest
 move). The refined flag, the verdict, the other flags, the notes, the
-exceptions and the exit codes are printed in full. The script exits 0 once
-both sides have run, whatever the differences.
+exceptions and the exit codes are printed in full. For the couplings, each
+entry and line whose arrays differ (NaN equal to NaN) prints the count of
+samples that moved and the largest relative move, per coupling. The script
+exits 0 once both sides have run, whatever the differences.
 """
 
 from __future__ import annotations
@@ -188,11 +195,34 @@ def _analyze_record(cfg: dict, tmp: str, name: str) -> dict:
     return {"exit": code, "verdict": verdict}
 
 
-def worker() -> None:
+def _coupling_record(d, out: str, name: str) -> dict:
+    """COUPLINGS for one entry: each line's exception (None if none); the
+    arrays [g_plus, g_minus] are saved as out/<name> <line>.npy."""
+    import numpy as np
+    from wavestring import FrequencyGrid
+    from wavestring.waveresponse import InverseLaplaceConfig, bromwich_line
+    from wavestring.waves import awtf_axis_sweep, wave_sweep
+
+    lines = {"axis": lambda: awtf_axis_sweep(d, FrequencyGrid().omegas()),
+             "line": lambda: wave_sweep(d, bromwich_line(InverseLaplaceConfig(40.0, 16384))[::-1])}
+    record = {}
+    for line, run in lines.items():
+        try:
+            sweep = run()
+        except Exception as exc:  # recorded and compared, not swallowed
+            record[line] = f"{type(exc).__name__}: {exc}"
+            continue
+        record[line] = None
+        np.save(os.path.join(out, f"{name} {line}.npy"), np.stack([sweep.g_plus, sweep.g_minus]))
+    return record
+
+
+def worker(couplings: str) -> None:
     dynamics = dynamics_set()
     records = {"dynamics": {k: _verdict_record(d) for k, d in dynamics.items()},
                f"dynamics at tol_norm {RELAXED}":
-               {k: _verdict_record(d, tol_norm=RELAXED) for k, d in dynamics.items()}}
+               {k: _verdict_record(d, tol_norm=RELAXED) for k, d in dynamics.items()},
+               "couplings": {k: _coupling_record(d, couplings, k) for k, d in dynamics.items()}}
     with tempfile.TemporaryDirectory() as tmp:
         records["extreme"] = {k: _analyze_record(cfg, tmp, f"out{i}")
                               for i, (k, cfg) in enumerate(extreme_set().items())}
@@ -202,11 +232,13 @@ def worker() -> None:
 # --------------------------------------------------------------- comparing
 
 
-def run_side(root: str) -> dict:
+def run_side(root: str, couplings: str) -> dict:
+    """The side's records; its coupling arrays go to the directory couplings."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1")
+    os.makedirs(couplings)
     with tempfile.TemporaryDirectory() as cwd:
-        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker"],
+        done = subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", couplings],
                               cwd=cwd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
@@ -215,7 +247,32 @@ def _relative(a: float, b: float) -> float:
     return 0.0 if a == b else abs(a - b) / abs(a) if a else float("inf")
 
 
-def compare(parent: dict, change: dict) -> None:
+def compare_couplings(parent: dict, change: dict, old_dir: str, new_dir: str) -> None:
+    """Each entry and line whose coupling arrays differ: per coupling, the
+    count of samples that moved and the largest relative move. A line that
+    raised on either side is compared by its exception only (above)."""
+    import numpy as np
+
+    moved = []
+    for name, old in parent.items():
+        for line in old:
+            if old[line] is not None or change[name][line] is not None:
+                continue
+            path = f"{name} {line}.npy"
+            a, b = np.load(os.path.join(old_dir, path)), np.load(os.path.join(new_dir, path))
+            for coupling, x, y in zip(("g_plus", "g_minus"), a, b):
+                diff = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+                if diff.any():
+                    with np.errstate(all="ignore"):
+                        rel = np.abs(y[diff] - x[diff]) / np.abs(x[diff])
+                    print(f"couplings/{name}: {line} {coupling}: {int(diff.sum())} of {len(x)} "
+                          f"samples moved (largest relative move {np.nanmax(rel):.2g})")
+                    moved.append(name)
+    print(f"couplings: {len(parent)} cases, moves on {len(set(moved))}: "
+          f"{', '.join(sorted(set(moved))) or '-'}")
+
+
+def compare(parent: dict, change: dict, coupling_dirs: tuple[str, str]) -> None:
     for group in parent:
         diffs = 0
         # summarised field -> {"up": [cases, (largest move, case)], "down": ...}
@@ -257,6 +314,7 @@ def compare(parent: dict, change: dict) -> None:
             print(f"{group}: {key} moved " + " and ".join(
                 f"{d} on {n} cases (largest relative move {rel:.2g}, {name})"
                 for d, (n, (rel, name)) in way.items()))
+    compare_couplings(parent["couplings"], change["couplings"], *coupling_dirs)
     ext_p, ext_c = parent["extreme"], change["extreme"]
     freed = [k for k in ext_p if ext_p[k]["exit"] == 3 and ext_c[k]["exit"] == 0]
     lost = [k for k in ext_p if ext_p[k]["exit"] == 0 and ext_c[k]["exit"] != 0]
@@ -267,17 +325,20 @@ def compare(parent: dict, change: dict) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", help="revision to compare the working tree against")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--worker", metavar="COUPLINGS", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.worker:
-        worker()
+        worker(args.worker)
         return 0
     if not args.parent:
         ap.error("--parent is required")
     with tempfile.TemporaryDirectory() as tmp:
-        export(args.parent, tmp)
-        parent = run_side(tmp)
-    compare(parent, run_side(ROOT))
+        dirs = os.path.join(tmp, "parent-couplings"), os.path.join(tmp, "couplings")
+        tree = os.path.join(tmp, "tree")
+        os.makedirs(tree)
+        export(args.parent, tree)
+        parent = run_side(tree, dirs[0])
+        compare(parent, run_side(ROOT, dirs[1]), dirs)
     return 0
 
 
