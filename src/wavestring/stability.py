@@ -49,6 +49,11 @@ class FrequencyGrid:
     points: int = 2000
 
     def __post_init__(self):
+        for name, value in (("omega_min", self.omega_min), ("omega_max", self.omega_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ValueError(f"points must be an integer, not {self.points!r}")
         if self.omega_min <= 0:
             raise ValueError("omega_min must be positive")
         if self.omega_min >= self.omega_max:
@@ -304,9 +309,9 @@ def local_string_verdict(
 
     Every check reads the grid's range and _axis_quadratic's rows, formed
     once: the norm estimates of g_plus and g_minus (awtf_norm_estimates,
-    the grid's moduli first, so a bad grid entry raises there, the highest
-    first) and the axis test on t_g (analyticity of the couplings in the
-    right half plane). A norm above rho = 1 + tol_norm is unstable; failing
+    the grid's moduli first, so a bad grid entry raises there, the one of
+    highest |omega|) and the axis test on t_g (analyticity of the couplings
+    in the right half plane). A norm above rho = 1 + tol_norm is unstable; failing
     that, so is a band with |g_plus| or |g_minus| above rho that the level
     set finds (_band_over), and a note names it.
 

@@ -187,8 +187,7 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return (self.equal_integrators and self.both_proper and self.no_crhp_roots
-                and not self.violations)
+        return not self.violations
 
 
 def check_assumption1(d: AgentDynamics, tol_crhp: float = TOL_CRHP) -> AssumptionReport:

@@ -11,11 +11,10 @@ sigma = 2/T_final.
 
 Step inputs ride along as an extra 1/s factor in the spectrum; the k = 0
 sample sits at s = sigma on the line, so nothing is ever evaluated at the
-origin pole. The wave spectra take the line's couplings from
-waves.wave_blocks, run from the highest frequency down, and are formed per
-block on its arrays (_line_spectra) with the same reflection_from_sample
-and round_trip as a single sample. A spectrum entry that is not finite is
-refused with NumericalError.
+origin pole. The wave spectra are formed on the line's arrays
+(_line_spectra), BLOCK entries at a time, from waves.wave_sweep with the
+same reflection_from_sample and round_trip as a single sample. A spectrum
+entry that is not finite is refused with NumericalError.
 """
 
 from __future__ import annotations
@@ -28,11 +27,12 @@ import numpy as np
 from .errors import NonDecaying, NumericalError
 from .platoon import SimConfig, Topology, build_network, default_dt, simulate
 from .tf import AgentDynamics
-from .waves import TOL_SING, WaveSweep, reflection_from_sample, round_trip, wave_blocks
+from .waves import WaveSweep, reflection_from_sample, round_trip, wave_sweep
 
 PERIOD_FACTOR = 8           # FFT period as a multiple of the requested horizon
 TAIL_FRACTION = 0.1         # spectrum tail inspected by the decay guard
 TAIL_THRESHOLD = 0.02       # mean tail magnitude above this fraction of the peak fails
+BLOCK = 2048                # line entries per block: bounds the temporaries of a long line
 
 
 @dataclass(frozen=True)
@@ -128,30 +128,29 @@ class WaveComponents:
 
 def _line_spectra(d: AgentDynamics, cfg: InverseLaplaceConfig,
                   spectra: Callable[[WaveSweep], np.ndarray]) -> np.ndarray:
-    """The rows of spectra(block) on bromwich_line(cfg), ascending frequency.
+    """The rows of spectra(sweep) on bromwich_line(cfg), ascending frequency.
 
-    wave_blocks walks the line from its top frequency down; spectra(block)
-    gives one row per spectrum and one column per entry, under a local
-    errstate that ignores everything. Errors come at the first bad entry in
-    that order: NumericalError at a non-finite column, or what spectra
-    raises (ReflectionSingular from reflection_from_sample). So that the
-    second does not pre-empt the first, a block is cut before its first
-    |g_minus - 1| < TOL_SING.
+    spectra(sweep) gives one row per spectrum and one column per entry,
+    under a local errstate that ignores everything. The line is taken in
+    blocks of BLOCK entries, from the top block down, so an error names
+    the top block that holds a bad entry. Within it, wave_sweep raises at
+    its bad entry of largest |s|, then spectra may raise
+    (ReflectionSingular from reflection_from_sample), and last a column
+    that is not finite is refused with NumericalError, the one of largest
+    |s| named.
     """
-    line = bromwich_line(cfg)[::-1]
+    line = bromwich_line(cfg)
     parts = []
-    for block in wave_blocks(d, line):
-        cut = np.flatnonzero(np.abs(block.g_minus - 1.0) < TOL_SING)[:1].tolist()
-        for lo, hi in zip([0] + cut, cut + [len(block)]):
-            part = block.take(slice(lo, hi))
-            with np.errstate(all="ignore"):
-                rows = spectra(part)
-            bad = ~np.isfinite(rows).all(axis=0)
-            if bad.any():
-                s = complex(part.s[np.argmax(bad)])
-                raise NumericalError(f"the wave spectrum is non-finite at s={s}")
-            parts.append(rows)
-    return np.concatenate(parts, axis=1)[:, ::-1]
+    for lo in reversed(range(0, len(line), BLOCK)):
+        sweep = wave_sweep(d, line[lo:lo + BLOCK])
+        with np.errstate(all="ignore"):
+            rows = spectra(sweep)
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))
+        if bad.size:
+            s = complex(sweep.s[bad[-1]])
+            raise NumericalError(f"the wave spectrum is non-finite at s={s}")
+        parts.append(rows)
+    return np.concatenate(parts[::-1], axis=1)
 
 
 def _wave_spectra(

@@ -27,13 +27,17 @@ Every evaluation runs on one array core in plain numpy complex arithmetic:
 _eval_terms forms Mf, Mr, t_g and the shared numerator at every s, and
 _root_pairs both root pairs (front and rear as the two rows of one array).
 wave_moduli stops there, at the smaller modulus of each pair: |g_plus| and
-|g_minus|, all that a verdict reads. _wave_block picks the couplings. A
-block raises at its first bad entry in the order given (a pole, a
-vanishing or non-finite Mf or Mr, or a non-finite quadratic), after the
-entries before it. wave_blocks cuts a sweep into blocks of BLOCK = 2048
-samples, which holds a default grid whole and bounds the temporaries on the
-Bromwich line. A sweep is a WaveSweep, the WaveSample fields as arrays; a
-single point (awtf_eval, t_g_eval) is a one-entry block.
+|g_minus|, all that a verdict reads. wave_sweep picks the couplings and
+returns a WaveSweep, the WaveSample fields as arrays; a single point
+(awtf_eval, t_g_eval) is a one-entry sweep, and a sweep of permuted
+frequencies is the permuted sweep, bit for bit.
+
+Errors follow one rule: a sweep raises what a single sample raises at its
+bad entry of largest |s| (a pole, a vanishing or non-finite Mf or Mr, an
+overflowing power of s or a non-finite quadratic; a non-finite s, NaN
+included, counts as |s| = inf). On the axis that is the highest |omega|,
+on a Bromwich line its top frequency. Ties go to the first such entry in
+the order given.
 
 The square root is taken of the discriminant numerator
 
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -56,7 +60,6 @@ from .errors import NoIntegrator, NumericalError, ReflectionSingular, SingularSa
 from .tf import AgentDynamics, low_order_coeffs
 
 TOL_SING = 1e-8   # |g_minus - 1| below this means the rear reflection blows up
-BLOCK = 2048      # samples per wave_blocks block: a default FrequencyGrid is one
 
 
 @dataclass(frozen=True)
@@ -104,20 +107,16 @@ class WaveSweep:
         for z in zip(*(getattr(self, f).tolist() for f in _FIELDS)):
             yield WaveSample(*z)
 
-    def take(self, index) -> "WaveSweep":
-        """The entries at index, in that order."""
-        return WaveSweep(*(getattr(self, f)[index] for f in _FIELDS))
-
 
 _FIELDS = ("s", "g_plus", "g_minus", "alpha", "beta")
 
 
 def _eval_terms(d: AgentDynamics, s: np.ndarray):
     """(Mf, Mr, shared, t_g) at every s, the headway-aware shared term
-    1 + (1 + h*s)(Mf + Mr) being the numerator of both alpha and beta; the
-    first entry at which s is not finite, s**p overflows, Mf or Mr has a
-    pole, vanishes or is not finite, or the quadratic is not finite (len(s)
-    if none), and the exception a single sample raises there (None if none).
+    1 + (1 + h*s)(Mf + Mr) being the numerator of both alpha and beta.
+    An entry is bad where s is not finite, s**p overflows, Mf or Mr has a
+    pole, vanishes or is not finite, or the quadratic is not finite; at the
+    bad entry of largest |s| this raises what a single sample raises there.
     A non-finite s counts as a non-finite Mf or Mr."""
     def horner(coeffs):
         acc = coeffs[-1]
@@ -137,31 +136,28 @@ def _eval_terms(d: AgentDynamics, s: np.ndarray):
         # An overflowing power or a pole leaves Mf or Mr zero or not finite.
         ok = (np.isfinite(mf) & np.isfinite(mr) & (mf != 0) & (mr != 0)
               & np.isfinite(shared) & np.isfinite(t_g))
-    terms = mf, mr, shared, t_g
-    if ok.all():
-        return terms, len(s), None
-    k = int(np.argmin(ok))
+        if ok.all():
+            return mf, mr, shared, t_g
+        size = np.where(ok, -1.0, np.abs(s))
+    k = int(np.argmax(np.where(np.isnan(size), np.inf, size)))
     x = complex(s[k])
     if not cmath.isfinite(x):
-        return terms, k, SingularSample(f"Mf or Mr is non-finite at s={x}")
+        raise SingularSample(f"Mf or Mr is non-finite at s={x}")
     for tf, (_, power, den) in zip((d.Mf, d.Mr), parts):
         if np.isinf(power[k]):
-            return terms, k, NumericalError(f"s**{tf.p} overflows at s={x}")
+            raise NumericalError(f"s**{tf.p} overflows at s={x}")
         if den[k] == 0:
-            return terms, k, SingularSample(f"transfer function has a pole at s={x}")
+            raise SingularSample(f"transfer function has a pole at s={x}")
     if mf[k] == 0 or mr[k] == 0:
-        return terms, k, SingularSample(f"Mf or Mr vanishes at s={x}")
+        raise SingularSample(f"Mf or Mr vanishes at s={x}")
     if not (np.isfinite(mf[k]) and np.isfinite(mr[k])):
-        return terms, k, SingularSample(f"Mf or Mr is non-finite at s={x}")
-    return terms, k, SingularSample(f"wave quadratic is non-finite at s={x} (h={d.h:g})")
+        raise SingularSample(f"Mf or Mr is non-finite at s={x}")
+    raise SingularSample(f"wave quadratic is non-finite at s={x} (h={d.h:g})")
 
 
 def _terms_at(d: AgentDynamics, s: complex) -> tuple[complex, ...]:
     """(Mf, Mr, shared, t_g) at one s; raises where awtf_eval would."""
-    terms, _, error = _eval_terms(d, np.array([complex(s)]))
-    if error is not None:
-        raise error
-    return tuple(complex(x[0]) for x in terms)
+    return tuple(complex(x[0]) for x in _eval_terms(d, np.array([complex(s)])))
 
 
 def t_g_eval(d: AgentDynamics, s: complex) -> complex:
@@ -189,73 +185,40 @@ def _root_pairs(mf, mr, shared, t_g):
     return np.where(plus_wins, near, far), np.where(plus_wins, far, near), own
 
 
-def _wave_block(d: AgentDynamics, s: np.ndarray) -> tuple[WaveSweep, Optional[Exception]]:
-    """Both couplings at every s, each the root of smaller modulus (hi
-    where |lo| <= |hi| fails, so also where a modulus is not a number), and
-    the exception of the first bad entry (None if there is none); the block
-    is cut before that entry. The root pairs (_root_pairs) and picks are
-    the rows (g_plus, g_minus)."""
-    terms, stop, error = _eval_terms(d, s)
-    with np.errstate(all="ignore"):
-        lo, hi, own = _root_pairs(*terms)
-        coeff = terms[2] / own  # rows (beta, alpha)
-        g_plus, g_minus = np.where(~(np.abs(lo) <= np.abs(hi)), hi, lo)
-    block = WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=coeff[1], beta=coeff[0])
-    return (block if error is None else block.take(slice(0, stop))), error
-
-
 def wave_moduli(d: AgentDynamics, s: np.ndarray) -> np.ndarray:
     """|g_plus| and |g_minus| at every s, the two rows of one array: the
     smaller root modulus of each quadratic, the modulus of the couplings
-    that _wave_block picks. Raises what a single sample raises at the bad
-    entry nearest the end of s: for ascending s = 1j*omega the highest
-    |omega|, where awtf_axis_sweep raises."""
-    terms, _, error = _eval_terms(d, s)
-    if error is not None:
-        raise _eval_terms(d, s[::-1])[2]
+    that wave_sweep picks. Raises what wave_sweep raises."""
+    terms = _eval_terms(d, s)
     with np.errstate(all="ignore"):
         lo, hi, _ = _root_pairs(*terms)
         return np.minimum(np.abs(lo), np.abs(hi))
 
 
+def wave_sweep(d: AgentDynamics, s) -> WaveSweep:
+    """Both couplings at every s (array-like), each the root of smaller
+    modulus (hi where |lo| <= |hi| fails, so also where a modulus is not a
+    number). The root pairs (_root_pairs) and picks are the rows (g_plus,
+    g_minus). Raises what a single sample raises at the bad entry of
+    largest |s|."""
+    s = np.asarray(s, dtype=complex)
+    terms = _eval_terms(d, s)
+    with np.errstate(all="ignore"):
+        lo, hi, own = _root_pairs(*terms)
+        coeff = terms[2] / own  # rows (beta, alpha)
+        g_plus, g_minus = np.where(~(np.abs(lo) <= np.abs(hi)), hi, lo)
+    return WaveSweep(s=s, g_plus=g_plus, g_minus=g_minus, alpha=coeff[1], beta=coeff[0])
+
+
 def awtf_eval(d: AgentDynamics, s: complex) -> WaveSample:
     """Evaluate both wave couplings at s."""
-    block, error = _wave_block(d, np.array([complex(s)]))
-    if error is not None:
-        raise error
-    return block[0]
-
-
-def wave_blocks(d: AgentDynamics, s: np.ndarray) -> Iterator[WaveSweep]:
-    """Both couplings at every s as WaveSweep blocks in order, at most BLOCK
-    entries each. At the first bad entry the entries before it are yielded
-    and its exception raised."""
-    for lo in range(0, len(s), BLOCK):
-        block, error = _wave_block(d, s[lo:lo + BLOCK])
-        if len(block):
-            yield block
-        if error is not None:
-            raise error
-
-
-def wave_sweep(d: AgentDynamics, s: np.ndarray) -> WaveSweep:
-    """The wave_blocks of s as one WaveSweep."""
-    s = np.asarray(s, dtype=complex)
-    blocks = list(wave_blocks(d, s))
-    if not blocks:  # s is empty
-        return WaveSweep(s, s, s, s, s)
-    if len(blocks) == 1:
-        return blocks[0]
-    return WaveSweep(*(np.concatenate([getattr(b, f) for b in blocks]) for f in _FIELDS))
+    return wave_sweep(d, [complex(s)])[0]
 
 
 def awtf_axis_sweep(d: AgentDynamics, omegas) -> WaveSweep:
     """Samples at s = 1j*omega for each omega (array-like), in the caller's
-    order. They are evaluated from the highest |omega| down, so a bad
-    entry raises at the highest |omega| among them, as in wave_moduli."""
-    omegas = np.asarray(omegas, dtype=float)
-    order = np.argsort(-np.abs(omegas), kind="stable")
-    return wave_sweep(d, 1j * omegas[order]).take(np.argsort(order))
+    order."""
+    return wave_sweep(d, 1j * np.asarray(omegas, dtype=float))
 
 
 def awtf_dc(d: AgentDynamics) -> tuple[float, float]:
@@ -278,15 +241,16 @@ def reflection_from_sample(ws: Union[WaveSample, WaveSweep]) -> ReflectionSample
     """Boundary reflections t1 = -g_plus*g_minus, tN = g_minus*(g_plus-1)/(g_minus-1),
     at one sample or at every entry of a sweep.
 
-    Raises ReflectionSingular at the first entry where g_minus is within
-    TOL_SING of 1 (the rear reflection denominator vanishes there; this
-    happens as s -> 0 whenever the backward DC gain is 1).
+    Raises ReflectionSingular where g_minus is within TOL_SING of 1 (the
+    rear reflection denominator vanishes there; this happens as s -> 0
+    whenever the backward DC gain is 1), naming the entry of largest |s|.
     """
     denom = ws.g_minus - 1.0
     near = np.flatnonzero(np.abs(denom) < TOL_SING)
     if near.size:
+        s = np.ravel(ws.s)[near]
         raise ReflectionSingular(
-            f"g_minus is within {TOL_SING:g} of 1 at s={complex(np.ravel(ws.s)[near[0]])}"
+            f"g_minus is within {TOL_SING:g} of 1 at s={complex(s[np.argmax(np.abs(s))])}"
         )
     t1 = -ws.g_plus * ws.g_minus
     tN = ws.g_minus * (ws.g_plus - 1.0) / denom

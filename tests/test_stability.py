@@ -59,6 +59,22 @@ class TestGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(1e-3, 1e2, 8)
 
+    @pytest.mark.parametrize("field, value, message", [
+        *((f, v, f"{f} must be finite, not {v!r}")
+          for f in ("omega_min", "omega_max")
+          for v in (float("nan"), float("inf"), -float("inf"))),
+        ("points", 2000.0, "points must be an integer, not 2000.0"),
+        ("points", 400.5, "points must be an integer, not 400.5"),
+    ])
+    def test_refuses_what_builds_no_grid(self, field, value, message):
+        # a non-finite end would build a NaN/inf grid, and a float count
+        # fail inside numpy: each is refused by name
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FrequencyGrid(**{field: value})
+
+    def test_numpy_integer_points(self):
+        assert len(FrequencyGrid(points=np.int64(20)).omegas()) == 20
+
     def test_log_spacing(self):
         om = FrequencyGrid(1e-2, 1e2, 17).omegas()
         ratios = om[1:] / om[:-1]

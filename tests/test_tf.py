@@ -135,6 +135,8 @@ class TestAssumptionReport:
         mf = RationalTF(Polynomial([1, 0, 0, 1]), Polynomial([1, 1]), p=1)
         report = check_assumption1(AgentDynamics(mf, mf))
         assert not report.both_proper
+        assert not report.passed
+        assert "Mf or Mr is improper (numerator degree too high)" in report.violations
 
     def test_negative_kappa_flagged(self):
         # constant numerators have no roots to flag; only their signs differ

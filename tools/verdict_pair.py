@@ -17,18 +17,22 @@ judged by its own library, and records three sets, defined once here:
   and the crossings, or the class and message of what it raises. Each is
   recorded twice: at the default tol_norm, and at RELAXED, where a peak
   just above 1 is marginal.
-- EXTREME, 382 `wavestring analyze` configs: the gain-asym path-6 config at
+- EXTREME, 386 `wavestring analyze` configs: the gain-asym path-6 config at
   400 points with one change, at h = 0 and at h = 0.7. The change sets one
   entry of mf.num, mr.num, mf.den or mr.den to one of VALUES, or
-  omega_max to 1e10, 1e50 or 1e150, or omega_min to 1e-30 or 1e-100, or
-  tol_norm to one of TOL_NORMS, the last also with the vel-asym and sym
-  rears. Each records the exit code and the verdict in analysis.json (None
-  if none is written).
+  omega_max to one of OMEGA_MAXES (1e200 and 1e300 overflow s**2 on the
+  grid), or omega_min to 1e-30 or 1e-100, or tol_norm to one of
+  TOL_NORMS, the last also with the vel-asym and sym rears. Each records
+  the exit code, what the CLI wrote to stderr (the message of a refusal)
+  and the verdict in analysis.json (None if none is written).
 - COUPLINGS, the couplings g_plus and g_minus of each DYNAMICS entry on two
-  lines: awtf_axis_sweep on the default grid, and wave_sweep down the
-  bench's Bromwich line (T_final 40 s, 16384 samples, top frequency
-  first). Each records the class and message of what it raises (None if
-  nothing), and the arrays go to one .npy file per entry and line.
+  lines: awtf_axis_sweep on the default grid, and wave_sweep on the
+  bench's Bromwich line (T_final 40 s, 16384 samples), given top
+  frequency first. A sweep raises at its bad entry of largest |s|, the
+  line's top frequency; libraries older than that rule raised at the first
+  bad entry in the order given, so both sides raise at the same entry.
+  Each records the class and message of what it raises (None if nothing),
+  and the arrays go to one .npy file per entry and line.
 
 Every difference is printed by field. Crossings are compared as ascending
 lists; their digits are summarised as the largest relative move, and a
@@ -37,7 +41,7 @@ of norm_gp and norm_gm are summarised the same way. Each summary counts the
 cases that moved up and those that moved down, each beside its largest
 relative move (a case's crossings count by the direction of their largest
 move). The refined flag, the verdict, the other flags, the notes, the
-exceptions and the exit codes are printed in full. For the couplings, each
+exceptions, the exit codes and the stderr texts are printed in full. For the couplings, each
 entry and line whose arrays differ (NaN equal to NaN) prints the count of
 samples that moved and the largest relative move, per coupling. The script
 exits 0 once both sides have run, whatever the differences.
@@ -61,6 +65,7 @@ from bench_pair import export  # noqa: E402
 VALUES = (1e-300, 1e-150, 1e-100, 1e-30, 1e30, 1e75, 1e100, 1e150, 1e200, 1e300,
           -1.0, 0.5, 3.0, 1e-12)
 TOL_NORMS = (0.02, 10.0, 1e100, 1e300, -0.5, 1e-300)
+OMEGA_MAXES = (1e10, 1e50, 1e150, 1e200, 1e300)
 RELAXED = 0.02  # the second tol_norm of DYNAMICS
 DEN = [0.0, 0.0, 1.0, 1.0 / 3.0]
 MF = {"num": [4.0 / 3.0, 4.0 / 3.0], "den": DEN}
@@ -137,7 +142,7 @@ def dynamics_set() -> dict:
 
 
 def extreme_set() -> dict:
-    """EXTREME: name -> analyze config, 382 entries."""
+    """EXTREME: name -> analyze config, 386 entries."""
     out = {}
     for h in (0.0, 0.7):
         def config(**analysis):
@@ -152,7 +157,7 @@ def extreme_set() -> dict:
                         cfg = config()
                         cfg["dynamics"][side][part][i] = v
                         out[f"h{h}-{side}.{part}[{i}]={v:g}"] = cfg
-        for key, values in (("omega_max", (1e10, 1e50, 1e150)),
+        for key, values in (("omega_max", OMEGA_MAXES),
                             ("omega_min", (1e-30, 1e-100))):
             for v in values:
                 out[f"h{h}-{key}={v:g}"] = config(**{key: v})
@@ -185,14 +190,16 @@ def _analyze_record(cfg: dict, tmp: str, name: str) -> dict:
     path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, name)
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["analyze", "--config", path, "--out", out])
     report = os.path.join(out, "analysis.json")
     verdict = None
     if os.path.exists(report):
         with open(report) as fh:
             verdict = json.load(fh).get("verdict")
-    return {"exit": code, "verdict": verdict}
+    # the temporary directory differs between the sides
+    return {"exit": code, "stderr": err.getvalue().replace(tmp, "<tmp>"), "verdict": verdict}
 
 
 def _coupling_record(d, out: str, name: str) -> dict:
